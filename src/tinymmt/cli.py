@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
+from tinymmt.atomic import atomic_write
 from tinymmt.config import RunConfig, load_config
 from tinymmt.datapipe import (
     LANG_NAMES,
@@ -38,13 +38,6 @@ from tinymmt.training import (
     run_pipeline,
 )
 from tinymmt.training.sweep import generate_hypotheses
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
 
 
 def _json_dumps(obj) -> str:
@@ -114,7 +107,7 @@ def cmd_prepare_data(cfg: RunConfig, task_filter: str | None) -> int:
             avg = ", ".join(f"{l}={v:.2f}" for l, v in sorted(s.avg_tokens.items()))
             print(f"{lang}/{split}: {s.count} records, avg tokens {avg}")
 
-    _atomic_write(cfg.out_path / "stats.json", _json_dumps(all_stats))
+    atomic_write(cfg.out_path / "stats.json", _json_dumps(all_stats))
     return 0
 
 
@@ -186,7 +179,6 @@ def cmd_train(cfg: RunConfig, stages_filter: list[int] | None,
             batch_size=spec.batch_size,
             seed=spec.seed if spec.seed is not None else derive_stage_seed(cfg.seed, spec.stage),
             mode=mode,
-            data_mix=tuple((p, 1.0) for p in spec.data),
             max_steps=spec.max_steps,
         ))
 
@@ -242,7 +234,7 @@ def cmd_generate(args) -> int:
             ]
 
     hyps = generate_hypotheses(model, instances, max_new_tokens=args.max_new_tokens)
-    _atomic_write(Path(args.out), "".join(h + "\n" for h in hyps))
+    atomic_write(args.out, "".join(h + "\n" for h in hyps))
     print(f"wrote {len(hyps)} hypotheses -> {args.out}")
     return 0
 
@@ -263,7 +255,7 @@ def cmd_report(args) -> int:
     reports = [read_report(p) for p in args.reports]
     table = format_leaderboard(reports, label=args.label)
     if args.out:
-        _atomic_write(Path(args.out), table)
+        atomic_write(args.out, table)
     print(table, end="")
     return 0
 
@@ -283,7 +275,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         batch_size=args.batch_size, max_steps=args.max_steps,
     )
     out_path = cfg.out_path / "sweep.json"
-    _atomic_write(out_path, _json_dumps(rows))
+    atomic_write(out_path, _json_dumps(rows))
     print(f"{'lr':>8}  {'epochs':>6}  {'bleu':>6}  {'val_loss':>9}  error")
     for row in rows:
         bleu_s = f"{row['bleu']:.1f}" if "bleu" in row else "-"

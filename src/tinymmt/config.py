@@ -8,7 +8,7 @@ same config and seed reproduces its outputs byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from tinymmt.errors import ConfigError
@@ -18,6 +18,12 @@ from tinymmt.datapipe.records import LANGS, SPLITS, TASKS
 def _expect(cond: bool, where: str, message: str) -> None:
     if not cond:
         raise ConfigError(f"{where}: {message}")
+
+
+def _check_keys(raw: dict, allowed, prefix: str) -> None:
+    """Reject any key outside `allowed`, naming its dotted path."""
+    for key in sorted(raw):
+        _expect(key in allowed, prefix + key, f"unknown key (allowed: {', '.join(allowed)})")
 
 
 def _typed(d: dict, key: str, types, where: str, default=..., allow_none: bool = False):
@@ -56,11 +62,10 @@ class StageSpec:
     seed: int | None = None  # default: derived from the master seed by stage
 
 
-@dataclass
-class MetricsSection:
-    smooth_bleu: bool = False
-    ribes_alpha: float = 0.25
-    ribes_beta: float = 0.10
+_TOP_KEYS = ("seed", "out_dir", "model", "data", "train")
+_TRAIN_KEYS = ("stages", "val")
+_DATA_KEYS = tuple(f.name for f in fields(DataSection))
+_STAGE_KEYS = tuple(f.name for f in fields(StageSpec))
 
 
 @dataclass
@@ -71,7 +76,6 @@ class RunConfig:
     data: DataSection
     stages: list[StageSpec]
     val_files: tuple[str, ...]
-    metrics: MetricsSection
     base_dir: Path  # directory of the config file; relative paths resolve here
 
     def resolve(self, path_str: str) -> Path:
@@ -85,6 +89,7 @@ class RunConfig:
 
 def _parse_data(raw: dict) -> DataSection:
     where = "data"
+    _check_keys(raw, _DATA_KEYS, "data.")
     tsv = _typed(raw, "tsv", dict, where, default={})
     for lang, splits in tsv.items():
         _expect(lang in LANGS, f"{where}.tsv", f"unknown language {lang!r}")
@@ -110,6 +115,8 @@ def _parse_data(raw: dict) -> DataSection:
 
 def _parse_stage(raw: dict, index: int) -> StageSpec:
     where = f"train.stages[{index}]"
+    _expect(isinstance(raw, dict), where, "expected an object")
+    _check_keys(raw, _STAGE_KEYS, where + ".")
     stage = _typed(raw, "stage", int, where)
     _expect(stage in (1, 2, 3), where, f"stage must be 1, 2 or 3, got {stage}")
     data = _typed(raw, "data", list, where)
@@ -140,20 +147,15 @@ def load_config(path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     _expect(isinstance(raw, dict), str(path), "top level must be an object")
+    _check_keys(raw, _TOP_KEYS, "")
 
     train_raw = _typed(raw, "train", dict, "config", default={})
+    _check_keys(train_raw, _TRAIN_KEYS, "train.")
     stages_raw = _typed(train_raw, "stages", list, "train", default=[])
     stages = [_parse_stage(s, i) for i, s in enumerate(stages_raw)]
     numbers = [s.stage for s in stages]
     _expect(all(b > a for a, b in zip(numbers, numbers[1:])), "train.stages",
             f"stage numbers must be strictly increasing, got {numbers}")
-
-    metrics_raw = _typed(raw, "metrics", dict, "config", default={})
-    metrics = MetricsSection(
-        smooth_bleu=_typed(metrics_raw, "smooth_bleu", bool, "metrics", default=False),
-        ribes_alpha=float(_typed(metrics_raw, "ribes_alpha", (int, float), "metrics", default=0.25)),
-        ribes_beta=float(_typed(metrics_raw, "ribes_beta", (int, float), "metrics", default=0.10)),
-    )
 
     val_files = tuple(_typed(train_raw, "val", list, "train", default=[]))
     _expect(all(isinstance(p, str) for p in val_files), "train.val", "expected path strings")
@@ -165,6 +167,5 @@ def load_config(path) -> RunConfig:
         data=_parse_data(_typed(raw, "data", dict, "config", default={})),
         stages=stages,
         val_files=val_files,
-        metrics=metrics,
         base_dir=path.parent.resolve(),
     )

@@ -11,12 +11,12 @@ Instruction data is JSON-lines, one instance per line with fields
 from __future__ import annotations
 
 import json
-import os
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
+from tinymmt.atomic import atomic_write
 from tinymmt.errors import DataError, TsvParseError
 
 LANGS = ("hi", "bn", "ml")
@@ -192,13 +192,6 @@ def load_detections(detections_dir, image_id: str) -> list[DetectedObject]:
 # ----------------------------------------------------------------------
 # instruction-data files (JSON-lines)
 
-def _atomic_write_text(path, text: str) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def instance_to_json(inst: PromptInstance) -> str:
     d = {
         "task": inst.task,
@@ -214,7 +207,7 @@ def instance_to_json(inst: PromptInstance) -> str:
 
 def write_instances(path, instances: Iterable[PromptInstance]) -> None:
     lines = [instance_to_json(inst) for inst in instances]
-    _atomic_write_text(path, "".join(line + "\n" for line in lines))
+    atomic_write(path, "".join(line + "\n" for line in lines))
 
 
 def read_instances(path) -> list[PromptInstance]:

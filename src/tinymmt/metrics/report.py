@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from tinymmt.atomic import atomic_write
 from tinymmt.errors import DataError
 from tinymmt.metrics.bleu import bleu
-from tinymmt.metrics.ribes import DEFAULT_ALPHA, DEFAULT_BETA, ribes
+from tinymmt.metrics.ribes import ribes
 from tinymmt.metrics.tokenizer import tokenize
 
 # leaderboard column order: challenge then test, per language
@@ -49,8 +49,7 @@ class MetricReport:
 
 
 def evaluate_lines(hyp_lines: Sequence[str], ref_lines: Sequence[str], lang: str,
-                   split: str = "test", smooth: bool = False,
-                   alpha: float = DEFAULT_ALPHA, beta: float = DEFAULT_BETA) -> MetricReport:
+                   split: str = "test", smooth: bool = False) -> MetricReport:
     if len(hyp_lines) != len(ref_lines):
         raise DataError(
             f"hypothesis file has {len(hyp_lines)} lines but reference file has "
@@ -64,44 +63,58 @@ def evaluate_lines(hyp_lines: Sequence[str], ref_lines: Sequence[str], lang: str
         lang=lang,
         split=split,
         bleu=bleu(hyps, refs, smooth=smooth),
-        ribes=ribes(hyps, refs, alpha=alpha, beta=beta),
+        ribes=ribes(hyps, refs),
         n_sentences=len(hyps),
         hyp_tokens=sum(len(h) for h in hyps),
         ref_tokens=sum(len(r) for r in refs),
     )
 
 
+def _read_text(path) -> str:
+    """A UTF-8 text file's contents; a missing or undecodable file raises DataError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def _read_lines(path) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh]
+    lines = _read_text(path).split("\n")
+    if lines[-1] == "":
+        lines.pop()  # a final newline ends the last line, it does not start one
+    return lines
 
 
 def evaluate_files(hyp_path, ref_path, lang: str, split: str = "test",
-                   smooth: bool = False, alpha: float = DEFAULT_ALPHA,
-                   beta: float = DEFAULT_BETA) -> MetricReport:
+                   smooth: bool = False) -> MetricReport:
     """Score one hypothesis file against one reference file (UTF-8, one
     sentence per line)."""
     return evaluate_lines(_read_lines(hyp_path), _read_lines(ref_path), lang,
-                          split=split, smooth=smooth, alpha=alpha, beta=beta)
+                          split=split, smooth=smooth)
 
 
 def write_report(report: MetricReport, path) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(
-        json.dumps(report.to_dict(), ensure_ascii=False, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(report.to_dict(), ensure_ascii=False, sort_keys=True) + "\n")
+
+
+_REPORT_FIELDS = {"lang": str, "split": str, "bleu": (int, float), "ribes": (int, float),
+                  "n_sentences": int, "hyp_tokens": int, "ref_tokens": int}
 
 
 def read_report(path) -> MetricReport:
-    d = json.loads(Path(path).read_text(encoding="utf-8"))
-    return MetricReport(
-        lang=d["lang"], split=d["split"], bleu=d["bleu"], ribes=d["ribes"],
-        n_sentences=d["n_sentences"], hyp_tokens=d["hyp_tokens"],
-        ref_tokens=d["ref_tokens"],
-    )
+    """Read a report JSON; a missing, malformed or incomplete one raises DataError."""
+    try:
+        d = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(d, dict):
+        raise DataError(f"{path}: a report must be a JSON object")
+    for key, types in _REPORT_FIELDS.items():
+        if not isinstance(d.get(key), types):
+            raise DataError(f"{path}: report field {key!r} is missing or has the wrong type")
+    return MetricReport(**{key: d[key] for key in _REPORT_FIELDS})
 
 
 def format_leaderboard(reports: Sequence[MetricReport], label: str = "ours") -> str:

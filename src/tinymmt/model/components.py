@@ -2,6 +2,8 @@
 
 All parameters are registered in a shared ParameterStore under dotted names;
 the first segment ("vision", "adapter", "llm") is the unit of freezing.
+Each Linear also records itself in the store under its weight name, which is
+where low-rank adapters find the layer to attach to.
 Weight convention follows the usual (d_out, d_in) layout, y = x @ W.T + b.
 """
 
@@ -14,10 +16,10 @@ from tinymmt.model.config import ModelConfig
 from tinymmt.numerics.params import ParameterStore
 from tinymmt.numerics.tensor import (
     Tensor,
+    attention_probs,
     embedding,
     gelu,
     layer_norm,
-    masked_softmax,
     matmul,
     reshape,
     transpose,
@@ -50,7 +52,6 @@ def causal_mask(n: int, dtype) -> np.ndarray:
 class Linear:
     def __init__(self, store: ParameterStore, name: str, d_in: int, d_out: int,
                  rng: np.random.Generator, dtype, bias: bool = True):
-        self.name = name
         self.weight = store.add(
             name + ".weight",
             Tensor(rng.normal(0.0, INIT_STD, size=(d_out, d_in)).astype(dtype)),
@@ -59,6 +60,7 @@ class Linear:
         if bias:
             self.bias = store.add(name + ".bias", Tensor(np.zeros(d_out, dtype=dtype)))
         self.lora = None  # set by lora_attach
+        store.linears[name + ".weight"] = self
 
     def __call__(self, x: Tensor) -> Tensor:
         y = matmul(x, transpose(self.weight))
@@ -104,9 +106,8 @@ class SelfAttention:
         q = self._split_heads(self.wq(x), t)  # (h, T, dh)
         k = self._split_heads(self.wk(x), t)
         v = self._split_heads(self.wv(x), t)
-        scores = matmul(q, transpose(k, (0, 2, 1)))
         mask = None if self.mask is None else self.mask[:t, :t]
-        probs = masked_softmax(scores, 1.0 / np.sqrt(self.d_head), mask)
+        probs = attention_probs(q, k, 1.0 / np.sqrt(self.d_head), mask)
         ctx = matmul(probs, v)  # (h, T, dh)
         merged = reshape(transpose(ctx, (1, 0, 2)), (t, self.d))
         return self.wo(merged)

@@ -59,7 +59,7 @@ def lora_attach(model, targets: list[str] | None = None,
             raise KeyError(f"unknown lora target parameter {target!r}")
         if target in model.lora_adapters:
             raise ValueError(f"lora already attached to {target!r}")
-        if target not in model._linears:
+        if target not in model.params.linears:
             raise ValueError(f"lora target {target!r} is not a linear weight")
         w = model.params[target]
         if w.data.ndim != 2:
@@ -72,7 +72,7 @@ def lora_attach(model, targets: list[str] | None = None,
         model.params.add(f"lora.{target}.B", b)
         adapter = LoraAdapter(target=target, r=r, alpha=float(alpha), A=a, B=b)
         model.lora_adapters[target] = adapter
-        model._linears[target].lora = adapter
+        model.params.linears[target].lora = adapter
         model.params.freeze([target])
 
 
@@ -84,7 +84,7 @@ def lora_merge(model) -> None:
         adapter = model.lora_adapters[target]
         w = model.params[target]
         w.data += (adapter.alpha / adapter.r) * (adapter.B.data @ adapter.A.data)
-        model._linears[target].lora = None
+        model.params.linears[target].lora = None
         model.params.remove(f"lora.{target}.A")
         model.params.remove(f"lora.{target}.B")
     model.lora_adapters.clear()

@@ -48,36 +48,6 @@ class MultimodalModel:
         self.llm = DecoderLM(self.params, config, rng)
         self.lora_adapters: dict[str, "LoraAdapter"] = {}  # target weight name -> adapter
         self.provenance: list[dict] = []
-        self._linears = self._index_linears()
-
-    def _index_linears(self) -> dict[str, object]:
-        """Map weight parameter name -> owning Linear, for adapter attachment."""
-        linears: dict[str, object] = {}
-
-        def visit(obj):
-            from tinymmt.model.components import Block, Linear, SelfAttention
-
-            if isinstance(obj, Linear):
-                linears[obj.name + ".weight"] = obj
-            elif isinstance(obj, SelfAttention):
-                for lin in (obj.wq, obj.wk, obj.wv, obj.wo):
-                    visit(lin)
-            elif isinstance(obj, Block):
-                visit(obj.attn)
-                visit(obj.fc1)
-                visit(obj.fc2)
-
-        visit(self.vision.patch_proj)
-        for block in self.vision.blocks:
-            visit(block)
-        if self.adapter.mode == "linear":
-            visit(self.adapter.proj)
-        else:
-            visit(self.adapter.fc1)
-            visit(self.adapter.fc2)
-        for block in self.llm.blocks:
-            visit(block)
-        return linears
 
     # ------------------------------------------------------------------
     # forward pieces

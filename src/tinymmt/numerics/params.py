@@ -20,6 +20,8 @@ class ParameterStore:
     def __init__(self):
         self._entries: dict[str, Tensor] = {}
         self._trainable: set[str] = set()
+        # weight name -> the layer that applies it; each Linear adds itself
+        self.linears: dict[str, object] = {}
 
     def add(self, name: str, tensor: Tensor, trainable: bool = True) -> Tensor:
         if name in self._entries:

@@ -60,15 +60,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -96,9 +87,6 @@ class Tensor:
         if isinstance(other, Tensor):
             raise TypeError("tensor/tensor division is not supported; multiply by a reciprocal")
         return mul(self, 1.0 / float(other))
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -173,17 +161,6 @@ def mul(a, b) -> Tensor:
             _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make(out_data, (a, b), fn)
-
-
-def power(x: Tensor, exponent: float) -> Tensor:
-    exponent = float(exponent)
-    out_data = x.data ** exponent
-
-    def fn(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, g * exponent * x.data ** (exponent - 1.0))
-
-    return _make(out_data, (x,), fn)
 
 
 def _swap_last(a: np.ndarray) -> np.ndarray:
@@ -286,24 +263,13 @@ def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(out_data, (x,), fn)
 
 
-def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        n = x.data.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        n = 1
-        for ax in axes:
-            n *= x.data.shape[ax]
-    return tsum(x, axis=axis, keepdims=keepdims) * (1.0 / n)
-
-
 _GELU_C = float(np.sqrt(2.0 / np.pi))  # a Python float keeps float32 inputs float32
 
 
 def gelu(x: Tensor) -> Tensor:
     """GELU, tanh approximation."""
     xd = x.data
-    # powers as products: the generic ** ufunc costs ~70x a multiply here
+    # cube and square as products: the generic ** ufunc costs ~70x a multiply here
     inner = xd * xd * xd
     inner *= 0.044715
     inner += xd
@@ -392,6 +358,33 @@ def masked_softmax(x: Tensor, scale: float, mask: np.ndarray | None = None) -> T
             _accumulate(x, d)
 
     return _make(p, (x,), fn)
+
+
+def attention_probs(q: Tensor, k: Tensor, scale: float,
+                    mask: np.ndarray | None = None) -> Tensor:
+    """softmax(q @ kᵀ * scale + mask) along the last axis, as one tape node.
+
+    Bitwise equal, forward and backward, to
+    masked_softmax(matmul(q, transpose(k)), scale, mask). The scores are
+    computed into the buffer that becomes the output, so the op holds one
+    (..., T, T) array where that chain holds two.
+    """
+    scale = q.data.dtype.type(scale)
+    p = q.data @ _swap_last(k.data)
+    p *= scale
+    if mask is not None:
+        p += mask
+    _softmax_inplace(p, -1)
+
+    def fn(g: np.ndarray) -> None:
+        d = _softmax_grad(g, p, -1)
+        d *= scale
+        if q.requires_grad:
+            _accumulate(q, d @ k.data)
+        if k.requires_grad:
+            _accumulate(k, _swap_last(_swap_last(q.data) @ d))
+
+    return _make(p, (q, k), fn)
 
 
 def cross_entropy_masked(logits: Tensor, targets, mask) -> Tensor:

@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import io
 import json
-import os
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from tinymmt.errors import CheckpointError
+from tinymmt.atomic import atomic_write
+from tinymmt.errors import CheckpointError, TinymmtError
 from tinymmt.model.config import ModelConfig
 from tinymmt.model.lora import lora_attach
 from tinymmt.model.multimodal import MultimodalModel
@@ -75,11 +76,7 @@ def save_checkpoint(model: MultimodalModel, path) -> None:
         raw = data.tobytes()
         buf.write(struct.pack("<Q", len(raw)))
         buf.write(raw)
-
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(buf.getvalue())
-    os.replace(tmp, path)
+    atomic_write(path, buf.getvalue())
 
 
 class _Reader:
@@ -120,46 +117,48 @@ def load_checkpoint(path) -> MultimodalModel:
 
     try:
         config = ModelConfig.from_dict(header["config"])
-        vocab = Vocabulary.from_dict(header["vocab"])
-        seed = int(header["seed"])
-        provenance = header["provenance"]
+        model = MultimodalModel(config, Vocabulary.from_dict(header["vocab"]),
+                                seed=int(header["seed"]))
         lora_meta = header.get("lora")
-    except (KeyError, TypeError) as exc:
-        raise CheckpointError(f"{path}: incomplete header: {exc}") from exc
-
-    model = MultimodalModel(config, vocab, seed=seed)
-    if lora_meta:
-        lora_attach(model, targets=list(lora_meta["targets"]),
-                    r=int(lora_meta["r"]), alpha=float(lora_meta["alpha"]))
-    model.provenance = list(provenance)
+        if lora_meta:
+            lora_attach(model, targets=list(lora_meta["targets"]),
+                        r=lora_meta["r"], alpha=float(lora_meta["alpha"]))
+        model.provenance = list(header["provenance"])
+    except (TinymmtError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: invalid header: {type(exc).__name__}: {exc}") from exc
 
     (n_tensors,) = reader.unpack("<I")
     expected = set(model.params.names())
     seen: set[str] = set()
     for _ in range(n_tensors):
         (name_len,) = reader.unpack("<I")
-        name = reader.take(name_len).decode("utf-8")
+        try:
+            name = reader.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: tensor name is not UTF-8: {exc}") from exc
+        if name in seen:
+            raise CheckpointError(f"{path}: duplicate tensor {name!r}")
         dtype_code, ndim = reader.unpack("<BB")
         if dtype_code not in _CODE_DTYPES:
             raise CheckpointError(f"{path}: tensor {name!r} has unknown dtype code {dtype_code}")
         dims = reader.unpack(f"<{ndim}I")
         (nbytes,) = reader.unpack("<Q")
-        dtype = _CODE_DTYPES[dtype_code]
-        count = int(np.prod(dims, dtype=np.int64)) if ndim else 1
-        if nbytes != count * dtype.itemsize:
-            raise CheckpointError(
-                f"{path}: tensor {name!r} length field {nbytes} does not match "
-                f"shape {tuple(dims)} ({count * dtype.itemsize} bytes expected)"
-            )
-        data = np.frombuffer(reader.take(nbytes), dtype=dtype).reshape(dims).copy()
         if name not in expected:
             raise CheckpointError(f"{path}: unexpected tensor {name!r} for this config")
-        if model.params[name].data.shape != data.shape:
+        shape = model.params[name].data.shape
+        if dims != shape:
             raise CheckpointError(
-                f"{path}: tensor {name!r} shape {data.shape} conflicts with the "
-                f"embedded config (expected {model.params[name].data.shape})"
+                f"{path}: tensor {name!r} shape {dims} conflicts with the "
+                f"embedded config (expected {shape})"
             )
-        model.params[name].data = data.astype(config.np_dtype, copy=False)
+        dtype = _CODE_DTYPES[dtype_code]
+        if nbytes != math.prod(dims) * dtype.itemsize:
+            raise CheckpointError(
+                f"{path}: tensor {name!r} length field {nbytes} does not match "
+                f"shape {dims} ({math.prod(dims) * dtype.itemsize} bytes expected)"
+            )
+        data = np.frombuffer(reader.take(nbytes), dtype=dtype).reshape(dims)
+        model.params[name].data = data.astype(config.np_dtype)  # a writable copy
         seen.add(name)
     if reader.pos != len(reader.blob):
         raise CheckpointError(f"{path}: trailing bytes after the last tensor")

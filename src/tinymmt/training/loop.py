@@ -10,7 +10,6 @@ are recorded before and after each stage so freezing is bit-checkable.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from tinymmt.atomic import atomic_write
 from tinymmt.datapipe.images import ImageLoader, make_synth_loader
 from tinymmt.datapipe.records import PromptInstance
 from tinymmt.errors import BudgetError, ConfigError, DataError, TinymmtError
@@ -48,12 +48,8 @@ class TrainLog:
         return out
 
     def write_jsonl(self, path) -> None:
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for rec in self.records():
-                fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
-        os.replace(tmp, path)
+        atomic_write(path, "".join(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n"
+                                   for rec in self.records()))
 
 
 @dataclass

@@ -44,8 +44,6 @@ class StageConfig:
     batch_size: int = 8
     seed: int = 0
     mode: str = "full"
-    trainable_components: tuple[str, ...] = ()
-    data_mix: tuple[tuple[str, float], ...] = ()
     max_steps: int | None = None
 
     def __post_init__(self):
@@ -59,16 +57,6 @@ class StageConfig:
             raise ConfigError(f"mode must be 'full' or 'lora', got {self.mode!r}")
         if self.mode == "lora" and self.stage != 3:
             raise ConfigError("lora mode is only valid for stage 3")
-        if not self.trainable_components:
-            self.trainable_components = STAGE_COMPONENTS[self.stage]
-        expected = STAGE_COMPONENTS[self.stage]
-        if tuple(sorted(self.trainable_components)) != tuple(sorted(expected)):
-            raise ConfigError(
-                f"stage {self.stage} trains exactly {sorted(expected)}, "
-                f"got {sorted(self.trainable_components)}"
-            )
-        if "vision_encoder" in self.trainable_components or "vision" in self.trainable_components:
-            raise ConfigError("the vision encoder is never trainable")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.epochs < 1:
@@ -87,20 +75,17 @@ class StageConfig:
             "batch_size": self.batch_size,
             "seed": self.seed,
             "max_steps": self.max_steps,
-            "data_mix": [list(pair) for pair in self.data_mix],
         }
 
 
 def freeze_plan(model, cfg: StageConfig) -> frozenset[str]:
-    """Expand a stage config into the exact set of trainable parameter names."""
-    if cfg.stage in (1,):
-        prefixes = ("adapter.",)
-    elif cfg.stage == 2 or cfg.mode == "full":
-        prefixes = ("adapter.", "llm.")
-    else:  # stage 3, low-rank
+    """Expand a stage config into the exact set of trainable parameter names:
+    every parameter of the stage's STAGE_COMPONENTS, with the low-rank
+    matrices ("lora") standing in for the base LM ("llm") in lora mode."""
+    components = STAGE_COMPONENTS[cfg.stage]
+    if cfg.mode == "lora":
         if not model.lora_adapters:
             raise ConfigError("stage 3 lora mode requires adapters to be attached")
-        prefixes = ("adapter.", "lora.")
-    return frozenset(
-        name for name in model.params.names() if name.startswith(prefixes)
-    )
+        components = tuple("lora" if c == "llm" else c for c in components)
+    prefixes = tuple(c + "." for c in components)
+    return frozenset(name for name in model.params.names() if name.startswith(prefixes))

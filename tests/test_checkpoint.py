@@ -1,10 +1,16 @@
+import functools
+import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tinymmt.errors import CheckpointError
-from tinymmt.model import lora_attach
+from tinymmt.model import ModelConfig, MultimodalModel, Vocabulary, lora_attach
 from tinymmt.training import (
     FORMAT_VERSION,
     MAGIC,
@@ -132,3 +138,154 @@ def test_provenance_records_full_pipeline(tmp_path):
     run_pipeline(model, cfgs, {1: caption, 2: mmt, 3: mmt}, tmp_path)
     loaded = load_checkpoint(tmp_path / "stage3.ckpt")
     assert [p["stage"] for p in loaded.provenance] == [1, 2, 3]
+
+
+# ----------------------------------------------------------------------
+# malformed input: every defect is a CheckpointError, never a raw exception
+
+def tensor_record(name: bytes, data: np.ndarray) -> bytes:
+    """One float64 tensor record in the checkpoint layout."""
+    return (struct.pack("<I", len(name)) + name + struct.pack("<BB", 0, data.ndim)
+            + struct.pack(f"<{data.ndim}I", *data.shape) + struct.pack("<Q", data.nbytes)
+            + data.tobytes())
+
+
+def split_blob(blob: bytes) -> tuple[dict, bytes]:
+    """(header, tensor section starting at n_tensors) of a checkpoint."""
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    return json.loads(blob[16:16 + header_len]), blob[16 + header_len:]
+
+
+def join_blob(blob: bytes, header: dict, tensors: bytes) -> bytes:
+    raw = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
+    return blob[:8] + struct.pack("<Q", len(raw)) + raw + tensors
+
+
+@pytest.fixture
+def lora_checkpoint(tmp_path):
+    records = make_records(3, seed=9)
+    model = build_model(make_instances(records, "text_only"), seed=9, c_total=256)
+    lora_attach(model, r=2, alpha=8.0)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    return path
+
+
+def test_non_utf8_tensor_name_rejected(lora_checkpoint):
+    blob = lora_checkpoint.read_bytes()
+    at = blob.index(b"adapter.fc1.bias")
+    lora_checkpoint.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
+    with pytest.raises(CheckpointError, match="not UTF-8"):
+        load_checkpoint(lora_checkpoint)
+
+
+def test_duplicate_tensor_rejected(lora_checkpoint):
+    blob = lora_checkpoint.read_bytes()
+    header, tensors = split_blob(blob)
+    (n_tensors,) = struct.unpack("<I", tensors[:4])
+    bias = np.zeros(header["config"]["d_model"])
+    tensors = (struct.pack("<I", n_tensors + 1) + tensors[4:]
+               + tensor_record(b"adapter.fc1.bias", bias))
+    lora_checkpoint.write_bytes(join_blob(blob, header, tensors))
+    with pytest.raises(CheckpointError, match="duplicate tensor 'adapter.fc1.bias'"):
+        load_checkpoint(lora_checkpoint)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda lora: lora.pop("targets"),
+    lambda lora: lora.update(r="two"),
+    lambda lora: lora.update(r=2.5),
+    lambda lora: lora.update(targets=["llm.nope.weight"]),
+], ids=["no-targets", "r-string", "r-float", "unknown-target"])
+def test_bad_lora_header_rejected(lora_checkpoint, edit):
+    blob = lora_checkpoint.read_bytes()
+    header, tensors = split_blob(blob)
+    edit(header["lora"])
+    lora_checkpoint.write_bytes(join_blob(blob, header, tensors))
+    with pytest.raises(CheckpointError, match="invalid header"):
+        load_checkpoint(lora_checkpoint)
+
+
+def test_corrupt_checkpoint_is_exit_4_with_structured_message(lora_checkpoint, tmp_path, capsys):
+    from tinymmt.cli import main
+
+    blob = lora_checkpoint.read_bytes()
+    at = blob.index(b"adapter.fc1.bias")
+    lora_checkpoint.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
+    sentences = tmp_path / "s.txt"
+    sentences.write_text("red cat\n", encoding="utf-8")
+    assert main(["generate", "--checkpoint", str(lora_checkpoint), "--input", str(sentences),
+                 "--out", str(tmp_path / "h.txt"), "--raw-sentences", "--lang", "hi"]) == 4
+    err = capsys.readouterr().err
+    assert "not UTF-8" in err and "UnicodeDecodeError" not in err
+
+
+@functools.lru_cache(maxsize=1)
+def fuzz_checkpoint() -> tuple[bytes, dict[str, bytes], dict[str, range]]:
+    """A small LoRA checkpoint with provenance, each tensor's raw bytes, and
+    where each tensor's raw bytes sit in the file."""
+    vocab = Vocabulary("abcdefg")
+    config = ModelConfig(vocab_size=len(vocab), d_vis=8, d_model=8, n_layers_vis=1,
+                         n_layers_lm=1, c_total=32)
+    model = MultimodalModel(config, vocab, seed=3)
+    lora_attach(model, r=2, alpha=8.0)
+    model.provenance.append(StageConfig(stage=3, mode="lora", seed=3).summary())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ckpt"
+        save_checkpoint(model, path)
+        blob = path.read_bytes()
+    raw = {name: t.data.tobytes() for name, t in model.params.items()}
+    payload = {}
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    pos = 16 + header_len + 4
+    for name, data in raw.items():  # records are written sorted by name
+        pos += 4 + len(name.encode("utf-8")) + 2 + 4 * model.params[name].ndim + 8
+        payload[name] = range(pos, pos + len(data))
+        assert blob[pos:pos + len(data)] == data
+        pos += len(data)
+    assert pos == len(blob)
+    return blob, raw, payload
+
+
+def load_blob(blob: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ckpt"
+        path.write_bytes(blob)
+        return load_checkpoint(path)
+
+
+@functools.lru_cache(maxsize=1)
+def structural_positions() -> list[int]:
+    """Offsets of every checkpoint byte outside the tensors' raw data."""
+    blob, _, payload = fuzz_checkpoint()
+    data = set().union(*payload.values())
+    return [i for i in range(len(blob)) if i not in data]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_single_byte_mutation_is_error_or_same_model(data):
+    """The format carries no checksum, so a changed tensor byte loads as that
+    value; any other changed byte is a CheckpointError or loads the same model."""
+    blob, raw, payload = fuzz_checkpoint()
+    pos = data.draw(st.one_of(st.sampled_from(structural_positions()),
+                              st.integers(0, len(blob) - 1)), label="position")
+    value = data.draw(st.integers(0, 255).filter(lambda v: v != blob[pos]), label="value")
+    mutated = blob[:pos] + bytes([value]) + blob[pos + 1:]
+    try:
+        loaded = load_blob(mutated)
+    except CheckpointError:
+        assert not any(pos in r for r in payload.values())
+        return
+    assert loaded.params.names() == sorted(raw)
+    for name, r in payload.items():
+        assert loaded.params[name].data.tobytes() == mutated[r.start:r.stop], name
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_truncation_is_error(data):
+    blob, _, _ = fuzz_checkpoint()
+    cut = data.draw(st.integers(0, len(blob) - 1), label="length")
+    with pytest.raises(CheckpointError):
+        load_blob(blob[:cut])

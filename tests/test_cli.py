@@ -270,3 +270,42 @@ def test_generate_text_only_mode_reserves_no_visual_slots(fixture_tree, tmp_path
     prompt = json.loads(inst_file.read_text(encoding="utf-8").splitlines()[0])["prompt"]
     prefix = model._assemble(model.vocab.encode(prompt), None, None, append_eos=False)
     assert (prefix.ids == IMG).sum() == 0
+
+
+@pytest.mark.parametrize("which, content", [
+    ("hyp", None), ("ref", None), ("hyp", "caf\xe9\n".encode("latin-1")),
+    ("ref", b"\xff\xfe\n"),
+], ids=["missing-hyp", "missing-ref", "non-utf8-hyp", "non-utf8-ref"])
+def test_evaluate_input_errors_exit_3(tmp_path, capsys, which, content):
+    paths = {"hyp": tmp_path / "hyp.txt", "ref": tmp_path / "ref.txt"}
+    for name, path in paths.items():
+        if name != which:
+            path.write_text("red cat\n", encoding="utf-8")
+        elif content is not None:
+            path.write_bytes(content)
+    assert main(["evaluate", "--hyp", str(paths["hyp"]), "--ref", str(paths["ref"]),
+                 "--lang", "hi", "--out", str(tmp_path / "report.json")]) == 3
+    assert str(paths[which]) in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("content", [
+    None, "{not json", "[1, 2]", '{"lang": "hi", "bleu": 1.0}',
+    '{"lang": "hi", "split": "test", "bleu": "high", "ribes": 0.5, "n_sentences": 1, '
+    '"hyp_tokens": 2, "ref_tokens": 2}',
+], ids=["missing", "invalid-json", "not-an-object", "missing-keys", "wrong-type"])
+def test_report_input_errors_exit_3(tmp_path, capsys, content):
+    path = tmp_path / "report.json"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    assert main(["report", str(path)]) == 3
+    assert "data error" in capsys.readouterr().err
+
+
+def test_evaluate_out_creates_its_directory(tmp_path):
+    ref = tmp_path / "ref.txt"
+    ref.write_text("red cat\nblue dog\n", encoding="utf-8")
+    out = tmp_path / "newdir" / "rep.json"
+    assert main(["evaluate", "--hyp", str(ref), "--ref", str(ref), "--lang", "hi",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["n_sentences"] == 2

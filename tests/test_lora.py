@@ -113,3 +113,25 @@ def test_merge_without_adapters_rejected():
     model, _ = setup_model()
     with pytest.raises(ValueError, match="no lora adapters"):
         lora_merge(model)
+
+
+@pytest.mark.parametrize("adapter_mode", ["linear", "mlp2"])
+def test_every_weight_registers_its_linear(adapter_mode):
+    records = make_records(4, seed=3)
+    model = build_model(make_instances(records, "mmt"), seed=3, adapter_mode=adapter_mode)
+
+    def check(m):
+        weights = {name for name in m.params.names() if name.endswith(".weight")}
+        assert set(m.params.linears) == weights
+        for name, linear in m.params.linears.items():
+            assert linear.weight is m.params[name]
+
+    check(model)
+    other = model.clone()
+    check(other)
+    assert set(other.params.linears) == set(model.params.linears)
+    lora_attach(other)
+    check(other)
+    lora_merge(other)
+    check(other)
+    assert all(linear.lora is None for linear in other.params.linears.values())

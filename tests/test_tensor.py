@@ -7,6 +7,7 @@ from tinymmt.errors import ShapeError
 from tinymmt.model.components import causal_mask
 from tinymmt.numerics import (
     Tensor,
+    attention_probs,
     backward,
     concat,
     cross_entropy_masked,
@@ -19,7 +20,6 @@ from tinymmt.numerics import (
     no_grad,
     reshape,
     softmax,
-    tmean,
     transpose,
     tsum,
 )
@@ -183,6 +183,10 @@ class TestMiscOps:
         assert x.grad.shape == (2, 3, 4)
 
 
+def _squared_sum(y: Tensor) -> Tensor:
+    return tsum(y * y)
+
+
 GRAD_CASES = {
     "matmul": lambda x: tsum(matmul(x, transpose(x))),
     "mul": lambda x: tsum(x * x * 0.5),
@@ -192,14 +196,20 @@ GRAD_CASES = {
     "masked_softmax": lambda x: tsum(
         masked_softmax(x, 0.7) * Tensor(np.arange(x.shape[-1]) + 0.5)
     ),
+    "attention_probs": lambda x: tsum(
+        attention_probs(x, x * 0.5, 0.7) * Tensor(np.arange(x.shape[0]) + 0.5)
+    ),
+    "attention_probs_causal": lambda x: tsum(
+        attention_probs(x, x * 0.5, 0.7, causal_mask(x.shape[0], x.dtype))
+        * Tensor(np.arange(x.shape[0]) + 0.5)
+    ),
     "masked_softmax_causal": lambda x: tsum(
         masked_softmax(x, 0.7, causal_mask(x.shape[-1], x.dtype)[: x.shape[0]])
         * Tensor(np.arange(x.shape[-1]) + 0.5)
     ),
-    "layer_norm": lambda x: tsum(
-        layer_norm(x, Tensor(np.full(x.shape[-1], 1.3)), Tensor(np.full(x.shape[-1], -0.2))) ** 2.0
+    "layer_norm": lambda x: _squared_sum(
+        layer_norm(x, Tensor(np.full(x.shape[-1], 1.3)), Tensor(np.full(x.shape[-1], -0.2)))
     ),
-    "mean": lambda x: tmean(x * x),
     "getitem": lambda x: tsum(x[1:] * x[1:]),
     "cross_entropy": lambda x: cross_entropy_masked(
         x, np.arange(x.shape[0]) % x.shape[1], np.ones(x.shape[0], dtype=bool)
@@ -246,6 +256,25 @@ class TestMaskedSoftmax:
         mask = causal_mask(4, np.float64)
         with pytest.raises(ValueError):
             mask[0, 1] = 0.0
+
+
+class TestAttentionProbs:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_bitwise_equal_to_matmul_masked_softmax_chain(self, dtype, masked):
+        rng = np.random.default_rng(6)
+        q = Tensor(rng.normal(size=(2, 7, 4)).astype(dtype), requires_grad=True)
+        k = Tensor(rng.normal(size=(2, 7, 4)).astype(dtype), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 7, 7)).astype(dtype))
+        mask = causal_mask(9, dtype)[:7, :7] if masked else None
+        chain = masked_softmax(matmul(q, transpose(k, (0, 2, 1))), 0.5, mask)
+        backward(tsum(chain * w))
+        chain_grads, q.grad, k.grad = (q.grad, k.grad), None, None
+        fused = attention_probs(q, k, 0.5, mask)
+        backward(tsum(fused * w))
+        assert fused.data.dtype == dtype
+        assert np.array_equal(fused.data, chain.data)
+        assert np.array_equal(q.grad, chain_grads[0]) and np.array_equal(k.grad, chain_grads[1])
 
 
 def test_forward_backward_values_stay_finite():

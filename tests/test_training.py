@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from tinymmt.errors import ConfigError, DataError
+from tinymmt.model import lora_attach
 from tinymmt.training import (
+    STAGE_COMPONENTS,
     StageConfig,
     derive_stage_seed,
     freeze_plan,
@@ -23,6 +25,15 @@ def full_setup(n=6, seed=2, model_seed=8):
     return model, {1: caption, 2: caption + mmt, 3: mmt + text}
 
 
+def stage_plans():
+    """(stage, mode, model, freeze plan) for every stage the recipe runs."""
+    for stage, mode in [(1, "full"), (2, "full"), (3, "full"), (3, "lora")]:
+        model, _ = full_setup()
+        if mode == "lora":
+            lora_attach(model)
+        yield stage, mode, model, freeze_plan(model, StageConfig(stage=stage, mode=mode))
+
+
 class TestStageConfig:
     def test_stage_defaults(self):
         assert StageConfig(stage=1).lr == 1e-3
@@ -36,16 +47,18 @@ class TestStageConfig:
         StageConfig(stage=3, mode="lora")
 
     def test_vision_never_trainable(self):
-        with pytest.raises(ConfigError):
-            StageConfig(stage=1, trainable_components=("vision_encoder",))
-        with pytest.raises(ConfigError):
-            StageConfig(stage=2, trainable_components=("adapter", "llm", "vision"))
+        for stage, mode, model, plan in stage_plans():
+            assert plan, (stage, mode)
+            assert not any(name.startswith("vision.") for name in plan), (stage, mode)
 
     def test_component_sets_fixed_per_stage(self):
-        with pytest.raises(ConfigError):
-            StageConfig(stage=1, trainable_components=("adapter", "llm"))
-        with pytest.raises(ConfigError):
-            StageConfig(stage=2, trainable_components=("adapter",))
+        for stage, mode, model, plan in stage_plans():
+            components = set(STAGE_COMPONENTS[stage])
+            if mode == "lora":  # the low-rank matrices train in place of the base LM
+                components = components - {"llm"} | {"lora"}
+            assert {name.split(".", 1)[0] for name in plan} == components, (stage, mode)
+            assert plan == {name for name in model.params.names()
+                            if name.split(".", 1)[0] in components}
 
     def test_bad_stage_number(self):
         with pytest.raises(ConfigError):
