@@ -37,7 +37,7 @@ from tinymmt.training import (
     load_checkpoint,
     run_pipeline,
 )
-from tinymmt.training.sweep import generate_hypotheses
+from tinymmt.training.sweep import decode_instances
 
 
 def _json_dumps(obj) -> str:
@@ -233,9 +233,14 @@ def cmd_generate(args) -> int:
                 for inst in instances
             ]
 
-    hyps = generate_hypotheses(model, instances, max_new_tokens=args.max_new_tokens)
+    decoded = decode_instances(model, instances, max_new_tokens=args.max_new_tokens)
+    hyps = [model.vocab.decode(ids, on_special="skip") for ids, _ in decoded]
     atomic_write(args.out, "".join(h + "\n" for h in hyps))
     print(f"wrote {len(hyps)} hypotheses -> {args.out}")
+    stop_budget = sum(len(ids) == budget for ids, budget in decoded)
+    print(json.dumps({"sentences": len(decoded), "tokens": sum(len(ids) for ids, _ in decoded),
+                      "stop_eos": len(decoded) - stop_budget, "stop_budget": stop_budget},
+                     sort_keys=True))
     return 0
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from tinymmt.errors import ConfigError
 from tinymmt.datapipe.records import LANGS, SPLITS, TASKS
+from tinymmt.model.config import ModelConfig
 
 
 def _expect(cond: bool, where: str, message: str) -> None:
@@ -66,6 +67,8 @@ _TOP_KEYS = ("seed", "out_dir", "model", "data", "train")
 _TRAIN_KEYS = ("stages", "val")
 _DATA_KEYS = tuple(f.name for f in fields(DataSection))
 _STAGE_KEYS = tuple(f.name for f in fields(StageSpec))
+# vocab_size is not settable: train derives it from the data
+_MODEL_KEYS = tuple(f.name for f in fields(ModelConfig) if f.name != "vocab_size")
 
 
 @dataclass
@@ -148,6 +151,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     _expect(isinstance(raw, dict), str(path), "top level must be an object")
     _check_keys(raw, _TOP_KEYS, "")
+    model = _typed(raw, "model", dict, "config", default={})
+    _check_keys(model, _MODEL_KEYS, "model.")
 
     train_raw = _typed(raw, "train", dict, "config", default={})
     _check_keys(train_raw, _TRAIN_KEYS, "train.")
@@ -163,7 +168,7 @@ def load_config(path) -> RunConfig:
     return RunConfig(
         seed=_typed(raw, "seed", int, "config", default=0),
         out_dir=_typed(raw, "out_dir", str, "config"),
-        model=_typed(raw, "model", dict, "config", default={}),
+        model=model,
         data=_parse_data(_typed(raw, "data", dict, "config", default={})),
         stages=stages,
         val_files=val_files,

@@ -29,8 +29,8 @@ INIT_STD = 0.02
 ATTN_MASK_VALUE = -1e30  # finite stand-in for -inf; exp() underflows to exactly 0
 
 
-# dtype -> largest mask built so far; shared so that building a model does not
-# pay the ≈3 ms a (512, 512) mask takes each time
+# dtype -> largest mask built so far; shared across models and built on first
+# use, so building a model allocates none
 _CAUSAL_MASKS: dict[np.dtype, np.ndarray] = {}
 
 
@@ -80,19 +80,34 @@ class LayerNorm:
         return layer_norm(x, self.gamma, self.beta)
 
 
-class SelfAttention:
-    """Multi-head self-attention over a (T, d) sequence.
+class KVCache:
+    """Keys and values of one attention layer for the positions fed so far.
 
-    With a `mask` from causal_mask(n, dtype) it is causal for any T <= n;
-    without one it is bidirectional.
+    k and v are (n_heads, n, d_head) buffers allocated once; rows [:filled]
+    hold the sequence so far. For no-grad decoding only: attention reads the
+    cached keys and values as constants.
+    """
+
+    def __init__(self, n_heads: int, n: int, d_head: int, dtype):
+        self.k = np.empty((n_heads, n, d_head), dtype=dtype)
+        self.v = np.empty((n_heads, n, d_head), dtype=dtype)
+        self.filled = 0
+
+
+class SelfAttention:
+    """Multi-head self-attention over a (T, d) sequence, causal or bidirectional.
+
+    With a KVCache the T rows are positions filled..filled+T-1 of a longer
+    sequence: their keys and values are appended to the cache and the rows
+    attend over everything cached.
     """
 
     def __init__(self, store: ParameterStore, name: str, d: int, n_heads: int,
-                 rng: np.random.Generator, dtype, mask: np.ndarray | None = None):
+                 rng: np.random.Generator, dtype, causal: bool = False):
         self.d = d
         self.n_heads = n_heads
         self.d_head = d // n_heads
-        self.mask = mask
+        self.causal = causal
         self.wq = Linear(store, name + ".wq", d, d, rng, dtype)
         self.wk = Linear(store, name + ".wk", d, d, rng, dtype)
         self.wv = Linear(store, name + ".wv", d, d, rng, dtype)
@@ -101,12 +116,20 @@ class SelfAttention:
     def _split_heads(self, x: Tensor, t: int) -> Tensor:
         return transpose(reshape(x, (t, self.n_heads, self.d_head)), (1, 0, 2))
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, cache: KVCache | None = None) -> Tensor:
         t = x.shape[0]
         q = self._split_heads(self.wq(x), t)  # (h, T, dh)
         k = self._split_heads(self.wk(x), t)
         v = self._split_heads(self.wv(x), t)
-        mask = None if self.mask is None else self.mask[:t, :t]
+        start = 0
+        if cache is not None:
+            start, end = cache.filled, cache.filled + t
+            cache.k[:, start:end] = k.data
+            cache.v[:, start:end] = v.data
+            cache.filled = end
+            k, v = Tensor(cache.k[:, :end]), Tensor(cache.v[:, :end])
+        # a single row is the newest position and may see every key
+        mask = causal_mask(start + t, x.dtype)[start:, :] if self.causal and t > 1 else None
         probs = attention_probs(q, k, 1.0 / np.sqrt(self.d_head), mask)
         ctx = matmul(probs, v)  # (h, T, dh)
         merged = reshape(transpose(ctx, (1, 0, 2)), (t, self.d))
@@ -117,15 +140,15 @@ class Block:
     """Pre-norm transformer block: x + attn(ln(x)), then x + mlp(ln(x))."""
 
     def __init__(self, store: ParameterStore, name: str, d: int, n_heads: int,
-                 rng: np.random.Generator, dtype, mask: np.ndarray | None = None):
+                 rng: np.random.Generator, dtype, causal: bool = False):
         self.ln1 = LayerNorm(store, name + ".ln1", d, dtype)
-        self.attn = SelfAttention(store, name + ".attn", d, n_heads, rng, dtype, mask)
+        self.attn = SelfAttention(store, name + ".attn", d, n_heads, rng, dtype, causal)
         self.ln2 = LayerNorm(store, name + ".ln2", d, dtype)
         self.fc1 = Linear(store, name + ".mlp.fc1", d, 4 * d, rng, dtype)
         self.fc2 = Linear(store, name + ".mlp.fc2", 4 * d, d, rng, dtype)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        x = x + self.attn(self.ln1(x))
+    def __call__(self, x: Tensor, cache: KVCache | None = None) -> Tensor:
+        x = x + self.attn(self.ln1(x), cache)
         x = x + self.fc2(gelu(self.fc1(self.ln2(x))))
         return x
 
@@ -207,9 +230,8 @@ class DecoderLM:
             "llm.pos_emb",
             Tensor(rng.normal(0.0, INIT_STD, size=(cfg.c_total, cfg.d_model)).astype(dtype)),
         )
-        mask = causal_mask(cfg.c_total, dtype)
         self.blocks = [
-            Block(store, f"llm.blocks.{i}", cfg.d_model, cfg.n_heads, rng, dtype, mask)
+            Block(store, f"llm.blocks.{i}", cfg.d_model, cfg.n_heads, rng, dtype, causal=True)
             for i in range(cfg.n_layers_lm)
         ]
         self.ln_f = LayerNorm(store, "llm.ln_f", cfg.d_model, dtype)
@@ -217,10 +239,22 @@ class DecoderLM:
     def embed_tokens(self, ids: np.ndarray) -> Tensor:
         return embedding(self.tok_emb, ids)
 
-    def forward_embedded(self, embeds: Tensor, positions: np.ndarray) -> Tensor:
-        """(T, d_model) embeddings -> (T, vocab_size) logits."""
+    def new_cache(self, n: int) -> list[KVCache]:
+        """One empty KVCache per block, each room for n positions."""
+        cfg = self.cfg
+        d_head = cfg.d_model // cfg.n_heads
+        return [KVCache(cfg.n_heads, n, d_head, cfg.np_dtype) for _ in self.blocks]
+
+    def forward_embedded(self, embeds: Tensor, positions: np.ndarray,
+                         cache: list[KVCache] | None = None) -> Tensor:
+        """(T, d_model) embeddings -> (T, vocab_size) logits.
+
+        With a cache (from new_cache) the T rows continue the positions
+        already cached, and their keys and values are added to it.
+        """
         x = embeds + embedding(self.pos_emb, positions)
-        for block in self.blocks:
-            x = block(x)
+        layers = cache if cache is not None else [None] * len(self.blocks)
+        for block, layer in zip(self.blocks, layers):
+            x = block(x, layer)
         x = self.ln_f(x)
         return matmul(x, transpose(self.tok_emb))

@@ -42,7 +42,7 @@ def default_lora_targets(model) -> list[str]:
 def lora_attach(model, targets: list[str] | None = None,
                 r: int = LORA_DEFAULT_R, alpha: float = LORA_DEFAULT_ALPHA,
                 seed: int = 0) -> None:
-    """Attach adapters to the named 2-D weights and freeze those base weights.
+    """Attach adapters to the named linear weights and freeze those base weights.
 
     A is small random, B is zero, so the model's behavior is unchanged until
     the adapters train.
@@ -62,8 +62,6 @@ def lora_attach(model, targets: list[str] | None = None,
         if target not in model.params.linears:
             raise ValueError(f"lora target {target!r} is not a linear weight")
         w = model.params[target]
-        if w.data.ndim != 2:
-            raise ValueError(f"lora target {target!r} is not 2-D (shape {w.data.shape})")
         d_out, d_in = w.data.shape
         dtype = w.data.dtype
         a = Tensor(rng.normal(0.0, LORA_INIT_STD, size=(r, d_in)).astype(dtype))

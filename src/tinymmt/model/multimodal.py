@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tinymmt.errors import BudgetError, ShapeError
-from tinymmt.model.components import AdapterProjector, DecoderLM, VisionEncoder
+from tinymmt.model.components import AdapterProjector, DecoderLM, KVCache, VisionEncoder
 from tinymmt.model.config import ModelConfig
 from tinymmt.model.vocab import BOS, EOS, HUM, IMG, SYS, Vocabulary
 from tinymmt.numerics.params import ParameterStore
@@ -122,9 +122,12 @@ class MultimodalModel:
         return self._assemble(prompt_ids, visual_tokens, response_ids,
                               append_eos=response_ids is not None)
 
-    def forward(self, assembled: Assembled) -> Tensor:
-        """Logits (T, vocab_size); strictly causal over the merged sequence."""
-        return self.llm.forward_embedded(assembled.embeds, assembled.positions)
+    def forward(self, assembled: Assembled, cache: list[KVCache] | None = None) -> Tensor:
+        """Logits (T, vocab_size); strictly causal over the merged sequence.
+
+        With a cache, `assembled` continues the sequence already cached.
+        """
+        return self.llm.forward_embedded(assembled.embeds, assembled.positions, cache)
 
     def loss(self, assembled: Assembled) -> tuple[Tensor, int]:
         """Next-token loss over masked positions. Returns (scalar, n_masked)."""
@@ -137,29 +140,55 @@ class MultimodalModel:
     # ------------------------------------------------------------------
     # inference
 
+    def context_room(self, prompt_ids, has_image: bool) -> int:
+        """Positions left in c_total after the prompt's prefix (0 if it overflows)."""
+        n_vis = self.config.c_vis if has_image else 0
+        return max(self.config.c_total - (3 + n_vis + len(prompt_ids)), 0)
+
+    def _next_step(self, token: int, position: int, has_image: bool) -> Assembled:
+        """The one-position sequence that feeds a generated token back in."""
+        ids = np.array([token], dtype=np.int64)
+        return Assembled(ids=ids, embeds=self.llm.embed_tokens(ids),
+                         loss_mask=np.zeros(1, dtype=bool),
+                         positions=np.array([position], dtype=np.int64), has_image=has_image)
+
     def generate(self, prompt_ids, image: np.ndarray | None = None,
-                 max_new_tokens: int = 64) -> np.ndarray:
-        """Greedy decoding; stops at <eos> or max_new_tokens. Deterministic."""
-        if max_new_tokens < 0:
+                 max_new_tokens: int | None = None) -> np.ndarray:
+        """Greedy decoding; stops at <eos> or after max_new_tokens. Deterministic.
+
+        The prefix is fed once and its keys and values cached per layer; each
+        generated token is then fed as one position. max_new_tokens=None
+        decodes up to the rest of the context (c_total minus the prefix); an
+        explicit budget that does not fit raises BudgetError.
+        """
+        if max_new_tokens is not None and max_new_tokens < 0:
             raise ValueError(f"max_new_tokens must be >= 0, got {max_new_tokens}")
+        generated: list[int] = []
         with no_grad():
             visual = self.visual_tokens(image) if image is not None else None
             prefix = self._assemble(prompt_ids, visual, None, append_eos=False)
-            if len(prefix.ids) + max_new_tokens > self.config.c_total:
+            n_prefix = len(prefix.ids)
+            room = self.context_room(prompt_ids, prefix.has_image)
+            if max_new_tokens is None:
+                max_new_tokens = room
+            elif max_new_tokens > room:
                 raise BudgetError(
-                    f"prompt length {len(prefix.ids)} + max_new_tokens {max_new_tokens} "
+                    f"prompt length {n_prefix} + max_new_tokens {max_new_tokens} "
                     f"exceeds context budget c_total={self.config.c_total}"
                 )
-            generated: list[int] = []
-            for _ in range(max_new_tokens):
-                assembled = self._assemble(
-                    prompt_ids, visual, np.array(generated, dtype=np.int64), append_eos=False
-                )
-                logits = self.forward(assembled)
+            if max_new_tokens == 0:
+                return np.zeros(0, dtype=np.int64)
+            cache = self.llm.new_cache(n_prefix + max_new_tokens)
+            step = prefix
+            while True:
+                logits = self.forward(step, cache)
                 next_id = int(np.argmax(logits.data[-1]))
                 if next_id == EOS:
                     break
                 generated.append(next_id)
+                if len(generated) == max_new_tokens:
+                    break
+                step = self._next_step(next_id, n_prefix + len(generated) - 1, prefix.has_image)
         return np.array(generated, dtype=np.int64)
 
     # ------------------------------------------------------------------

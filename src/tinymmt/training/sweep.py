@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
+import numpy as np
+
 from tinymmt.datapipe.images import ImageLoader, make_synth_loader
 from tinymmt.datapipe.records import PromptInstance
 from tinymmt.errors import DataError
@@ -14,21 +16,35 @@ from tinymmt.training.loop import run_stage, validation_loss
 from tinymmt.training.stages import StageConfig
 
 
-def generate_hypotheses(model: MultimodalModel, dataset: Sequence[PromptInstance],
-                        image_loader: ImageLoader | None = None,
-                        max_new_tokens: int | None = None) -> list[str]:
-    """Greedy hypotheses for each instance's prompt, decoded to text."""
+def decode_instances(model: MultimodalModel, dataset: Sequence[PromptInstance],
+                     image_loader: ImageLoader | None = None,
+                     max_new_tokens: int | None = None) -> list[tuple[np.ndarray, int]]:
+    """Greedy token ids and the decode budget they had, for each instance.
+
+    The budget is the context left after the prompt, capped at
+    max_new_tokens when given; the reference response is never consulted.
+    An output as long as its budget ran out of budget, any shorter one
+    ended at <eos>.
+    """
     if image_loader is None:
         image_loader = make_synth_loader(model.config.image_size)
     out = []
     for inst in dataset:
         image = image_loader(inst.image_id) if inst.image_id is not None else None
-        budget = max_new_tokens
-        if budget is None:
-            budget = min(2 * len(inst.response) + 8, model.config.c_total)
-        ids = model.generate(model.vocab.encode(inst.prompt), image, max_new_tokens=budget)
-        out.append(model.vocab.decode(ids, on_special="skip"))
+        prompt = model.vocab.encode(inst.prompt)
+        budget = model.context_room(prompt, image is not None)
+        if max_new_tokens is not None:
+            budget = min(budget, max_new_tokens)
+        out.append((model.generate(prompt, image, max_new_tokens=budget), budget))
     return out
+
+
+def generate_hypotheses(model: MultimodalModel, dataset: Sequence[PromptInstance],
+                        image_loader: ImageLoader | None = None,
+                        max_new_tokens: int | None = None) -> list[str]:
+    """Greedy hypotheses for each instance's prompt, decoded to text."""
+    return [model.vocab.decode(ids, on_special="skip")
+            for ids, _ in decode_instances(model, dataset, image_loader, max_new_tokens)]
 
 
 def evaluate_bleu(model: MultimodalModel, dataset: Sequence[PromptInstance],

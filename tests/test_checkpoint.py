@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from tinymmt.errors import CheckpointError
 from tinymmt.model import ModelConfig, MultimodalModel, Vocabulary, lora_attach
+from tinymmt.model.components import _CAUSAL_MASKS
 from tinymmt.training import (
     FORMAT_VERSION,
     MAGIC,
@@ -204,6 +205,23 @@ def test_bad_lora_header_rejected(lora_checkpoint, edit):
     lora_checkpoint.write_bytes(join_blob(blob, header, tensors))
     with pytest.raises(CheckpointError, match="invalid header"):
         load_checkpoint(lora_checkpoint)
+
+
+def test_rejected_context_length_leaves_no_causal_mask(tmp_path):
+    vocab = Vocabulary("abcdefg")
+    model = MultimodalModel(ModelConfig(vocab_size=len(vocab), d_vis=8, d_model=8,
+                                        n_layers_vis=1, n_layers_lm=1, c_total=32), vocab)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    blob = path.read_bytes()
+    header, tensors = split_blob(blob)
+    before = {dtype: mask.shape for dtype, mask in _CAUSAL_MASKS.items()}
+    # one stray digit in front of 32, or longer than any mask built so far
+    header["config"]["c_total"] = max([932] + [n + 1 for n, _ in before.values()])
+    path.write_bytes(join_blob(blob, header, tensors))
+    with pytest.raises(CheckpointError, match="llm.pos_emb"):
+        load_checkpoint(path)
+    assert {dtype: mask.shape for dtype, mask in _CAUSAL_MASKS.items()} == before
 
 
 def test_corrupt_checkpoint_is_exit_4_with_structured_message(lora_checkpoint, tmp_path, capsys):

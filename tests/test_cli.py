@@ -309,3 +309,28 @@ def test_evaluate_out_creates_its_directory(tmp_path):
     assert main(["evaluate", "--hyp", str(ref), "--ref", str(ref), "--lang", "hi",
                  "--out", str(out)]) == 0
     assert json.loads(out.read_text(encoding="utf-8"))["n_sentences"] == 2
+
+
+def test_generate_prints_how_decoding_ended(fixture_tree, tmp_path, capsys):
+    config = str(fixture_tree)
+    assert main(["prepare-data", "--config", config]) == 0
+    assert main(["train", "--config", config, "--stages", "1"]) == 0
+    sentences = tmp_path / "s.txt"
+    sentences.write_text("red cat\nblue dog\nsun\n", encoding="utf-8")
+
+    def generate(*extra):
+        capsys.readouterr()
+        assert main(["generate", "--checkpoint", str(tmp_path / "run" / "stage1.ckpt"),
+                     "--input", str(sentences), "--out", str(tmp_path / "h.txt"),
+                     "--raw-sentences", "--lang", "hi", *extra]) == 0
+        wrote, summary = capsys.readouterr().out.splitlines()[-2:]
+        assert wrote.startswith("wrote 3 hypotheses")
+        summary = json.loads(summary)
+        assert summary["sentences"] == 3
+        assert summary["stop_eos"] + summary["stop_budget"] == summary["sentences"]
+        return summary
+
+    # the default budget is the context left, not 8 tokens for an empty reference
+    assert generate()["tokens"] > 8 * 3
+    assert generate("--max-new-tokens", "3") == {
+        "sentences": 3, "tokens": 9, "stop_eos": 0, "stop_budget": 3}

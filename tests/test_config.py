@@ -34,10 +34,11 @@ def write(tmp_path, raw: dict) -> Path:
 
 @pytest.mark.parametrize("section, dotted", [
     (lambda raw: raw, "batchsize"),
+    (lambda raw: raw.setdefault("model", {"c_total": 512}), "model.batchsize"),
     (lambda raw: raw["data"], "data.batchsize"),
     (lambda raw: raw["train"], "train.batchsize"),
     (lambda raw: raw["train"]["stages"][1], "train.stages[1].batchsize"),
-], ids=["top", "data", "train", "stage"])
+], ids=["top", "model", "data", "train", "stage"])
 def test_unknown_key_names_its_dotted_path(tmp_path, capsys, section, dotted):
     raw = base_config()
     section(raw)["batchsize"] = 2
@@ -46,6 +47,15 @@ def test_unknown_key_names_its_dotted_path(tmp_path, capsys, section, dotted):
         load_config(path)
     assert main(["prepare-data", "--config", str(path)]) == 2
     assert dotted in capsys.readouterr().err
+
+
+def test_model_keys_are_the_settable_model_config_fields(tmp_path):
+    raw = base_config()
+    raw["model"] = {"d_model": 32, "n_heads": 2, "c_total": 128, "dtype": "float32"}
+    assert load_config(write(tmp_path, raw)).model == raw["model"]
+    raw["model"]["vocab_size"] = 40  # derived from the data by train
+    with pytest.raises(ConfigError, match=re.escape("model.vocab_size") + ": unknown key"):
+        load_config(write(tmp_path, raw))
 
 
 def test_metrics_section_rejected(tmp_path):

@@ -3,15 +3,20 @@ import pytest
 
 from tinymmt.datapipe import synth_image
 from tinymmt.errors import BudgetError, ConfigError, ShapeError
-from tinymmt.model import ModelConfig, MultimodalModel, Vocabulary
+from tinymmt.model import (
+    Assembled, ModelConfig, MultimodalModel, Vocabulary, lora_attach, lora_merge,
+)
+from tinymmt.model.components import _CAUSAL_MASKS, DecoderLM
 from tinymmt.model.vocab import BOS, EOS, HUM, IMG, SYS
+from tinymmt.numerics import Tensor, no_grad
 
 from conftest import build_model, make_instances, make_records
 
 
-def small_model(adapter_mode="mlp2", seed=0, c_total=256):
+def small_model(adapter_mode="mlp2", seed=0, c_total=256, dtype="float64"):
     vocab = Vocabulary.from_texts(["hello world abc xyz"])
-    cfg = ModelConfig(vocab_size=len(vocab), adapter_mode=adapter_mode, c_total=c_total)
+    cfg = ModelConfig(vocab_size=len(vocab), adapter_mode=adapter_mode, c_total=c_total,
+                      dtype=dtype)
     return MultimodalModel(cfg, vocab, seed=seed)
 
 
@@ -222,3 +227,120 @@ def test_clone_is_deep_and_equal():
     twin.params["llm.tok_emb"].data += 1.0
     assert not np.array_equal(model.params["llm.tok_emb"].data,
                               twin.params["llm.tok_emb"].data)
+
+
+# ----------------------------------------------------------------------
+# cached decoding
+
+def _teacher_forced_argmax(model, prompt, image, ids):
+    """Argmax at every generated position of one forward over prompt + ids."""
+    with no_grad():
+        visual = model.visual_tokens(image) if image is not None else None
+        n_prefix = len(model._assemble(prompt, visual, None, append_eos=False).ids)
+        full = model._assemble(prompt, visual, ids, append_eos=False)
+        return model.forward(full).data[n_prefix - 1:].argmax(axis=1)
+
+
+def _decoding_model(dtype, lora):
+    """A small model whose greedy outputs stop at <eos> for some prompts and
+    at a 20-token budget for others; lora is "none", "attached" with a
+    non-zero B, or "merged"."""
+    model = small_model(seed=3, dtype=dtype)
+    if lora != "none":
+        lora_attach(model, r=2, alpha=8.0)
+        rng = np.random.default_rng(5)
+        for adapter in model.lora_adapters.values():
+            adapter.B.data[...] = rng.normal(0.0, 0.05, size=adapter.B.shape)
+        if lora == "merged":
+            lora_merge(model)
+    model.params["llm.tok_emb"].data[EOS] *= 1.5
+    return model
+
+
+class TestCachedDecoding:
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("lora", ["none", "attached", "merged"])
+    @pytest.mark.parametrize("with_image", [False, True], ids=["text", "image"])
+    def test_greedy_equals_teacher_forced_argmax(self, dtype, lora, with_image):
+        model = _decoding_model(dtype, lora)
+        image = synth_image("oracle", 12) if with_image else None
+        for text in ("hello", "abc xyz", "world hello abc"):
+            prompt = model.vocab.encode(text)
+            ids = model.generate(prompt, image, max_new_tokens=20)
+            predicted = _teacher_forced_argmax(model, prompt, image, ids)
+            assert np.array_equal(predicted[:len(ids)], ids)
+            if len(ids) < 20:
+                assert predicted[len(ids)] == EOS
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_prefill_logits_equal_forward(self, dtype):
+        model = small_model(dtype=dtype)
+        prefix = model.assemble_sequence(model.vocab.encode("hello abc"),
+                                         model.visual_tokens(synth_image("p", 12)))
+        with no_grad():
+            cache = model.llm.new_cache(len(prefix.ids) + 4)
+            cached = model.forward(prefix, cache).data
+            assert np.array_equal(cached, model.forward(prefix).data)
+        assert all(layer.filled == len(prefix.ids) for layer in cache)
+
+    @pytest.mark.parametrize("split", [1, 5, 13])
+    def test_chunked_feed_matches_one_forward(self, split):
+        # rows fed after the first chunk stay causal among themselves
+        model = small_model()
+        full = model.assemble_sequence(model.vocab.encode("hello abc"),
+                                       model.visual_tokens(synth_image("c", 12)),
+                                       model.vocab.encode("xyz"))
+        with no_grad():
+            expected = model.forward(full).data
+            cache = model.llm.new_cache(len(full.ids))
+            parts = [model.forward(Assembled(full.ids[rows], Tensor(full.embeds.data[rows]),
+                                             full.loss_mask[rows], full.positions[rows],
+                                             True), cache).data
+                     for rows in (slice(0, split), slice(split, None))]
+        np.testing.assert_allclose(np.concatenate(parts), expected, rtol=0, atol=1e-12)
+
+    def test_zero_budget_runs_no_forward(self, monkeypatch):
+        model = small_model()
+        calls = []
+        monkeypatch.setattr(DecoderLM, "forward_embedded",
+                            lambda self, *args, **kw: calls.append(args))
+        assert model.generate(model.vocab.encode("hello"), synth_image("z", 12), 0).size == 0
+        assert calls == []
+
+    def test_budget_that_exactly_fills_context(self):
+        model = small_model(c_total=32)
+        prompt = model.vocab.encode("hello world")
+        room = 32 - (3 + len(prompt))
+        assert model.context_room(prompt, has_image=False) == room
+        ids = model.generate(prompt, max_new_tokens=room)
+        assert len(ids) <= room
+        assert np.array_equal(model.generate(prompt), ids)  # default budget: the rest
+        with pytest.raises(BudgetError, match="max_new_tokens"):
+            model.generate(prompt, max_new_tokens=room + 1)
+
+    @pytest.mark.parametrize("with_image", [False, True], ids=["text", "image"])
+    def test_each_new_token_feeds_one_position(self, monkeypatch, with_image):
+        model = _decoding_model("float64", "none")
+        forward_embedded = DecoderLM.forward_embedded
+        fed = []
+
+        def counting(self, embeds, positions, cache=None):
+            fed.append(len(positions))
+            return forward_embedded(self, embeds, positions, cache)
+
+        monkeypatch.setattr(DecoderLM, "forward_embedded", counting)
+        image = synth_image("w", 12) if with_image else None
+        for text, budget in (("hello", 20), ("abc xyz", 20), ("world hello abc", 6)):
+            prompt = model.vocab.encode(text)
+            fed.clear()
+            ids = model.generate(prompt, image, max_new_tokens=budget)
+            n_prefix = 3 + len(prompt) + (model.config.c_vis if with_image else 0)
+            steps = len(ids) + (len(ids) < budget)  # argmaxes taken, <eos> included
+            assert fed == [n_prefix] + [1] * (steps - 1)
+            assert sum(fed) == n_prefix + steps - 1
+
+
+def test_building_a_model_allocates_no_causal_mask():
+    before = {dtype: mask.shape for dtype, mask in _CAUSAL_MASKS.items()}
+    small_model(c_total=4096)
+    assert {dtype: mask.shape for dtype, mask in _CAUSAL_MASKS.items()} == before

@@ -1,8 +1,10 @@
+import dataclasses
+
 import pytest
 
 from tinymmt.errors import DataError
 from tinymmt.training import StageConfig, hyperparameter_sweep, run_stage
-from tinymmt.training.sweep import evaluate_bleu
+from tinymmt.training.sweep import decode_instances, evaluate_bleu, generate_hypotheses
 from tinymmt.training.stages import SWEEP_EPOCHS, SWEEP_LRS
 
 from conftest import build_model, make_instances, make_records
@@ -63,3 +65,27 @@ def test_empty_grid_rejected():
     model, train, val = sweep_setup()
     with pytest.raises(DataError, match="grid"):
         hyperparameter_sweep(model, train, val, lrs=[], epochs_list=[1])
+
+
+def test_hypotheses_do_not_depend_on_the_reference():
+    model, _, val = sweep_setup()
+    swapped = [dataclasses.replace(inst, response="x" * (5 + 7 * i))
+               for i, inst in enumerate(val)]
+    assert generate_hypotheses(model, swapped) == generate_hypotheses(model, val)
+
+
+def test_long_reference_does_not_overflow_the_budget():
+    model, _, val = sweep_setup()
+    inst = dataclasses.replace(val[0], response="क" * 400)
+    assert len(generate_hypotheses(model, [inst])) == 1
+
+
+@pytest.mark.parametrize("cap", [None, 3, 10_000])
+def test_budget_is_the_context_left_capped(cap):
+    model, _, val = sweep_setup()
+    raw = dataclasses.replace(val[0], response="", image_id=None)  # as --raw-sentences builds
+    ((ids, budget),) = decode_instances(model, [raw], max_new_tokens=cap)
+    room = model.context_room(model.vocab.encode(raw.prompt), has_image=False)
+    assert room > 8
+    assert budget == (room if cap is None else min(cap, room))
+    assert len(ids) <= budget
