@@ -237,9 +237,14 @@ def cmd_generate(args) -> int:
     hyps = [model.vocab.decode(ids, on_special="skip") for ids, _ in decoded]
     atomic_write(args.out, "".join(h + "\n" for h in hyps))
     print(f"wrote {len(hyps)} hypotheses -> {args.out}")
+    overflow = [inst.source_id for inst, (_, budget) in zip(instances, decoded) if budget is None]
+    for source_id in overflow:
+        print(f"warning: {source_id}: prompt overflows c_total={model.config.c_total}; "
+              "wrote an empty hypothesis", file=sys.stderr)
     stop_budget = sum(len(ids) == budget for ids, budget in decoded)
     print(json.dumps({"sentences": len(decoded), "tokens": sum(len(ids) for ids, _ in decoded),
-                      "stop_eos": len(decoded) - stop_budget, "stop_budget": stop_budget},
+                      "stop_eos": len(decoded) - stop_budget - len(overflow),
+                      "stop_budget": stop_budget, "prompt_overflow": len(overflow)},
                      sort_keys=True))
     return 0
 

@@ -16,37 +16,16 @@ from tinymmt.model.config import ModelConfig
 from tinymmt.numerics.params import ParameterStore
 from tinymmt.numerics.tensor import (
     Tensor,
-    attention_probs,
+    attention,
     embedding,
     gelu,
     layer_norm,
-    matmul,
+    linear,
     reshape,
     transpose,
 )
 
 INIT_STD = 0.02
-ATTN_MASK_VALUE = -1e30  # finite stand-in for -inf; exp() underflows to exactly 0
-
-
-# dtype -> largest mask built so far; shared across models and built on first
-# use, so building a model allocates none
-_CAUSAL_MASKS: dict[np.dtype, np.ndarray] = {}
-
-
-def causal_mask(n: int, dtype) -> np.ndarray:
-    """Read-only (n, n) additive mask: 0 on and below the diagonal, ATTN_MASK_VALUE above.
-
-    Every result is a view of one shared mask per dtype, rebuilt only when a
-    larger n is asked for; a sequence of length t slices [:t, :t] of it.
-    """
-    dtype = np.dtype(dtype)
-    mask = _CAUSAL_MASKS.get(dtype)
-    if mask is None or mask.shape[0] < n:
-        mask = np.triu(np.full((n, n), ATTN_MASK_VALUE, dtype=dtype), k=1)
-        mask.flags.writeable = False
-        _CAUSAL_MASKS[dtype] = mask
-    return mask[:n, :n]
 
 
 class Linear:
@@ -63,9 +42,7 @@ class Linear:
         store.linears[name + ".weight"] = self
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = matmul(x, transpose(self.weight))
-        if self.bias is not None:
-            y = y + self.bias
+        y = linear(x, self.weight, self.bias)
         if self.lora is not None:
             y = y + self.lora.delta(x)
         return y
@@ -121,17 +98,13 @@ class SelfAttention:
         q = self._split_heads(self.wq(x), t)  # (h, T, dh)
         k = self._split_heads(self.wk(x), t)
         v = self._split_heads(self.wv(x), t)
-        start = 0
         if cache is not None:
             start, end = cache.filled, cache.filled + t
             cache.k[:, start:end] = k.data
             cache.v[:, start:end] = v.data
             cache.filled = end
             k, v = Tensor(cache.k[:, :end]), Tensor(cache.v[:, :end])
-        # a single row is the newest position and may see every key
-        mask = causal_mask(start + t, x.dtype)[start:, :] if self.causal and t > 1 else None
-        probs = attention_probs(q, k, 1.0 / np.sqrt(self.d_head), mask)
-        ctx = matmul(probs, v)  # (h, T, dh)
+        ctx = attention(q, k, v, 1.0 / np.sqrt(self.d_head), self.causal)  # (h, T, dh)
         merged = reshape(transpose(ctx, (1, 0, 2)), (t, self.d))
         return self.wo(merged)
 
@@ -257,4 +230,4 @@ class DecoderLM:
         for block, layer in zip(self.blocks, layers):
             x = block(x, layer)
         x = self.ln_f(x)
-        return matmul(x, transpose(self.tok_emb))
+        return linear(x, self.tok_emb)

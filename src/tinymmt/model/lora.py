@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tinymmt.numerics.tensor import Tensor, matmul, transpose
+from tinymmt.numerics.tensor import Tensor, linear
 
 LORA_DEFAULT_R = 4
 LORA_DEFAULT_ALPHA = 16.0
@@ -27,7 +27,7 @@ class LoraAdapter:
 
     def delta(self, x: Tensor) -> Tensor:
         """Low-rank contribution to y = x @ W.T, i.e. (alpha/r) * x @ (B A).T."""
-        return matmul(matmul(x, transpose(self.A)), transpose(self.B)) * (self.alpha / self.r)
+        return linear(linear(x, self.A), self.B) * (self.alpha / self.r)
 
 
 def default_lora_targets(model) -> list[str]:

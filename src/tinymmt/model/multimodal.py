@@ -141,9 +141,9 @@ class MultimodalModel:
     # inference
 
     def context_room(self, prompt_ids, has_image: bool) -> int:
-        """Positions left in c_total after the prompt's prefix (0 if it overflows)."""
+        """Positions left in c_total after the prompt's prefix; negative if it overflows."""
         n_vis = self.config.c_vis if has_image else 0
-        return max(self.config.c_total - (3 + n_vis + len(prompt_ids)), 0)
+        return self.config.c_total - (3 + n_vis + len(prompt_ids))
 
     def _next_step(self, token: int, position: int, has_image: bool) -> Assembled:
         """The one-position sequence that feeds a generated token back in."""

@@ -94,14 +94,27 @@ class Tensor:
     def __getitem__(self, idx):
         out_data = self.data[idx].copy()
         src = self
+        basic = _is_basic_index(idx)
 
         def fn(g: np.ndarray) -> None:
             if src.requires_grad:
                 if src.grad is None:
                     src.grad = np.zeros_like(src.data)
-                np.add.at(src.grad, idx, g)
+                if basic:
+                    src.grad[idx] += g  # each element selected at most once
+                else:
+                    np.add.at(src.grad, idx, g)
 
         return _make(out_data, (self,), fn)
+
+
+def _is_basic_index(idx) -> bool:
+    """True for an int, a slice, or a tuple of them: no element is selected twice."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(
+        isinstance(i, slice) or (isinstance(i, (int, np.integer)) and not isinstance(i, bool))
+        for i in parts
+    )
 
 
 def _coerce(x, dtype) -> Tensor:
@@ -121,8 +134,11 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a copy in t's own dtype and layout: g may be a view of another buffer
+        t.grad = np.empty_like(t.data)
+        t.grad[...] = g
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -321,70 +337,131 @@ def _softmax_inplace(p: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _softmax_grad(g: np.ndarray, p: np.ndarray, axis: int) -> np.ndarray:
-    """Gradient of the softmax input given output p and output gradient g."""
-    d = g - (g * p).sum(axis=axis, keepdims=True)
-    d *= p
-    return d
+    """Overwrite g, the gradient of softmax output p, with the gradient of its input."""
+    g -= (g * p).sum(axis=axis, keepdims=True)
+    g *= p
+    return g
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along `axis`, computed with max-subtraction for stability."""
-    p = _softmax_inplace(x.data.copy(), axis)
+# query rows per causal block: at T≈350 one block of every row costs about twice
+# as much as blocks of 32 to 128 rows, which differ by a few percent
+ATTN_BLOCK = 64
+ATTN_MASK_VALUE = -1e30  # finite stand-in for -inf; exp() underflows to exactly 0
 
-    def fn(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, _softmax_grad(g, p, axis))
-
-    return _make(p, (x,), fn)
+# dtype -> the one (ATTN_BLOCK, ATTN_BLOCK) mask, built on first use, so
+# building a model allocates none
+_CAUSAL_MASKS: dict[np.dtype, np.ndarray] = {}
 
 
-def masked_softmax(x: Tensor, scale: float, mask: np.ndarray | None = None) -> Tensor:
-    """softmax(x * scale + mask) along the last axis, as one tape node.
+def causal_mask(n: int, dtype) -> np.ndarray:
+    """Read-only (n, n) additive mask: 0 on and below the diagonal, ATTN_MASK_VALUE above.
 
-    `mask` is a constant additive array broadcast against x (e.g. a causal
-    mask of 0 and ATTN_MASK_VALUE); it receives no gradient. Where the mask
-    drives a probability to exactly 0, the gradient to x is exactly 0 too.
+    n is at most ATTN_BLOCK, the diagonal part of one query block; every
+    result is a view of one shared mask per dtype.
     """
-    scale = x.data.dtype.type(scale)
-    p = x.data * scale
-    if mask is not None:
-        p += mask
-    _softmax_inplace(p, -1)
+    if not 0 <= n <= ATTN_BLOCK:
+        raise ValueError(f"causal_mask: n must be in [0, {ATTN_BLOCK}], got {n}")
+    dtype = np.dtype(dtype)
+    mask = _CAUSAL_MASKS.get(dtype)
+    if mask is None:
+        mask = np.triu(np.full((ATTN_BLOCK, ATTN_BLOCK), ATTN_MASK_VALUE, dtype=dtype), k=1)
+        mask.flags.writeable = False
+        _CAUSAL_MASKS[dtype] = mask
+    return mask[:n, :n]
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, causal: bool) -> Tensor:
+    """softmax(q @ kᵀ * scale + mask) @ v for each head, as one tape node.
+
+    q is (h, t, dh) and holds the last t of the n positions whose keys and
+    values k and v hold, (h, n, dh) and (h, n, dv); t < n when the earlier
+    ones come from a cache. With `causal`, query rows go in blocks of
+    ATTN_BLOCK: block [r0, r1) scores only the keys [:n - t + r1] it can see
+    and masks only its (b, b) diagonal part, so the masked upper triangle is
+    never built, exponentiated or back-propagated. One row, or a bidirectional
+    layer, is one block with no mask. The backward is analytic, block by
+    block; a masked key gets exactly zero probability and zero gradient.
+    """
+    qd, kd, vd = q.data, k.data, v.data
+    if qd.ndim != 3 or kd.ndim != 3 or kd.shape[::2] != qd.shape[::2] \
+            or vd.shape[:2] != kd.shape[:2] or not 0 < qd.shape[1] <= kd.shape[1]:
+        raise ShapeError(f"attention expects q (h, t, dh), k (h, n, dh), v (h, n, dv) "
+                         f"with 0 < t <= n, got {qd.shape}, {kd.shape}, {vd.shape}")
+    h, t, _ = qd.shape
+    offset = kd.shape[1] - t
+    scale = qd.dtype.type(scale)
+    masked = causal and t > 1
+    step = ATTN_BLOCK if masked else t
+    # laid out like q, so the head merge that follows is copy-free
+    out = np.empty_like(qd, dtype=np.result_type(qd, vd), shape=(h, t, vd.shape[2]))
+    blocks = []  # (r0, r1, keys seen, probabilities)
+    for r0 in range(0, t, step):
+        r1 = min(r0 + step, t)
+        m = offset + r1
+        p = qd[:, r0:r1] @ _swap_last(kd[:, :m])
+        p *= scale
+        if masked:
+            p[:, :, offset + r0:] += causal_mask(r1 - r0, p.dtype)
+        _softmax_inplace(p, -1)
+        np.matmul(p, vd[:, :m], out=out[:, r0:r1])
+        blocks.append((r0, r1, m, p))
 
     def fn(g: np.ndarray) -> None:
-        if x.requires_grad:
-            d = _softmax_grad(g, p, -1)
+        dq = np.empty_like(qd) if q.requires_grad else None
+        dk = np.empty_like(kd) if k.requires_grad else None
+        dv = np.empty_like(vd) if v.requires_grad else None
+        # the last block sees every key, so walking backwards its write
+        # fills dk and dv whole and every earlier block adds into them
+        for r0, r1, m, p in reversed(blocks):
+            gb = g[:, r0:r1]
+            add = r1 < t
+            if dv is not None:
+                _matmul_into(dv[:, :m], _swap_last(p), gb, add)
+            if dq is None and dk is None:
+                continue
+            d = _softmax_grad(gb @ _swap_last(vd[:, :m]), p, -1)
             d *= scale
-            _accumulate(x, d)
+            if dq is not None:
+                np.matmul(d, kd[:, :m], out=dq[:, r0:r1])
+            if dk is not None:
+                _matmul_into(dk[:, :m], _swap_last(d), qd[:, r0:r1], add)
+        for x, dx in ((q, dq), (k, dk), (v, dv)):
+            if dx is not None:
+                _accumulate(x, dx)
 
-    return _make(p, (x,), fn)
+    return _make(out, (q, k, v), fn)
 
 
-def attention_probs(q: Tensor, k: Tensor, scale: float,
-                    mask: np.ndarray | None = None) -> Tensor:
-    """softmax(q @ kᵀ * scale + mask) along the last axis, as one tape node.
+def _matmul_into(dst: np.ndarray, a: np.ndarray, b: np.ndarray, add: bool) -> None:
+    if add:
+        dst += a @ b
+    else:
+        np.matmul(a, b, out=dst)
 
-    Bitwise equal, forward and backward, to
-    masked_softmax(matmul(q, transpose(k)), scale, mask). The scores are
-    computed into the buffer that becomes the output, so the op holds one
-    (..., T, T) array where that chain holds two.
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ wᵀ (+ b) as one tape node; w is (d_out, d_in) and b is (d_out,).
+
+    Forward and backward are bitwise equal to matmul(x, transpose(w)) + b.
     """
-    scale = q.data.dtype.type(scale)
-    p = q.data @ _swap_last(k.data)
-    p *= scale
-    if mask is not None:
-        p += mask
-    _softmax_inplace(p, -1)
+    if x.data.ndim < 2 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[1]:
+        raise ShapeError(f"linear expects x (..., d_in) and w (d_out, d_in), "
+                         f"got {x.data.shape} and {w.data.shape}")
+    out_data = x.data @ _swap_last(w.data)
+    if b is not None:
+        out_data += b.data
+    parents = (x, w) if b is None else (x, w, b)
 
     def fn(g: np.ndarray) -> None:
-        d = _softmax_grad(g, p, -1)
-        d *= scale
-        if q.requires_grad:
-            _accumulate(q, d @ k.data)
-        if k.requires_grad:
-            _accumulate(k, _swap_last(_swap_last(q.data) @ d))
+        if x.requires_grad:
+            _accumulate(x, g @ w.data)
+        if w.requires_grad:
+            dw_t = _unbroadcast(_swap_last(x.data) @ g, w.data.shape[::-1])
+            _accumulate(w, _swap_last(dw_t))
+        if b is not None and b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.data.shape))
 
-    return _make(p, (q, k), fn)
+    return _make(out_data, parents, fn)
 
 
 def cross_entropy_masked(logits: Tensor, targets, mask) -> Tensor:

@@ -18,23 +18,27 @@ from tinymmt.training.stages import StageConfig
 
 def decode_instances(model: MultimodalModel, dataset: Sequence[PromptInstance],
                      image_loader: ImageLoader | None = None,
-                     max_new_tokens: int | None = None) -> list[tuple[np.ndarray, int]]:
+                     max_new_tokens: int | None = None) -> list[tuple[np.ndarray, int | None]]:
     """Greedy token ids and the decode budget they had, for each instance.
 
     The budget is the context left after the prompt, capped at
     max_new_tokens when given; the reference response is never consulted.
     An output as long as its budget ran out of budget, any shorter one
-    ended at <eos>.
+    ended at <eos>. An instance whose prompt alone overflows c_total gets
+    an empty output and budget None, so one long prompt aborts nothing.
     """
     if image_loader is None:
         image_loader = make_synth_loader(model.config.image_size)
-    out = []
+    out: list[tuple[np.ndarray, int | None]] = []
     for inst in dataset:
-        image = image_loader(inst.image_id) if inst.image_id is not None else None
         prompt = model.vocab.encode(inst.prompt)
-        budget = model.context_room(prompt, image is not None)
+        budget = model.context_room(prompt, inst.image_id is not None)
+        if budget < 0:
+            out.append((np.zeros(0, dtype=np.int64), None))
+            continue
         if max_new_tokens is not None:
             budget = min(budget, max_new_tokens)
+        image = image_loader(inst.image_id) if inst.image_id is not None else None
         out.append((model.generate(prompt, image, max_new_tokens=budget), budget))
     return out
 
@@ -78,9 +82,16 @@ def hyperparameter_sweep(
         raise DataError("sweep grid is empty")
 
     def default_eval(model: MultimodalModel, val: Sequence[PromptInstance]) -> dict:
+        # an instance whose prompt overflows c_total scores an empty hypothesis
+        # and has no loss
+        fits = [inst for inst in val if model.context_room(
+            model.vocab.encode(inst.prompt), inst.image_id is not None) >= 0]
+        if not fits:
+            raise DataError("no validation prompt fits the context budget")
         return {
             "bleu": evaluate_bleu(model, val, image_loader, smooth=True),
-            "val_loss": validation_loss(model, val, image_loader),
+            "val_loss": validation_loss(model, fits, image_loader),
+            "prompt_overflow": len(val) - len(fits),
         }
 
     evaluate = eval_fn or default_eval

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from tinymmt.errors import CheckpointError
 from tinymmt.model import ModelConfig, MultimodalModel, Vocabulary, lora_attach
-from tinymmt.model.components import _CAUSAL_MASKS
+from tinymmt.numerics.tensor import _CAUSAL_MASKS
 from tinymmt.training import (
     FORMAT_VERSION,
     MAGIC,

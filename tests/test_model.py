@@ -6,9 +6,10 @@ from tinymmt.errors import BudgetError, ConfigError, ShapeError
 from tinymmt.model import (
     Assembled, ModelConfig, MultimodalModel, Vocabulary, lora_attach, lora_merge,
 )
-from tinymmt.model.components import _CAUSAL_MASKS, DecoderLM
+from tinymmt.model.components import DecoderLM
 from tinymmt.model.vocab import BOS, EOS, HUM, IMG, SYS
 from tinymmt.numerics import Tensor, no_grad
+from tinymmt.numerics.tensor import ATTN_BLOCK, _CAUSAL_MASKS
 
 from conftest import build_model, make_instances, make_records
 
@@ -169,6 +170,53 @@ class TestForward:
         b = model.forward(model.assemble_sequence(prompt, vis, model.vocab.encode("worlz")))
         t_first_diff = len(a.data) - 2  # sequences differ at the last response char
         assert np.array_equal(a.data[:t_first_diff], b.data[:t_first_diff])
+
+    def test_causality_bitwise_past_two_blocks(self):
+        model = small_model()
+        prompt = model.vocab.encode("hello world " * 12)
+        vis = model.visual_tokens(synth_image("g", 12))
+        a = model.forward(model.assemble_sequence(prompt, vis, model.vocab.encode("world")))
+        b = model.forward(model.assemble_sequence(prompt, vis, model.vocab.encode("worlz")))
+        t_first_diff = len(a.data) - 2
+        assert t_first_diff > 2 * ATTN_BLOCK
+        assert np.array_equal(a.data[:t_first_diff], b.data[:t_first_diff])
+        assert not np.array_equal(a.data[t_first_diff:], b.data[t_first_diff:])
+
+    def test_long_forward_keeps_masks_to_one_block(self):
+        model = small_model(c_total=512)
+        prompt = model.vocab.encode("abc xyz " * 60)
+        asm = model.assemble_sequence(prompt, model.visual_tokens(synth_image("m", 12)),
+                                      model.vocab.encode("hello"))
+        assert len(asm.ids) > 490
+        model.forward(asm)
+        assert _CAUSAL_MASKS and all(mask.shape == (ATTN_BLOCK, ATTN_BLOCK)
+                                     for mask in _CAUSAL_MASKS.values())
+
+    def test_forward_and_loss_record_a_fixed_number_of_tape_ops(self):
+        # per block: 2 layer norms, 6 linear nodes, 4 head reshapes and 4
+        # transposes, 1 attention, 1 gelu, 2 residual adds; around the LM:
+        # 2 token embeddings, concat, position embedding and its add, ln_f,
+        # the tied head, the logits slice and the cross-entropy
+        def recorded_ops(loss):
+            seen, stack, ops = {id(loss)}, [loss], 0
+            while stack:
+                node = stack.pop()
+                ops += node._backward_fn is not None
+                for parent in node._parents:
+                    if id(parent) not in seen:
+                        seen.add(id(parent))
+                        stack.append(parent)
+            return ops
+
+        model = small_model()
+        cfg = model.config
+        prompt, response = model.vocab.encode("hello"), model.vocab.encode("world")
+        text_only = recorded_ops(model.loss(model.assemble_sequence(prompt, None, response))[0])
+        assert text_only == 9 + 20 * cfg.n_layers_lm
+        # vision: patch projection, position add, its blocks and ln_f; mlp2 adapter: 3
+        vis = model.visual_tokens(synth_image("n", 12))
+        grounded = recorded_ops(model.loss(model.assemble_sequence(prompt, vis, response))[0])
+        assert grounded == text_only + 3 + 20 * cfg.n_layers_vis + 3
 
     def test_shape_and_determinism(self):
         model = small_model()

@@ -89,3 +89,18 @@ def test_budget_is_the_context_left_capped(cap):
     assert room > 8
     assert budget == (room if cap is None else min(cap, room))
     assert len(ids) <= budget
+
+
+def test_overlong_validation_prompt_scores_an_empty_hypothesis():
+    model, train, val = sweep_setup()
+    long = dataclasses.replace(val[0], prompt=val[0].prompt * 40, source_id="long")
+    assert model.context_room(model.vocab.encode(long.prompt), has_image=False) < 0
+    ((ids, budget),) = decode_instances(model, [long])
+    assert ids.size == 0 and budget is None
+    assert generate_hypotheses(model, [val[0], long, val[1]])[1] == ""
+
+    kwargs = dict(lrs=[1e-3], epochs_list=[1], seed=3, batch_size=2, max_steps=2)
+    (row,) = hyperparameter_sweep(model, train, val + [long], **kwargs)
+    (plain,) = hyperparameter_sweep(model, train, val, **kwargs)
+    assert row["error"] is None and row["prompt_overflow"] == 1
+    assert plain["prompt_overflow"] == 0 and row["val_loss"] == plain["val_loss"]

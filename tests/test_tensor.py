@@ -4,25 +4,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tinymmt.errors import ShapeError
-from tinymmt.model.components import causal_mask
 from tinymmt.numerics import (
     Tensor,
-    attention_probs,
+    attention,
     backward,
     concat,
     cross_entropy_masked,
     embedding,
     gelu,
     grad_check,
+    grad_check_params,
     layer_norm,
-    masked_softmax,
+    linear,
     matmul,
     no_grad,
     reshape,
-    softmax,
     transpose,
     tsum,
 )
+from tinymmt.numerics.tensor import ATTN_BLOCK, causal_mask
 
 
 class TestMatmul:
@@ -58,33 +58,42 @@ class TestMatmul:
         assert np.allclose(b.grad, a.data.T @ g)
 
 
+def softmax(scores) -> np.ndarray:
+    """The probabilities attention puts on keys scored `scores` (last axis),
+    read out exactly by taking v = I."""
+    s = np.asarray(scores, dtype=float).reshape(-1, np.shape(scores)[-1])
+    rows, n = s.shape
+    out = attention(Tensor(np.ones((rows, 1, 1))), Tensor(s[:, :, None]),
+                    Tensor(np.broadcast_to(np.eye(n), (rows, n, n))), 1.0, causal=False)
+    return out.data.reshape(np.shape(scores))
+
+
 class TestSoftmax:
     def test_symmetry(self):
-        out = softmax(Tensor([0.0, 0.0]))
-        assert np.allclose(out.data, [0.5, 0.5])
+        out = softmax([0.0, 0.0])
+        assert np.allclose(out, [0.5, 0.5])
 
     def test_large_inputs_no_overflow(self):
-        out = softmax(Tensor([1000.0, 1000.0]))
-        assert np.all(np.isfinite(out.data))
-        assert np.allclose(out.data, [0.5, 0.5])
+        out = softmax([1000.0, 1000.0])
+        assert np.all(np.isfinite(out))
+        assert np.allclose(out, [0.5, 0.5])
 
     def test_closed_form(self):
-        out = softmax(Tensor([0.0, np.log(3.0)]))
-        assert np.allclose(out.data, [0.25, 0.75], atol=1e-12)
+        out = softmax([0.0, np.log(3.0)])
+        assert np.allclose(out, [0.25, 0.75], atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
-        x = Tensor(rng.normal(size=(5, 7)))
-        out = softmax(x, axis=-1)
-        assert np.allclose(out.data.sum(axis=-1), 1.0, atol=1e-9)
+        out = softmax(rng.normal(size=(5, 7)))
+        assert np.allclose(out.sum(axis=-1), 1.0, atol=1e-9)
 
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=8),
            st.floats(-100, 100))
     @settings(max_examples=60, deadline=None)
     def test_shift_invariance(self, values, const):
         x = np.array(values)
-        a = softmax(Tensor(x)).data
-        b = softmax(Tensor(x + const)).data
+        a = softmax(x)
+        b = softmax(x + const)
         assert np.allclose(a, b, atol=1e-9)
         assert abs(a.sum() - 1.0) < 1e-9
 
@@ -155,6 +164,22 @@ class TestMiscOps:
         expected[1:] = 1.0
         assert np.array_equal(x.grad, expected)
 
+    @pytest.mark.parametrize("idx", [slice(None, 5), 3, (slice(1, 4), 2), (2, slice(None))],
+                             ids=["slice", "int", "slice-int", "int-slice"])
+    def test_getitem_basic_index_bitwise_equal_to_add_at(self, idx):
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        w = rng.normal(size=x.data[idx].shape)
+        backward(tsum(x[idx] * Tensor(w)))
+        expected = np.zeros_like(x.data)
+        np.add.at(expected, idx, w)
+        assert x.grad.tobytes() == expected.tobytes()
+
+    def test_getitem_duplicated_fancy_index_accumulates(self):
+        x = Tensor(np.zeros((3, 2)), requires_grad=True)
+        backward(tsum(x[[0, 0, 2]]))
+        assert np.array_equal(x.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
+
     def test_concat_backward_splits(self):
         a = Tensor(np.ones((2, 3)), requires_grad=True)
         b = Tensor(np.ones((4, 3)), requires_grad=True)
@@ -187,26 +212,22 @@ def _squared_sum(y: Tensor) -> Tensor:
     return tsum(y * y)
 
 
+def _attention_case(causal):
+    def fn(x):
+        q = reshape(x, (1,) + x.shape)
+        out = attention(q, q * 0.5, q * -0.8, 0.7, causal)
+        return tsum(out * Tensor(np.arange(out.data.size).reshape(out.shape) * 0.1 + 0.5))
+    return fn
+
+
 GRAD_CASES = {
     "matmul": lambda x: tsum(matmul(x, transpose(x))),
     "mul": lambda x: tsum(x * x * 0.5),
     "add_broadcast": lambda x: tsum(x + Tensor(np.ones(x.shape[-1]), requires_grad=False)),
     "gelu": lambda x: tsum(gelu(x)),
-    "softmax": lambda x: tsum(softmax(x, axis=-1) * Tensor(np.arange(x.shape[-1]) + 0.5)),
-    "masked_softmax": lambda x: tsum(
-        masked_softmax(x, 0.7) * Tensor(np.arange(x.shape[-1]) + 0.5)
-    ),
-    "attention_probs": lambda x: tsum(
-        attention_probs(x, x * 0.5, 0.7) * Tensor(np.arange(x.shape[0]) + 0.5)
-    ),
-    "attention_probs_causal": lambda x: tsum(
-        attention_probs(x, x * 0.5, 0.7, causal_mask(x.shape[0], x.dtype))
-        * Tensor(np.arange(x.shape[0]) + 0.5)
-    ),
-    "masked_softmax_causal": lambda x: tsum(
-        masked_softmax(x, 0.7, causal_mask(x.shape[-1], x.dtype)[: x.shape[0]])
-        * Tensor(np.arange(x.shape[-1]) + 0.5)
-    ),
+    "attention": _attention_case(causal=False),
+    "attention_causal": _attention_case(causal=True),
+    "linear": lambda x: _squared_sum(linear(x, x[:3] * 0.5, x[0, :3])),
     "layer_norm": lambda x: _squared_sum(
         layer_norm(x, Tensor(np.full(x.shape[-1], 1.3)), Tensor(np.full(x.shape[-1], -0.2)))
     ),
@@ -226,31 +247,70 @@ def test_grad_check_per_op_ten_seeds(name):
         assert grad_check(fn, x, h=1e-4) < 1e-3
 
 
+def _qkv(rng, h, t, n, dh, dtype=np.float64, dv=None):
+    return (Tensor(rng.normal(size=(h, t, dh)).astype(dtype), requires_grad=True),
+            Tensor(rng.normal(size=(h, n, dh)).astype(dtype), requires_grad=True),
+            Tensor(rng.normal(size=(h, n, dv or dh)).astype(dtype), requires_grad=True))
+
+
+def _dense_attention(q, k, v, scale, causal, g):
+    """Reference: every (t, n) score, a full causal mask, softmax, @ v; and its
+    analytic backward for the output gradient g. Returns (out, dq, dk, dv)."""
+    t, n = q.shape[1], k.shape[1]
+    s = q @ np.swapaxes(k, -1, -2) * scale
+    if causal:
+        s = s + np.where(np.arange(n)[None, :] > np.arange(n - t, n)[:, None], -1e30, 0.0)
+    p = np.exp(s - s.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    dp = g @ np.swapaxes(v, -1, -2)
+    ds = (dp - (dp * p).sum(axis=-1, keepdims=True)) * p * scale
+    return p @ v, ds @ k, np.swapaxes(ds, -1, -2) @ q, np.swapaxes(p, -1, -2) @ g
+
+
+def _attention_grads(q, k, v, scale, causal, g):
+    for x in (q, k, v):
+        x.grad = None
+    out = attention(q, k, v, scale, causal)
+    backward(tsum(out * Tensor(g)))
+    return out.data, q.grad, k.grad, v.grad
+
+
 class TestMaskedSoftmax:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_bitwise_equal_to_scale_mask_softmax_chain(self, dtype):
+        # one block (t <= ATTN_BLOCK) is exactly q·kᵀ, scale, mask, softmax, @ v
         rng = np.random.default_rng(4)
-        x = Tensor(rng.normal(size=(3, 6, 6)).astype(dtype), requires_grad=True)
-        w = Tensor(rng.normal(size=(3, 6, 6)).astype(dtype))
-        mask = causal_mask(8, dtype)[:6, :6]
-        chain = softmax(x * 0.25 + Tensor(mask), axis=-1)
-        backward(tsum(chain * w))
-        chain_grad, x.grad = x.grad, None
-        fused = masked_softmax(x, 0.25, mask)
-        backward(tsum(fused * w))
-        assert fused.data.dtype == dtype and x.grad.dtype == dtype
-        assert np.array_equal(fused.data, chain.data)
-        assert np.array_equal(x.grad, chain_grad)
+        q, k, v = _qkv(rng, 3, 6, 6, 4, dtype)
+        g = rng.normal(size=(3, 6, 4)).astype(dtype)
+        got = _attention_grads(q, k, v, 0.25, True, g)
+        p = q.data @ np.swapaxes(k.data, -1, -2)
+        p *= dtype(0.25)
+        p += causal_mask(6, dtype)
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        ds = g @ np.swapaxes(v.data, -1, -2)
+        ds = ds - (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= dtype(0.25)
+        chain = (p @ v.data, ds @ k.data, np.swapaxes(ds, -1, -2) @ q.data,
+                 np.swapaxes(p, -1, -2) @ g)
+        for a, b in zip(got, chain):
+            assert a.dtype == dtype
+            assert np.array_equal(a, b)
 
     def test_masked_entries_get_zero_probability_and_gradient(self):
         rng = np.random.default_rng(5)
-        x = Tensor(rng.normal(size=(2, 5, 5)), requires_grad=True)
-        out = masked_softmax(x, 1.0, causal_mask(5, np.float64))
-        backward(tsum(out * Tensor(rng.normal(size=(2, 5, 5)))))
-        upper = np.triu(np.ones((5, 5), dtype=bool), k=1)
+        n, row = 150, 70  # three blocks; the row sits in the second
+        q, k, _ = _qkv(rng, 2, n, n, 3)
+        v = Tensor(np.broadcast_to(np.eye(n), (2, n, n)), requires_grad=True)
+        out = attention(q, k, v, 1.0, causal=True)  # with v = I, the probabilities
+        upper = np.triu(np.ones((n, n), dtype=bool), k=1)
         assert np.all(out.data[:, upper] == 0.0)
-        assert np.all(x.grad[:, upper] == 0.0)
         assert np.allclose(out.data.sum(axis=-1), 1.0)
+        backward(tsum(out[:, row] * Tensor(rng.normal(size=(2, n)))))
+        assert np.all(k.grad[:, row + 1:] == 0.0) and np.all(v.grad[:, row + 1:] == 0.0)
+        assert np.all(k.grad[:, :row + 1] != 0.0)
 
     def test_causal_mask_is_read_only(self):
         mask = causal_mask(4, np.float64)
@@ -262,25 +322,111 @@ class TestAttentionProbs:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("masked", [True, False])
     def test_bitwise_equal_to_matmul_masked_softmax_chain(self, dtype, masked):
+        # with v = I the output is the probabilities and their gradient is g
         rng = np.random.default_rng(6)
-        q = Tensor(rng.normal(size=(2, 7, 4)).astype(dtype), requires_grad=True)
-        k = Tensor(rng.normal(size=(2, 7, 4)).astype(dtype), requires_grad=True)
-        w = Tensor(rng.normal(size=(2, 7, 7)).astype(dtype))
-        mask = causal_mask(9, dtype)[:7, :7] if masked else None
-        chain = masked_softmax(matmul(q, transpose(k, (0, 2, 1))), 0.5, mask)
-        backward(tsum(chain * w))
-        chain_grads, q.grad, k.grad = (q.grad, k.grad), None, None
-        fused = attention_probs(q, k, 0.5, mask)
-        backward(tsum(fused * w))
+        q, k, _ = _qkv(rng, 2, 7, 7, 4, dtype)
+        v = Tensor(np.broadcast_to(np.eye(7, dtype=dtype), (2, 7, 7)))
+        g = rng.normal(size=(2, 7, 7)).astype(dtype)
+        probs, dq, dk, _ = _attention_grads(q, k, v, 0.5, masked, g)
+        p = q.data @ np.swapaxes(k.data, -1, -2)
+        p *= dtype(0.5)
+        if masked:
+            p += causal_mask(7, dtype)
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        d = g - (g * p).sum(axis=-1, keepdims=True)
+        d *= p
+        d *= dtype(0.5)
+        assert probs.dtype == dtype
+        assert np.array_equal(probs, p)
+        assert np.array_equal(dq, d @ k.data)
+        assert np.array_equal(dk, np.swapaxes(d, -1, -2) @ q.data)
+
+
+class TestAttention:
+    @pytest.mark.parametrize("t, n, causal", [
+        (150, 150, True),   # three blocks, the last partial
+        (20, 150, True),    # a cached prefix: keys before the offset get gradient
+        (1, 40, True),      # one decode row
+        (30, 30, False),    # bidirectional
+    ], ids=["three-blocks", "offset", "one-row", "bidirectional"])
+    def test_grad_check(self, t, n, causal):
+        rng = np.random.default_rng(7)
+        q, k, v = _qkv(rng, 2, t, n, 3)
+        w = Tensor(rng.normal(size=(2, t, 3)))
+        loss = lambda: tsum(attention(q, k, v, 0.6, causal) * w)  # noqa: E731
+        assert grad_check_params(loss, [q, k, v], rng=np.random.default_rng(0),
+                                 coords_per_tensor=60) < 1e-6
+        assert np.all(k.grad[:, : n - t + 1] != 0.0)
+
+    @pytest.mark.parametrize("t", [1, 63, 64, 65, 130, 347])
+    @pytest.mark.parametrize("offset", [0, 9])
+    def test_matches_dense_reference(self, t, offset):
+        rng = np.random.default_rng(t + offset)
+        q, k, v = _qkv(rng, 4, t, t + offset, 16)
+        g = rng.normal(size=(4, t, 16))
+        got = _attention_grads(q, k, v, 0.25, True, g)
+        want = _dense_attention(q.data, k.data, v.data, 0.25, True, g)
+        for a, b in zip(got, want):
+            assert np.max(np.abs(a - b)) < 1e-13
+
+    def test_bidirectional_matches_dense_reference(self):
+        rng = np.random.default_rng(8)
+        q, k, v = _qkv(rng, 2, 130, 130, 8, dv=5)
+        g = rng.normal(size=(2, 130, 5))
+        got = _attention_grads(q, k, v, 0.3, False, g)
+        want = _dense_attention(q.data, k.data, v.data, 0.3, False, g)
+        for a, b in zip(got, want):
+            assert np.max(np.abs(a - b)) < 1e-13
+
+    def test_shapes_checked(self):
+        rng = np.random.default_rng(9)
+        q, k, v = _qkv(rng, 2, 5, 4, 3)
+        with pytest.raises(ShapeError, match="attention"):
+            attention(q, k, v, 1.0, True)
+
+    def test_causal_mask_only_covers_one_block(self):
+        assert causal_mask(ATTN_BLOCK, np.float64).shape == (ATTN_BLOCK, ATTN_BLOCK)
+        with pytest.raises(ValueError, match="causal_mask"):
+            causal_mask(ATTN_BLOCK + 1, np.float64)
+
+
+class TestLinear:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_bitwise_equal_to_matmul_transpose_add(self, dtype, bias):
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.normal(size=(9, 6)).astype(dtype), requires_grad=True)
+        w = Tensor(rng.normal(size=(5, 6)).astype(dtype), requires_grad=True)
+        b = Tensor(rng.normal(size=5).astype(dtype), requires_grad=True) if bias else None
+        g = Tensor(rng.normal(size=(9, 5)).astype(dtype))
+        params = [x, w] + ([b] if bias else [])
+
+        chain = matmul(x, transpose(w))
+        if bias:
+            chain = chain + b
+        backward(tsum(chain * g))
+        chain_grads = [p.grad for p in params]
+        for p in params:
+            p.grad = None
+        fused = linear(x, w, b)
+        backward(tsum(fused * g))
         assert fused.data.dtype == dtype
         assert np.array_equal(fused.data, chain.data)
-        assert np.array_equal(q.grad, chain_grads[0]) and np.array_equal(k.grad, chain_grads[1])
+        for p, want in zip(params, chain_grads):
+            assert p.grad.dtype == dtype and np.array_equal(p.grad, want)
+
+    def test_shape_mismatch_names_both_shapes(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
+            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
 
 
 def test_forward_backward_values_stay_finite():
     rng = np.random.default_rng(11)
     x = Tensor(rng.normal(size=(6, 8)), requires_grad=True)
-    out = softmax(gelu(matmul(x, transpose(x))), axis=-1)
+    scores = reshape(gelu(matmul(x, transpose(x))), (1, 6, 6))
+    out = attention(scores, scores, scores, 30.0, causal=True)
     loss = tsum(out * out)
     backward(loss)
     assert np.all(np.isfinite(out.data))
