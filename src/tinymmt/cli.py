@@ -210,7 +210,7 @@ def cmd_generate(args) -> int:
             raise ConfigError("--lang is required with --raw-sentences")
         if args.lang not in LANG_NAMES:
             raise ConfigError(f"unknown language {args.lang!r}")
-        lines = [ln for ln in input_path.read_text(encoding="utf-8").splitlines()]
+        lines = input_path.read_text(encoding="utf-8").splitlines()
         instances = [
             PromptInstance(
                 task="text_only",
@@ -235,6 +235,9 @@ def cmd_generate(args) -> int:
 
     decoded = decode_instances(model, instances, max_new_tokens=args.max_new_tokens)
     hyps = [model.vocab.decode(ids, on_special="skip") for ids, _ in decoded]
+    if args.raw_sentences:  # a blank input line keeps its place as an empty hypothesis
+        decoded_hyps = iter(hyps)
+        hyps = [next(decoded_hyps) if line else "" for line in lines]
     atomic_write(args.out, "".join(h + "\n" for h in hyps))
     print(f"wrote {len(hyps)} hypotheses -> {args.out}")
     overflow = [inst.source_id for inst, (_, budget) in zip(instances, decoded) if budget is None]
@@ -242,7 +245,8 @@ def cmd_generate(args) -> int:
         print(f"warning: {source_id}: prompt overflows c_total={model.config.c_total}; "
               "wrote an empty hypothesis", file=sys.stderr)
     stop_budget = sum(len(ids) == budget for ids, budget in decoded)
-    print(json.dumps({"sentences": len(decoded), "tokens": sum(len(ids) for ids, _ in decoded),
+    print(json.dumps({"sentences": len(hyps), "tokens": sum(len(ids) for ids, _ in decoded),
+                      "blank": len(hyps) - len(decoded),
                       "stop_eos": len(decoded) - stop_budget - len(overflow),
                       "stop_budget": stop_budget, "prompt_overflow": len(overflow)},
                      sort_keys=True))

@@ -21,8 +21,6 @@ from tinymmt.numerics.tensor import (
     gelu,
     layer_norm,
     linear,
-    reshape,
-    transpose,
 )
 
 INIT_STD = 0.02
@@ -60,53 +58,46 @@ class LayerNorm:
 class KVCache:
     """Keys and values of one attention layer for the positions fed so far.
 
-    k and v are (n_heads, n, d_head) buffers allocated once; rows [:filled]
-    hold the sequence so far. For no-grad decoding only: attention reads the
-    cached keys and values as constants.
+    k and v are (n, d) buffers allocated once, one row per position and the
+    heads side by side in its columns, as attention reads them; rows
+    [:filled] hold the sequence so far. For no-grad decoding only: attention
+    reads the cached keys and values as constants.
     """
 
-    def __init__(self, n_heads: int, n: int, d_head: int, dtype):
-        self.k = np.empty((n_heads, n, d_head), dtype=dtype)
-        self.v = np.empty((n_heads, n, d_head), dtype=dtype)
+    def __init__(self, n: int, d: int, dtype):
+        self.k = np.empty((n, d), dtype=dtype)
+        self.v = np.empty((n, d), dtype=dtype)
         self.filled = 0
 
 
 class SelfAttention:
     """Multi-head self-attention over a (T, d) sequence, causal or bidirectional.
 
-    With a KVCache the T rows are positions filled..filled+T-1 of a longer
-    sequence: their keys and values are appended to the cache and the rows
-    attend over everything cached.
+    q, k and v stay (T, d) rows; the attention node splits them into heads
+    by columns itself. With a KVCache the T rows are positions
+    filled..filled+T-1 of a longer sequence: their keys and values are
+    appended to the cache and the rows attend over everything cached.
     """
 
     def __init__(self, store: ParameterStore, name: str, d: int, n_heads: int,
                  rng: np.random.Generator, dtype, causal: bool = False):
-        self.d = d
         self.n_heads = n_heads
-        self.d_head = d // n_heads
+        self.scale = 1.0 / np.sqrt(d // n_heads)
         self.causal = causal
         self.wq = Linear(store, name + ".wq", d, d, rng, dtype)
         self.wk = Linear(store, name + ".wk", d, d, rng, dtype)
         self.wv = Linear(store, name + ".wv", d, d, rng, dtype)
         self.wo = Linear(store, name + ".wo", d, d, rng, dtype)
 
-    def _split_heads(self, x: Tensor, t: int) -> Tensor:
-        return transpose(reshape(x, (t, self.n_heads, self.d_head)), (1, 0, 2))
-
     def __call__(self, x: Tensor, cache: KVCache | None = None) -> Tensor:
-        t = x.shape[0]
-        q = self._split_heads(self.wq(x), t)  # (h, T, dh)
-        k = self._split_heads(self.wk(x), t)
-        v = self._split_heads(self.wv(x), t)
+        q, k, v = self.wq(x), self.wk(x), self.wv(x)
         if cache is not None:
-            start, end = cache.filled, cache.filled + t
-            cache.k[:, start:end] = k.data
-            cache.v[:, start:end] = v.data
+            start, end = cache.filled, cache.filled + x.shape[0]
+            cache.k[start:end] = k.data
+            cache.v[start:end] = v.data
             cache.filled = end
-            k, v = Tensor(cache.k[:, :end]), Tensor(cache.v[:, :end])
-        ctx = attention(q, k, v, 1.0 / np.sqrt(self.d_head), self.causal)  # (h, T, dh)
-        merged = reshape(transpose(ctx, (1, 0, 2)), (t, self.d))
-        return self.wo(merged)
+            k, v = Tensor(cache.k[:end]), Tensor(cache.v[:end])
+        return self.wo(attention(q, k, v, self.n_heads, self.scale, self.causal))
 
 
 class Block:
@@ -214,9 +205,7 @@ class DecoderLM:
 
     def new_cache(self, n: int) -> list[KVCache]:
         """One empty KVCache per block, each room for n positions."""
-        cfg = self.cfg
-        d_head = cfg.d_model // cfg.n_heads
-        return [KVCache(cfg.n_heads, n, d_head, cfg.np_dtype) for _ in self.blocks]
+        return [KVCache(n, self.cfg.d_model, self.cfg.np_dtype) for _ in self.blocks]
 
     def forward_embedded(self, embeds: Tensor, positions: np.ndarray,
                          cache: list[KVCache] | None = None) -> Tensor:

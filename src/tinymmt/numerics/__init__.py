@@ -9,12 +9,8 @@ from tinymmt.numerics.tensor import (
     gelu,
     layer_norm,
     linear,
-    matmul,
     mul,
     no_grad,
-    reshape,
-    transpose,
-    tsum,
 )
 from tinymmt.numerics.params import ParameterStore
 from tinymmt.numerics.optim import AdamState, adam_step
@@ -36,10 +32,6 @@ __all__ = [
     "grad_check_params",
     "layer_norm",
     "linear",
-    "matmul",
     "mul",
     "no_grad",
-    "reshape",
-    "transpose",
-    "tsum",
 ]

@@ -88,9 +88,6 @@ class Tensor:
             raise TypeError("tensor/tensor division is not supported; multiply by a reciprocal")
         return mul(self, 1.0 / float(other))
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         out_data = self.data[idx].copy()
         src = self
@@ -183,48 +180,6 @@ def _swap_last(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with np.matmul semantics (both operands ndim >= 2)."""
-    if not isinstance(a, Tensor):
-        a = Tensor(a)
-    if not isinstance(b, Tensor):
-        b = Tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"matmul requires 2-D or higher operands, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
-    out_data = a.data @ b.data
-
-    def fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g @ _swap_last(b.data), a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(_swap_last(a.data) @ g, b.data.shape))
-
-    return _make(out_data, (a, b), fn)
-
-
-def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
-    out_data = np.transpose(x.data, axes)
-    inv = None if axes is None else np.argsort(axes)
-
-    def fn(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, np.transpose(g, inv))
-
-    return _make(out_data, (x,), fn)
-
-
-def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    out_data = x.data.reshape(shape)
-
-    def fn(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, g.reshape(x.data.shape))
-
-    return _make(out_data, (x,), fn)
-
-
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     parts = [p if isinstance(p, Tensor) else Tensor(p) for p in parts]
     if not parts:
@@ -245,7 +200,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def embedding(table: Tensor, ids) -> Tensor:
-    """Gather rows table[ids]; backward scatter-adds into the table."""
+    """Gather rows table[ids]; backward adds each row's gradient into the table."""
     ids = np.asarray(ids, dtype=np.int64)
     if table.data.ndim != 2:
         raise ShapeError(f"embedding table must be 2-D, got {table.data.shape}")
@@ -260,23 +215,12 @@ def embedding(table: Tensor, ids) -> Tensor:
         if table.requires_grad:
             if table.grad is None:
                 table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, ids, g)
+            if np.unique(ids).size == ids.size:
+                table.grad[ids] += g  # each row gathered once, e.g. positions
+            else:
+                np.add.at(table.grad, ids, g)
 
     return _make(out_data, (table,), fn)
-
-
-def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out_data = x.data.sum(axis=axis, keepdims=keepdims)
-
-    def fn(g: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        gg = g
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(g, axis)
-        _accumulate(x, np.broadcast_to(gg, x.data.shape))
-
-    return _make(out_data, (x,), fn)
 
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))  # a Python float keeps float32 inputs float32
@@ -291,15 +235,36 @@ def gelu(x: Tensor) -> Tensor:
     inner += xd
     inner *= _GELU_C
     t = np.tanh(inner, out=inner)
-    out_data = 0.5 * xd * (1.0 + t)
+    out_data = t + 1.0
+    out_data *= xd
+    out_data *= 0.5
 
     def fn(g: np.ndarray) -> None:
         if x.requires_grad:
-            dinner = _GELU_C * (1.0 + 3 * 0.044715 * (xd * xd))
-            local = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * dinner
-            _accumulate(x, g * local)
+            # 0.5(1 + t) + 0.5 x (1 - t²) c (1 + 3·0.044715 x²), in two buffers
+            dinner = xd * xd
+            dinner *= 3 * 0.044715
+            dinner += 1.0
+            dinner *= _GELU_C
+            local = t * t
+            np.subtract(1.0, local, out=local)
+            local *= xd
+            local *= 0.5
+            local *= dinner
+            np.add(t, 1.0, out=dinner)
+            dinner *= 0.5
+            local += dinner
+            local *= g
+            _accumulate(x, local)
 
     return _make(out_data, (x,), fn)
+
+
+def _row_mean(a: np.ndarray, d: int) -> np.ndarray:
+    """a.mean(axis=-1, keepdims=True) for last axis d, bitwise, minus np.mean's wrapper."""
+    m = np.add.reduce(a, axis=-1, keepdims=True)
+    m /= d
+    return m
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -307,12 +272,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     d = x.data.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeError(f"layer_norm scale/shift must have shape ({d},)")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out_data = gamma.data * xhat + beta.data
+    xhat = x.data - _row_mean(x.data, d)
+    inv = _row_mean(xhat * xhat, d)
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    out_data = xhat * gamma.data
+    out_data += beta.data
 
     def fn(g: np.ndarray) -> None:
         if gamma.requires_grad:
@@ -320,10 +287,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         if beta.requires_grad:
             _accumulate(beta, g.reshape(-1, d).sum(axis=0))
         if x.requires_grad:
+            # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
             dxhat = g * gamma.data
-            term = dxhat - dxhat.mean(axis=-1, keepdims=True) \
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            _accumulate(x, inv * term)
+            m2 = _row_mean(dxhat * xhat, d)
+            dxhat -= _row_mean(dxhat, d)
+            dxhat -= xhat * m2
+            dxhat *= inv
+            _accumulate(x, dxhat)
 
     return _make(out_data, (x, gamma, beta), fn)
 
@@ -370,61 +340,79 @@ def causal_mask(n: int, dtype) -> np.ndarray:
     return mask[:n, :n]
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, causal: bool) -> Tensor:
+def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """(n, d) rows as (n_heads, n, d / n_heads): head i is columns [i·d/h, (i+1)·d/h).
+
+    A view of a C-contiguous x, as every buffer written through it is; other
+    layouts may come back as a copy, which is fine for reading.
+    """
+    return x.reshape(x.shape[0], n_heads, -1).transpose(1, 0, 2)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float,
+              causal: bool) -> Tensor:
     """softmax(q @ kᵀ * scale + mask) @ v for each head, as one tape node.
 
-    q is (h, t, dh) and holds the last t of the n positions whose keys and
-    values k and v hold, (h, n, dh) and (h, n, dv); t < n when the earlier
-    ones come from a cache. With `causal`, query rows go in blocks of
-    ATTN_BLOCK: block [r0, r1) scores only the keys [:n - t + r1] it can see
-    and masks only its (b, b) diagonal part, so the masked upper triangle is
-    never built, exponentiated or back-propagated. One row, or a bidirectional
-    layer, is one block with no mask. The backward is analytic, block by
-    block; a masked key gets exactly zero probability and zero gradient.
+    q is (t, d) and holds the last t of the n positions whose keys and values
+    k and v hold, (n, d) and (n, dv); t < n when the earlier ones come from a
+    cache. Head i reads and writes columns [i·d/h, (i+1)·d/h) of q and k (and
+    the same share of dv) through strided views, so heads are split and
+    merged without a copy or a tape node; the output is (t, dv). With
+    `causal`, query rows go in blocks of ATTN_BLOCK: block [r0, r1) scores
+    only the keys [:n - t + r1] it can see and masks only its (b, b)
+    diagonal part, so the masked upper triangle is never built,
+    exponentiated or back-propagated. One row, or a bidirectional layer, is
+    one block with no mask. The backward is analytic, block by block; a
+    masked key gets exactly zero probability and zero gradient.
     """
     qd, kd, vd = q.data, k.data, v.data
-    if qd.ndim != 3 or kd.ndim != 3 or kd.shape[::2] != qd.shape[::2] \
-            or vd.shape[:2] != kd.shape[:2] or not 0 < qd.shape[1] <= kd.shape[1]:
-        raise ShapeError(f"attention expects q (h, t, dh), k (h, n, dh), v (h, n, dv) "
-                         f"with 0 < t <= n, got {qd.shape}, {kd.shape}, {vd.shape}")
-    h, t, _ = qd.shape
-    offset = kd.shape[1] - t
+    if qd.ndim != 2 or kd.ndim != 2 or vd.ndim != 2 or kd.shape[1] != qd.shape[1] \
+            or vd.shape[0] != kd.shape[0] or not 0 < qd.shape[0] <= kd.shape[0] \
+            or n_heads < 1 or qd.shape[1] % n_heads or vd.shape[1] % n_heads:
+        raise ShapeError(f"attention expects q (t, d), k (n, d), v (n, dv) with 0 < t <= n "
+                         f"and d, dv divisible by n_heads={n_heads}, "
+                         f"got {qd.shape}, {kd.shape}, {vd.shape}")
+    t = qd.shape[0]
+    offset = kd.shape[0] - t
     scale = qd.dtype.type(scale)
     masked = causal and t > 1
     step = ATTN_BLOCK if masked else t
-    # laid out like q, so the head merge that follows is copy-free
-    out = np.empty_like(qd, dtype=np.result_type(qd, vd), shape=(h, t, vd.shape[2]))
+    qh, kh, vh = _heads(qd, n_heads), _heads(kd, n_heads), _heads(vd, n_heads)
+    out = np.empty((t, vd.shape[1]), dtype=np.result_type(qd, vd))
+    out_h = _heads(out, n_heads)
     blocks = []  # (r0, r1, keys seen, probabilities)
     for r0 in range(0, t, step):
         r1 = min(r0 + step, t)
         m = offset + r1
-        p = qd[:, r0:r1] @ _swap_last(kd[:, :m])
+        p = qh[:, r0:r1] @ _swap_last(kh[:, :m])
         p *= scale
         if masked:
             p[:, :, offset + r0:] += causal_mask(r1 - r0, p.dtype)
         _softmax_inplace(p, -1)
-        np.matmul(p, vd[:, :m], out=out[:, r0:r1])
+        np.matmul(p, vh[:, :m], out=out_h[:, r0:r1])
         blocks.append((r0, r1, m, p))
 
     def fn(g: np.ndarray) -> None:
-        dq = np.empty_like(qd) if q.requires_grad else None
-        dk = np.empty_like(kd) if k.requires_grad else None
-        dv = np.empty_like(vd) if v.requires_grad else None
+        gh = _heads(g, n_heads)
+        dq = np.empty(qd.shape, qd.dtype) if q.requires_grad else None
+        dk = np.empty(kd.shape, kd.dtype) if k.requires_grad else None
+        dv = np.empty(vd.shape, vd.dtype) if v.requires_grad else None
+        dqh, dkh, dvh = (None if dx is None else _heads(dx, n_heads) for dx in (dq, dk, dv))
         # the last block sees every key, so walking backwards its write
         # fills dk and dv whole and every earlier block adds into them
         for r0, r1, m, p in reversed(blocks):
-            gb = g[:, r0:r1]
+            gb = gh[:, r0:r1]
             add = r1 < t
-            if dv is not None:
-                _matmul_into(dv[:, :m], _swap_last(p), gb, add)
-            if dq is None and dk is None:
+            if dvh is not None:
+                _matmul_into(dvh[:, :m], _swap_last(p), gb, add)
+            if dqh is None and dkh is None:
                 continue
-            d = _softmax_grad(gb @ _swap_last(vd[:, :m]), p, -1)
+            d = _softmax_grad(gb @ _swap_last(vh[:, :m]), p, -1)
             d *= scale
-            if dq is not None:
-                np.matmul(d, kd[:, :m], out=dq[:, r0:r1])
-            if dk is not None:
-                _matmul_into(dk[:, :m], _swap_last(d), qd[:, r0:r1], add)
+            if dqh is not None:
+                np.matmul(d, kh[:, :m], out=dqh[:, r0:r1])
+            if dkh is not None:
+                _matmul_into(dkh[:, :m], _swap_last(d), qh[:, r0:r1], add)
         for x, dx in ((q, dq), (k, dk), (v, dv)):
             if dx is not None:
                 _accumulate(x, dx)
@@ -440,14 +428,11 @@ def _matmul_into(dst: np.ndarray, a: np.ndarray, b: np.ndarray, add: bool) -> No
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ wᵀ (+ b) as one tape node; w is (d_out, d_in) and b is (d_out,).
-
-    Forward and backward are bitwise equal to matmul(x, transpose(w)) + b.
-    """
+    """x @ wᵀ (+ b) as one tape node; w is (d_out, d_in) and b is (d_out,)."""
     if x.data.ndim < 2 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[1]:
         raise ShapeError(f"linear expects x (..., d_in) and w (d_out, d_in), "
                          f"got {x.data.shape} and {w.data.shape}")
-    out_data = x.data @ _swap_last(w.data)
+    out_data = x.data @ w.data.T
     if b is not None:
         out_data += b.data
     parents = (x, w) if b is None else (x, w, b)
@@ -457,7 +442,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             _accumulate(x, g @ w.data)
         if w.requires_grad:
             dw_t = _unbroadcast(_swap_last(x.data) @ g, w.data.shape[::-1])
-            _accumulate(w, _swap_last(dw_t))
+            _accumulate(w, dw_t.T)
         if b is not None and b.requires_grad:
             _accumulate(b, _unbroadcast(g, b.data.shape))
 

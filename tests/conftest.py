@@ -5,6 +5,8 @@ import pytest
 
 from tinymmt.datapipe import BoundingBox, VgRecord, render_prompt
 from tinymmt.model import ModelConfig, MultimodalModel, Vocabulary
+from tinymmt.numerics import Tensor
+from tinymmt.numerics.tensor import _accumulate, _make
 
 WORDS = ["red", "blue", "green", "cat", "dog", "bird", "sun", "moon",
          "tree", "fish", "hat", "cup"]
@@ -67,3 +69,12 @@ def tiny_mm_setup():
     instances = make_instances(records, "mmt")
     model = build_model(instances, seed=8, c_total=512)
     return model, instances
+
+
+def tape_sum(x: Tensor) -> Tensor:
+    """Sum of every element of x as a tape node, so a test can reduce to a scalar loss."""
+    def fn(g):
+        if x.requires_grad:
+            _accumulate(x, np.broadcast_to(g, x.data.shape))
+
+    return _make(np.asarray(x.data.sum()), (x,), fn)

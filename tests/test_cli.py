@@ -328,13 +328,14 @@ def test_generate_prints_how_decoding_ended(fixture_tree, tmp_path, capsys):
         summary = json.loads(summary)
         assert summary["sentences"] == 3
         assert (summary["stop_eos"] + summary["stop_budget"] + summary["prompt_overflow"]
-                == summary["sentences"])
+                + summary["blank"] == summary["sentences"])
         return summary
 
     # the default budget is the context left, not 8 tokens for an empty reference
     assert generate()["tokens"] > 8 * 3
     assert generate("--max-new-tokens", "3") == {
-        "sentences": 3, "tokens": 9, "stop_eos": 0, "stop_budget": 3, "prompt_overflow": 0}
+        "sentences": 3, "tokens": 9, "stop_eos": 0, "stop_budget": 3, "prompt_overflow": 0,
+        "blank": 0}
 
 
 def test_generate_overlong_prompt_gets_an_empty_line(fixture_tree, tmp_path, capsys):
@@ -352,4 +353,24 @@ def test_generate_overlong_prompt_gets_an_empty_line(fixture_tree, tmp_path, cap
     assert len(lines) == 4 and lines[1] == "" and lines[3] == ""  # one line per input line
     assert "stdin/1" in err and "stdin/0" not in err and "stdin/2" not in err
     assert json.loads(out.splitlines()[-1]) == {
-        "sentences": 3, "tokens": 6, "stop_eos": 0, "stop_budget": 2, "prompt_overflow": 1}
+        "sentences": 3, "tokens": 6, "stop_eos": 0, "stop_budget": 2, "prompt_overflow": 1,
+        "blank": 0}
+
+
+def test_generate_blank_line_gets_an_empty_line(fixture_tree, tmp_path, capsys):
+    config = str(fixture_tree)
+    assert main(["prepare-data", "--config", config]) == 0
+    assert main(["train", "--config", config, "--stages", "1"]) == 0
+    sentences = tmp_path / "s.txt"
+    sentences.write_text("red cat\n\nsun\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["generate", "--checkpoint", str(tmp_path / "run" / "stage1.ckpt"),
+                 "--input", str(sentences), "--out", str(tmp_path / "h.txt"),
+                 "--raw-sentences", "--lang", "hi", "--max-new-tokens", "3"]) == 0
+    out, err = capsys.readouterr()
+    lines = (tmp_path / "h.txt").read_text(encoding="utf-8").split("\n")
+    assert len(lines) == 4 and lines[1] == "" and lines[3] == ""  # one line per input line
+    assert out.splitlines()[-2].startswith("wrote 3 hypotheses")
+    assert json.loads(out.splitlines()[-1]) == {
+        "sentences": 3, "tokens": 6, "stop_eos": 0, "stop_budget": 2, "prompt_overflow": 0,
+        "blank": 1}

@@ -1,6 +1,7 @@
 import numpy as np
 
-from tinymmt.numerics import Tensor, grad_check, grad_check_params, tsum
+from conftest import tape_sum
+from tinymmt.numerics import Tensor, grad_check, grad_check_params
 from tinymmt.numerics.gradcheck import _rel_error
 from tinymmt.numerics.tensor import _accumulate, _make
 
@@ -8,7 +9,7 @@ from tinymmt.numerics.tensor import _accumulate, _make
 def test_quadratic_is_tight():
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(3, 4)))
-    assert grad_check(lambda t: tsum(t * t), x, h=1e-4) < 1e-6
+    assert grad_check(lambda t: tape_sum(t * t), x, h=1e-4) < 1e-6
 
 
 def test_constant_function_near_zero_error():
@@ -22,7 +23,7 @@ def test_zero_exact_gradient_at_loss_near_four_passes():
     # but f(x+h) and f(x-h) round differently, so at some points the central
     # difference is an ulp of the loss over 2h, far above the 1e-8 floor
     h = 1e-6
-    f = lambda t: tsum((t + 4.0) - t)
+    f = lambda t: tape_sum((t + 4.0) - t)
     numerics = []
     for x0 in np.linspace(0.1, 0.9, 9):
         f_plus, f_minus = float(f(Tensor([x0 + h])).data), float(f(Tensor([x0 - h])).data)
@@ -48,7 +49,7 @@ def _square_with_grad_scaled(scale):
         def fn(g):
             _accumulate(t, g * 2.0 * t.data * scale)
 
-        return tsum(_make(t.data * t.data, (t,), fn))
+        return tape_sum(_make(t.data * t.data, (t,), fn))
 
     return f
 

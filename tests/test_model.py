@@ -193,8 +193,8 @@ class TestForward:
                                      for mask in _CAUSAL_MASKS.values())
 
     def test_forward_and_loss_record_a_fixed_number_of_tape_ops(self):
-        # per block: 2 layer norms, 6 linear nodes, 4 head reshapes and 4
-        # transposes, 1 attention, 1 gelu, 2 residual adds; around the LM:
+        # per block: 2 layer norms, 6 linear nodes, 1 attention (heads split
+        # and merged inside it), 1 gelu, 2 residual adds; around the LM:
         # 2 token embeddings, concat, position embedding and its add, ln_f,
         # the tied head, the logits slice and the cross-entropy
         def recorded_ops(loss):
@@ -212,11 +212,11 @@ class TestForward:
         cfg = model.config
         prompt, response = model.vocab.encode("hello"), model.vocab.encode("world")
         text_only = recorded_ops(model.loss(model.assemble_sequence(prompt, None, response))[0])
-        assert text_only == 9 + 20 * cfg.n_layers_lm
+        assert text_only == 9 + 12 * cfg.n_layers_lm
         # vision: patch projection, position add, its blocks and ln_f; mlp2 adapter: 3
         vis = model.visual_tokens(synth_image("n", 12))
         grounded = recorded_ops(model.loss(model.assemble_sequence(prompt, vis, response))[0])
-        assert grounded == text_only + 3 + 20 * cfg.n_layers_vis + 3
+        assert grounded == text_only + 3 + 12 * cfg.n_layers_vis + 3
 
     def test_shape_and_determinism(self):
         model = small_model()

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tape_sum
 from tinymmt.errors import ShapeError
 from tinymmt.numerics import (
     Tensor,
@@ -16,55 +17,52 @@ from tinymmt.numerics import (
     grad_check_params,
     layer_norm,
     linear,
-    matmul,
     no_grad,
-    reshape,
-    transpose,
-    tsum,
 )
 from tinymmt.numerics.tensor import ATTN_BLOCK, causal_mask
 
 
 class TestMatmul:
+    """The matrix product, which only `linear` (x @ wᵀ) computes."""
+
     def test_hand_example(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        b = Tensor([[5.0], [6.0]])
-        assert np.array_equal((a @ b).data, [[17.0], [39.0]])
+        w = Tensor([[5.0, 6.0]])
+        assert np.array_equal(linear(a, w).data, [[17.0], [39.0]])
 
     def test_identity(self):
         rng = np.random.default_rng(0)
         a = Tensor(rng.normal(size=(3, 4)))
         eye = Tensor(np.eye(4))
-        assert np.allclose((a @ eye).data, a.data)
+        assert np.allclose(linear(a, eye).data, a.data)
 
     def test_zero_annihilates(self):
         rng = np.random.default_rng(1)
         z = Tensor(np.zeros((2, 3)))
-        b = Tensor(rng.normal(size=(3, 5)))
-        assert np.array_equal((z @ b).data, np.zeros((2, 5)))
+        w = Tensor(rng.normal(size=(5, 3)))
+        assert np.array_equal(linear(z, w).data, np.zeros((2, 5)))
 
     def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 5\)"):
-            matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 5))))
+        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(5, 2\)"):
+            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((5, 2))))
 
     def test_backward_formulas(self):
         rng = np.random.default_rng(2)
         a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        out = tsum(a @ b)
-        backward(out)
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        backward(tape_sum(linear(a, w)))
         g = np.ones((2, 4))
-        assert np.allclose(a.grad, g @ b.data.T)
-        assert np.allclose(b.grad, a.data.T @ g)
+        assert np.allclose(a.grad, g @ w.data)
+        assert np.allclose(w.grad, g.T @ a.data)
 
 
 def softmax(scores) -> np.ndarray:
     """The probabilities attention puts on keys scored `scores` (last axis),
-    read out exactly by taking v = I."""
+    read out exactly by one head per row of scores, each with dh = 1 and v = I."""
     s = np.asarray(scores, dtype=float).reshape(-1, np.shape(scores)[-1])
     rows, n = s.shape
-    out = attention(Tensor(np.ones((rows, 1, 1))), Tensor(s[:, :, None]),
-                    Tensor(np.broadcast_to(np.eye(n), (rows, n, n))), 1.0, causal=False)
+    out = attention(Tensor(np.ones((1, rows))), Tensor(s.T), Tensor(np.tile(np.eye(n), rows)),
+                    rows, 1.0, causal=False)
     return out.data.reshape(np.shape(scores))
 
 
@@ -129,18 +127,18 @@ class TestCrossEntropy:
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(6, dtype=float).reshape(2, 3), requires_grad=True)
-        backward(tsum(x))
+        backward(tape_sum(x))
         assert np.array_equal(x.grad, np.ones((2, 3)))
 
     def test_square_gives_2x(self):
         x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
-        backward(tsum(x * x))
+        backward(tape_sum(x * x))
         assert np.allclose(x.grad, 2 * x.data)
 
     def test_accumulates_across_uses(self):
         x = Tensor([2.0], requires_grad=True)
         y = x + x  # dy/dx = 2
-        backward(tsum(y))
+        backward(tape_sum(y))
         assert np.allclose(x.grad, [2.0])
 
     def test_non_scalar_rejected(self):
@@ -151,7 +149,7 @@ class TestBackward:
     def test_no_grad_blocks_tape(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with no_grad():
-            y = tsum(x * x)
+            y = tape_sum(x * x)
         assert not y.requires_grad
         assert y._parents == ()
 
@@ -159,7 +157,7 @@ class TestBackward:
 class TestMiscOps:
     def test_getitem_backward(self):
         x = Tensor(np.arange(12, dtype=float).reshape(3, 4), requires_grad=True)
-        backward(tsum(x[1:]))
+        backward(tape_sum(x[1:]))
         expected = np.zeros((3, 4))
         expected[1:] = 1.0
         assert np.array_equal(x.grad, expected)
@@ -170,27 +168,27 @@ class TestMiscOps:
         rng = np.random.default_rng(12)
         x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
         w = rng.normal(size=x.data[idx].shape)
-        backward(tsum(x[idx] * Tensor(w)))
+        backward(tape_sum(x[idx] * Tensor(w)))
         expected = np.zeros_like(x.data)
         np.add.at(expected, idx, w)
         assert x.grad.tobytes() == expected.tobytes()
 
     def test_getitem_duplicated_fancy_index_accumulates(self):
         x = Tensor(np.zeros((3, 2)), requires_grad=True)
-        backward(tsum(x[[0, 0, 2]]))
+        backward(tape_sum(x[[0, 0, 2]]))
         assert np.array_equal(x.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
 
     def test_concat_backward_splits(self):
         a = Tensor(np.ones((2, 3)), requires_grad=True)
         b = Tensor(np.ones((4, 3)), requires_grad=True)
         out = concat([a, 2.0 * b], axis=0)
-        backward(tsum(out))
+        backward(tape_sum(out))
         assert np.array_equal(a.grad, np.ones((2, 3)))
         assert np.array_equal(b.grad, 2 * np.ones((4, 3)))
 
     def test_embedding_scatter_adds(self):
         table = Tensor(np.zeros((5, 2)), requires_grad=True)
-        backward(tsum(embedding(table, [1, 1, 3])))
+        backward(tape_sum(embedding(table, [1, 1, 3])))
         expected = np.zeros((5, 2))
         expected[1] = 2.0
         expected[3] = 1.0
@@ -200,38 +198,46 @@ class TestMiscOps:
         with pytest.raises(IndexError):
             embedding(Tensor(np.zeros((3, 2))), [0, 5])
 
-    def test_transpose_reshape_roundtrip(self):
-        rng = np.random.default_rng(5)
-        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        out = reshape(transpose(x, (2, 0, 1)), (4, 6))
-        backward(tsum(out * out))
-        assert x.grad.shape == (2, 3, 4)
+    @pytest.mark.parametrize("ids", [[3, 0, 2], [0, 1, 2, 3, 4], [1, 1, 3], [4, 0, 4, 4]],
+                             ids=["unique", "positions", "repeated", "repeated-unsorted"])
+    def test_embedding_backward_bitwise_equal_to_add_at(self, ids):
+        # unique ids add rows in place, repeated ones scatter-add; both match
+        # np.add.at bit for bit, also onto a gradient already accumulated
+        rng = np.random.default_rng(13)
+        table = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        w = rng.normal(size=(len(ids), 3))
+        table.grad = rng.normal(size=(5, 3))
+        expected = table.grad.copy()
+        backward(tape_sum(embedding(table, ids) * Tensor(w)))
+        np.add.at(expected, ids, w)
+        assert table.grad.tobytes() == expected.tobytes()
 
 
 def _squared_sum(y: Tensor) -> Tensor:
-    return tsum(y * y)
+    return tape_sum(y * y)
 
 
 def _attention_case(causal):
     def fn(x):
-        q = reshape(x, (1,) + x.shape)
-        out = attention(q, q * 0.5, q * -0.8, 0.7, causal)
-        return tsum(out * Tensor(np.arange(out.data.size).reshape(out.shape) * 0.1 + 0.5))
+        out = attention(x, x * 0.5, x * -0.8, 1, 0.7, causal)
+        return tape_sum(out * Tensor(np.arange(out.data.size).reshape(out.shape) * 0.1 + 0.5))
     return fn
 
 
 GRAD_CASES = {
-    "matmul": lambda x: tsum(matmul(x, transpose(x))),
-    "mul": lambda x: tsum(x * x * 0.5),
-    "add_broadcast": lambda x: tsum(x + Tensor(np.ones(x.shape[-1]), requires_grad=False)),
-    "gelu": lambda x: tsum(gelu(x)),
+    "matmul": lambda x: tape_sum(linear(x, x)),
+    "mul": lambda x: tape_sum(x * x * 0.5),
+    "add_broadcast": lambda x: tape_sum(x + Tensor(np.ones(x.shape[-1]), requires_grad=False)),
+    "gelu": lambda x: tape_sum(gelu(x)),
     "attention": _attention_case(causal=False),
     "attention_causal": _attention_case(causal=True),
     "linear": lambda x: _squared_sum(linear(x, x[:3] * 0.5, x[0, :3])),
     "layer_norm": lambda x: _squared_sum(
         layer_norm(x, Tensor(np.full(x.shape[-1], 1.3)), Tensor(np.full(x.shape[-1], -0.2)))
     ),
-    "getitem": lambda x: tsum(x[1:] * x[1:]),
+    "getitem": lambda x: tape_sum(x[1:] * x[1:]),
+    "embedding_unique": lambda x: _squared_sum(embedding(x, [3, 0, 2])),
+    "embedding_repeated": lambda x: _squared_sum(embedding(x, [1, 3, 1, 1])),
     "cross_entropy": lambda x: cross_entropy_masked(
         x, np.arange(x.shape[0]) % x.shape[1], np.ones(x.shape[0], dtype=bool)
     ),
@@ -248,14 +254,27 @@ def test_grad_check_per_op_ten_seeds(name):
 
 
 def _qkv(rng, h, t, n, dh, dtype=np.float64, dv=None):
-    return (Tensor(rng.normal(size=(h, t, dh)).astype(dtype), requires_grad=True),
-            Tensor(rng.normal(size=(h, n, dh)).astype(dtype), requires_grad=True),
-            Tensor(rng.normal(size=(h, n, dv or dh)).astype(dtype), requires_grad=True))
+    """q (t, h·dh), k (n, h·dh) and v (n, h·dv): h heads side by side in the columns."""
+    return (Tensor(rng.normal(size=(t, h * dh)).astype(dtype), requires_grad=True),
+            Tensor(rng.normal(size=(n, h * dh)).astype(dtype), requires_grad=True),
+            Tensor(rng.normal(size=(n, h * (dv or dh))).astype(dtype), requires_grad=True))
 
 
-def _dense_attention(q, k, v, scale, causal, g):
-    """Reference: every (t, n) score, a full causal mask, softmax, @ v; and its
-    analytic backward for the output gradient g. Returns (out, dq, dk, dv)."""
+def _split(a, h):
+    """(n, h·dh) -> a contiguous (h, n, dh) copy, head i from columns [i·dh, (i+1)·dh)."""
+    return np.ascontiguousarray(np.stack(np.split(a, h, axis=-1)))
+
+
+def _merge(a):
+    """(h, n, dh) -> (n, h·dh), the inverse of _split."""
+    return np.concatenate(list(a), axis=-1)
+
+
+def _dense_attention(q, k, v, h, scale, causal, g):
+    """Reference: each head's (t, n) scores, a full causal mask, softmax, @ v;
+    and its analytic backward for the output gradient g. Returns (out, dq,
+    dk, dv), each in the (rows, h·d) layout of its input."""
+    q, k, v, g = (_split(a, h) for a in (q, k, v, g))
     t, n = q.shape[1], k.shape[1]
     s = q @ np.swapaxes(k, -1, -2) * scale
     if causal:
@@ -264,53 +283,61 @@ def _dense_attention(q, k, v, scale, causal, g):
     p /= p.sum(axis=-1, keepdims=True)
     dp = g @ np.swapaxes(v, -1, -2)
     ds = (dp - (dp * p).sum(axis=-1, keepdims=True)) * p * scale
-    return p @ v, ds @ k, np.swapaxes(ds, -1, -2) @ q, np.swapaxes(p, -1, -2) @ g
+    return tuple(_merge(a) for a in (p @ v, ds @ k, np.swapaxes(ds, -1, -2) @ q,
+                                      np.swapaxes(p, -1, -2) @ g))
 
 
-def _attention_grads(q, k, v, scale, causal, g):
+def _attention_grads(q, k, v, h, scale, causal, g):
     for x in (q, k, v):
         x.grad = None
-    out = attention(q, k, v, scale, causal)
-    backward(tsum(out * Tensor(g)))
+    out = attention(q, k, v, h, scale, causal)
+    backward(tape_sum(out * Tensor(g)))
     return out.data, q.grad, k.grad, v.grad
+
+
+def _eye_values(n, h, dtype=np.float64):
+    """v = I for each of h heads: the output is then the probabilities."""
+    return np.tile(np.eye(n, dtype=dtype), h)
 
 
 class TestMaskedSoftmax:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_bitwise_equal_to_scale_mask_softmax_chain(self, dtype):
         # one block (t <= ATTN_BLOCK) is exactly q·kᵀ, scale, mask, softmax, @ v
+        # per head, on contiguous per-head copies
         rng = np.random.default_rng(4)
         q, k, v = _qkv(rng, 3, 6, 6, 4, dtype)
-        g = rng.normal(size=(3, 6, 4)).astype(dtype)
-        got = _attention_grads(q, k, v, 0.25, True, g)
-        p = q.data @ np.swapaxes(k.data, -1, -2)
+        g = rng.normal(size=(6, 12)).astype(dtype)
+        got = _attention_grads(q, k, v, 3, 0.25, True, g)
+        qh, kh, vh, gh = (_split(a, 3) for a in (q.data, k.data, v.data, g))
+        p = qh @ np.swapaxes(kh, -1, -2)
         p *= dtype(0.25)
         p += causal_mask(6, dtype)
         p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
-        ds = g @ np.swapaxes(v.data, -1, -2)
+        ds = gh @ np.swapaxes(vh, -1, -2)
         ds = ds - (ds * p).sum(axis=-1, keepdims=True)
         ds *= p
         ds *= dtype(0.25)
-        chain = (p @ v.data, ds @ k.data, np.swapaxes(ds, -1, -2) @ q.data,
-                 np.swapaxes(p, -1, -2) @ g)
+        chain = (p @ vh, ds @ kh, np.swapaxes(ds, -1, -2) @ qh, np.swapaxes(p, -1, -2) @ gh)
         for a, b in zip(got, chain):
             assert a.dtype == dtype
-            assert np.array_equal(a, b)
+            assert np.array_equal(a, _merge(b))
 
     def test_masked_entries_get_zero_probability_and_gradient(self):
         rng = np.random.default_rng(5)
         n, row = 150, 70  # three blocks; the row sits in the second
         q, k, _ = _qkv(rng, 2, n, n, 3)
-        v = Tensor(np.broadcast_to(np.eye(n), (2, n, n)), requires_grad=True)
-        out = attention(q, k, v, 1.0, causal=True)  # with v = I, the probabilities
+        v = Tensor(_eye_values(n, 2), requires_grad=True)
+        out = attention(q, k, v, 2, 1.0, causal=True)
+        probs = _split(out.data, 2)
         upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-        assert np.all(out.data[:, upper] == 0.0)
-        assert np.allclose(out.data.sum(axis=-1), 1.0)
-        backward(tsum(out[:, row] * Tensor(rng.normal(size=(2, n)))))
-        assert np.all(k.grad[:, row + 1:] == 0.0) and np.all(v.grad[:, row + 1:] == 0.0)
-        assert np.all(k.grad[:, :row + 1] != 0.0)
+        assert np.all(probs[:, upper] == 0.0)
+        assert np.allclose(probs.sum(axis=-1), 1.0)
+        backward(tape_sum(out[row] * Tensor(rng.normal(size=2 * n))))
+        assert np.all(k.grad[row + 1:] == 0.0) and np.all(v.grad[row + 1:] == 0.0)
+        assert np.all(k.grad[:row + 1] != 0.0)
 
     def test_causal_mask_is_read_only(self):
         mask = causal_mask(4, np.float64)
@@ -325,23 +352,24 @@ class TestAttentionProbs:
         # with v = I the output is the probabilities and their gradient is g
         rng = np.random.default_rng(6)
         q, k, _ = _qkv(rng, 2, 7, 7, 4, dtype)
-        v = Tensor(np.broadcast_to(np.eye(7, dtype=dtype), (2, 7, 7)))
-        g = rng.normal(size=(2, 7, 7)).astype(dtype)
-        probs, dq, dk, _ = _attention_grads(q, k, v, 0.5, masked, g)
-        p = q.data @ np.swapaxes(k.data, -1, -2)
+        v = Tensor(_eye_values(7, 2, dtype))
+        g = rng.normal(size=(7, 14)).astype(dtype)
+        probs, dq, dk, _ = _attention_grads(q, k, v, 2, 0.5, masked, g)
+        qh, kh, gh = _split(q.data, 2), _split(k.data, 2), _split(g, 2)
+        p = qh @ np.swapaxes(kh, -1, -2)
         p *= dtype(0.5)
         if masked:
             p += causal_mask(7, dtype)
         p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
-        d = g - (g * p).sum(axis=-1, keepdims=True)
+        d = gh - (gh * p).sum(axis=-1, keepdims=True)
         d *= p
         d *= dtype(0.5)
         assert probs.dtype == dtype
-        assert np.array_equal(probs, p)
-        assert np.array_equal(dq, d @ k.data)
-        assert np.array_equal(dk, np.swapaxes(d, -1, -2) @ q.data)
+        assert np.array_equal(probs, _merge(p))
+        assert np.array_equal(dq, _merge(d @ kh))
+        assert np.array_equal(dk, _merge(np.swapaxes(d, -1, -2) @ qh))
 
 
 class TestAttention:
@@ -352,39 +380,60 @@ class TestAttention:
         (30, 30, False),    # bidirectional
     ], ids=["three-blocks", "offset", "one-row", "bidirectional"])
     def test_grad_check(self, t, n, causal):
-        rng = np.random.default_rng(7)
-        q, k, v = _qkv(rng, 2, t, n, 3)
-        w = Tensor(rng.normal(size=(2, t, 3)))
-        loss = lambda: tsum(attention(q, k, v, 0.6, causal) * w)  # noqa: E731
-        assert grad_check_params(loss, [q, k, v], rng=np.random.default_rng(0),
-                                 coords_per_tensor=60) < 1e-6
-        assert np.all(k.grad[:, : n - t + 1] != 0.0)
+        for h in (1, 2, 4):
+            rng = np.random.default_rng(7 + h)
+            q, k, v = _qkv(rng, h, t, n, 3)
+            w = Tensor(rng.normal(size=(t, 3 * h)))
+            loss = lambda: tape_sum(attention(q, k, v, h, 0.6, causal) * w)  # noqa: E731
+            assert grad_check_params(loss, [q, k, v], rng=np.random.default_rng(0),
+                                     coords_per_tensor=60) < 1e-6
+            assert np.all(k.grad[: n - t + 1] != 0.0)
 
     @pytest.mark.parametrize("t", [1, 63, 64, 65, 130, 347])
     @pytest.mark.parametrize("offset", [0, 9])
     def test_matches_dense_reference(self, t, offset):
         rng = np.random.default_rng(t + offset)
         q, k, v = _qkv(rng, 4, t, t + offset, 16)
-        g = rng.normal(size=(4, t, 16))
-        got = _attention_grads(q, k, v, 0.25, True, g)
-        want = _dense_attention(q.data, k.data, v.data, 0.25, True, g)
+        g = rng.normal(size=(t, 64))
+        got = _attention_grads(q, k, v, 4, 0.25, True, g)
+        want = _dense_attention(q.data, k.data, v.data, 4, 0.25, True, g)
         for a, b in zip(got, want):
             assert np.max(np.abs(a - b)) < 1e-13
 
     def test_bidirectional_matches_dense_reference(self):
         rng = np.random.default_rng(8)
         q, k, v = _qkv(rng, 2, 130, 130, 8, dv=5)
-        g = rng.normal(size=(2, 130, 5))
-        got = _attention_grads(q, k, v, 0.3, False, g)
-        want = _dense_attention(q.data, k.data, v.data, 0.3, False, g)
+        g = rng.normal(size=(130, 10))
+        got = _attention_grads(q, k, v, 2, 0.3, False, g)
+        want = _dense_attention(q.data, k.data, v.data, 2, 0.3, False, g)
         for a, b in zip(got, want):
             assert np.max(np.abs(a - b)) < 1e-13
+
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_heads_are_column_blocks(self, causal):
+        # h heads in one node give, column block by column block, exactly what
+        # h one-head calls on contiguous column copies give, forward and backward
+        rng = np.random.default_rng(14)
+        h, dh, t = 4, 6, 70
+        q, k, v = _qkv(rng, h, t, t, dh)
+        g = rng.normal(size=(t, h * dh))
+        got = _attention_grads(q, k, v, h, 0.4, causal, g)
+        cols = [slice(i * dh, (i + 1) * dh) for i in range(h)]
+        parts = [_attention_grads(*(Tensor(np.ascontiguousarray(x.data[:, c]), requires_grad=True)
+                                    for x in (q, k, v)), 1, 0.4, causal,
+                                  np.ascontiguousarray(g[:, c])) for c in cols]
+        for i, a in enumerate(got):
+            assert a.shape == (t, h * dh)
+            assert np.array_equal(a, np.concatenate([p[i] for p in parts], axis=1))
 
     def test_shapes_checked(self):
         rng = np.random.default_rng(9)
         q, k, v = _qkv(rng, 2, 5, 4, 3)
         with pytest.raises(ShapeError, match="attention"):
-            attention(q, k, v, 1.0, True)
+            attention(q, k, v, 2, 1.0, True)
+        q, k, v = _qkv(rng, 2, 4, 4, 3)
+        with pytest.raises(ShapeError, match="n_heads=4"):
+            attention(q, k, v, 4, 1.0, True)
 
     def test_causal_mask_only_covers_one_block(self):
         assert causal_mask(ATTN_BLOCK, np.float64).shape == (ATTN_BLOCK, ATTN_BLOCK)
@@ -400,21 +449,19 @@ class TestLinear:
         x = Tensor(rng.normal(size=(9, 6)).astype(dtype), requires_grad=True)
         w = Tensor(rng.normal(size=(5, 6)).astype(dtype), requires_grad=True)
         b = Tensor(rng.normal(size=5).astype(dtype), requires_grad=True) if bias else None
-        g = Tensor(rng.normal(size=(9, 5)).astype(dtype))
-        params = [x, w] + ([b] if bias else [])
-
-        chain = matmul(x, transpose(w))
-        if bias:
-            chain = chain + b
-        backward(tsum(chain * g))
-        chain_grads = [p.grad for p in params]
-        for p in params:
-            p.grad = None
+        g = rng.normal(size=(9, 5)).astype(dtype)
         fused = linear(x, w, b)
-        backward(tsum(fused * g))
+        backward(tape_sum(fused * Tensor(g)))
+        # numpy reference: x @ wᵀ + b; dx = g @ w, dw = (xᵀ @ g)ᵀ, db = Σ rows of g
+        want = x.data @ np.swapaxes(w.data, -1, -2)
+        if bias:
+            want = want + b.data
         assert fused.data.dtype == dtype
-        assert np.array_equal(fused.data, chain.data)
-        for p, want in zip(params, chain_grads):
+        assert np.array_equal(fused.data, want)
+        grads = [(x, g @ w.data), (w, np.swapaxes(np.swapaxes(x.data, -1, -2) @ g, -1, -2))]
+        if bias:
+            grads.append((b, g.sum(axis=0)))
+        for p, want in grads:
             assert p.grad.dtype == dtype and np.array_equal(p.grad, want)
 
     def test_shape_mismatch_names_both_shapes(self):
@@ -422,12 +469,72 @@ class TestLinear:
             linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
 
 
+_GELU_C = float(np.sqrt(2.0 / np.pi))
+
+
+def _gelu_reference(x, g):
+    """GELU forward and input gradient, out of place: the products gelu must match bit for bit."""
+    inner = x * x * x
+    inner *= 0.044715
+    inner += x
+    inner *= _GELU_C
+    t = np.tanh(inner, out=inner)
+    dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
+    local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+    return 0.5 * x * (1.0 + t), g * local
+
+
+def _layer_norm_reference(x, gamma, beta, g, eps=1e-5):
+    """layer_norm forward and gradients (x, gamma, beta) with np.mean, out of place."""
+    d = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    dxhat = g * gamma
+    term = dxhat - dxhat.mean(axis=-1, keepdims=True) \
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return (gamma * xhat + beta, inv * term,
+            (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0))
+
+
+class TestGeluLayerNormBitwise:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(347, 256), (1, 256), (9, 48)])
+    def test_gelu_bitwise_equal_to_reference(self, shape, dtype):
+        rng = np.random.default_rng(15)
+        x = Tensor((rng.normal(size=shape) * 3).astype(dtype), requires_grad=True)
+        g = rng.normal(size=shape).astype(dtype)
+        out = gelu(x)
+        backward(tape_sum(out * Tensor(g)))
+        want_out, want_dx = _gelu_reference(x.data, g)
+        assert out.data.dtype == dtype and x.grad.dtype == dtype
+        assert out.data.tobytes() == want_out.tobytes()
+        assert x.grad.tobytes() == want_dx.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("d", [33, 48, 64, 96, 256])
+    def test_layer_norm_bitwise_equal_to_reference(self, d, dtype):
+        rng = np.random.default_rng(d)
+        x = Tensor((rng.normal(size=(37, d)) * 2 + 0.5).astype(dtype), requires_grad=True)
+        gamma = Tensor(rng.normal(size=d).astype(dtype), requires_grad=True)
+        beta = Tensor(rng.normal(size=d).astype(dtype), requires_grad=True)
+        g = rng.normal(size=(37, d)).astype(dtype)
+        out = layer_norm(x, gamma, beta)
+        backward(tape_sum(out * Tensor(g)))
+        want = _layer_norm_reference(x.data, gamma.data, beta.data, g)
+        got = (out.data, x.grad, gamma.grad, beta.grad)
+        for a, b in zip(got, want):
+            assert a.dtype == dtype and a.tobytes() == b.tobytes()
+
+
 def test_forward_backward_values_stay_finite():
     rng = np.random.default_rng(11)
     x = Tensor(rng.normal(size=(6, 8)), requires_grad=True)
-    scores = reshape(gelu(matmul(x, transpose(x))), (1, 6, 6))
-    out = attention(scores, scores, scores, 30.0, causal=True)
-    loss = tsum(out * out)
+    scores = gelu(linear(x, x))
+    out = attention(scores, scores, scores, 2, 30.0, causal=True)
+    loss = tape_sum(out * out)
     backward(loss)
     assert np.all(np.isfinite(out.data))
     assert np.all(np.isfinite(x.grad))
