@@ -8,11 +8,12 @@ command is deterministic given the same inputs and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from tinymmt.atomic import atomic_write
+from tinymmt.atomic import atomic_write, read_lines
 from tinymmt.config import RunConfig, load_config
 from tinymmt.datapipe import (
     LANG_NAMES,
@@ -30,13 +31,8 @@ from tinymmt.datapipe.prompts import TEXT_ONLY_TEMPLATE
 from tinymmt.errors import ConfigError, DataError, TinymmtError
 from tinymmt.metrics import evaluate_files, format_leaderboard, read_report, tokenize, write_report
 from tinymmt.model import ModelConfig, MultimodalModel, Vocabulary
-from tinymmt.training import (
-    StageConfig,
-    derive_stage_seed,
-    hyperparameter_sweep,
-    load_checkpoint,
-    run_pipeline,
-)
+from tinymmt.training import hyperparameter_sweep, load_checkpoint, run_pipeline
+from tinymmt.training.stages import SWEEP_EPOCHS, SWEEP_LRS
 from tinymmt.training.sweep import decode_instances
 
 
@@ -117,19 +113,19 @@ def cmd_prepare_data(cfg: RunConfig, task_filter: str | None) -> int:
 def _load_stage_datasets(cfg: RunConfig) -> tuple[dict[int, list[PromptInstance]], list[PromptInstance]]:
     datasets: dict[int, list[PromptInstance]] = {}
     for spec in cfg.stages:
+        stage = spec.config.stage
         corpora = []
         for rel in spec.data:
             path = cfg.resolve(rel)
             if not path.exists():
-                raise DataError(f"stage {spec.stage}: instance file not found: {path}")
+                raise DataError(f"stage {stage}: instance file not found: {path}")
             corpora.append((rel, read_instances(path)))
         if spec.mix_cap is not None:
-            seed = spec.seed if spec.seed is not None else derive_stage_seed(cfg.seed, spec.stage)
-            datasets[spec.stage] = mix_samples(corpora, spec.mix_cap, seed=seed)
+            datasets[stage] = mix_samples(corpora, spec.mix_cap, seed=spec.config.seed)
         else:
-            datasets[spec.stage] = [inst for _, records in corpora for inst in records]
-        if not datasets[spec.stage]:
-            raise DataError(f"stage {spec.stage}: no instances loaded")
+            datasets[stage] = [inst for _, records in corpora for inst in records]
+        if not datasets[stage]:
+            raise DataError(f"stage {stage}: no instances loaded")
     val = []
     for rel in cfg.val_files:
         path = cfg.resolve(rel)
@@ -158,29 +154,16 @@ def cmd_train(cfg: RunConfig, stages_filter: list[int] | None,
               stage3_mode: str | None) -> int:
     if not cfg.stages:
         raise ConfigError("train.stages: nothing to train")
-    specs = cfg.stages
-    if stages_filter is not None:
-        specs = [s for s in specs if s.stage in stages_filter]
-        if not specs:
-            raise ConfigError(f"--stages {stages_filter} selects none of the configured stages")
+    stage_cfgs = [s.config for s in cfg.stages
+                  if stages_filter is None or s.config.stage in stages_filter]
+    if not stage_cfgs:
+        raise ConfigError(f"--stages {stages_filter} selects none of the configured stages")
+    if stage3_mode is not None:
+        stage_cfgs = [dataclasses.replace(c, mode=stage3_mode) if c.stage == 3 else c
+                      for c in stage_cfgs]
 
     datasets, val = _load_stage_datasets(cfg)
     model = _build_model(cfg, datasets, val)
-
-    stage_cfgs = []
-    for spec in specs:
-        mode = spec.mode
-        if spec.stage == 3 and stage3_mode is not None:
-            mode = stage3_mode
-        stage_cfgs.append(StageConfig(
-            stage=spec.stage,
-            lr=spec.lr,
-            epochs=spec.epochs,
-            batch_size=spec.batch_size,
-            seed=spec.seed if spec.seed is not None else derive_stage_seed(cfg.seed, spec.stage),
-            mode=mode,
-            max_steps=spec.max_steps,
-        ))
 
     val_datasets = {c.stage: val for c in stage_cfgs} if val else None
     model, logs = run_pipeline(model, stage_cfgs, datasets, cfg.out_path,
@@ -210,7 +193,7 @@ def cmd_generate(args) -> int:
             raise ConfigError("--lang is required with --raw-sentences")
         if args.lang not in LANG_NAMES:
             raise ConfigError(f"unknown language {args.lang!r}")
-        lines = input_path.read_text(encoding="utf-8").splitlines()
+        lines = read_lines(input_path)
         instances = [
             PromptInstance(
                 task="text_only",
@@ -277,17 +260,17 @@ def cmd_report(args) -> int:
 # ----------------------------------------------------------------------
 # sweep
 
-def cmd_sweep(cfg: RunConfig, args) -> int:
-    base = load_checkpoint(cfg.resolve(args.checkpoint))
-    train_insts = read_instances(cfg.resolve(args.train_file))
-    val_insts = read_instances(cfg.resolve(args.val_file))
-    lrs = [float(x) for x in args.lrs.split(",")]
-    epochs = [int(x) for x in args.epochs.split(",")]
-    rows = hyperparameter_sweep(
-        base, train_insts, val_insts, lrs, epochs,
-        seed=derive_stage_seed(cfg.seed, 3), mode=args.mode,
-        batch_size=args.batch_size, max_steps=args.max_steps,
-    )
+def cmd_sweep(cfg: RunConfig, checkpoint: str, lrs: list[float], epochs: list[int]) -> int:
+    """Train the config's stage-3 entry once per (lr, epochs) cell from one
+    checkpoint, validating on train.val."""
+    stage3 = [s for s in cfg.stages if s.config.stage == 3]
+    if not stage3:
+        raise ConfigError("train.stages: the sweep trains the stage-3 entry, and there is none")
+    if not cfg.val_files:
+        raise ConfigError("train.val: the sweep validates on these files, and there are none")
+    base = load_checkpoint(cfg.resolve(checkpoint))
+    datasets, val = _load_stage_datasets(dataclasses.replace(cfg, stages=stage3))
+    rows = hyperparameter_sweep(base, datasets[3], val, stage3[0].config, lrs, epochs)
     out_path = cfg.out_path / "sweep.json"
     atomic_write(out_path, _json_dumps(rows))
     print(f"{'lr':>8}  {'epochs':>6}  {'bleu':>6}  {'val_loss':>9}  error")
@@ -353,38 +336,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label", default="ours")
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("sweep", help="learning-rate/epoch grid over stage-3 finetuning")
+    p = sub.add_parser("sweep", help="learning-rate/epoch grid over the config's stage 3")
     config_flags(p)
     p.add_argument("--checkpoint", required=True, help="starting model (e.g. stage2.ckpt)")
-    p.add_argument("--train-file", required=True)
-    p.add_argument("--val-file", required=True)
-    p.add_argument("--lrs", default="1e-3,1e-4,1e-5")
-    p.add_argument("--epochs", default="1,2,3,5")
-    p.add_argument("--mode", choices=("full", "lora"), default="full")
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--lrs", default=",".join(map(str, SWEEP_LRS)))
+    p.add_argument("--epochs", default=",".join(map(str, SWEEP_EPOCHS)))
 
     return parser
 
 
+def _numbers(flag: str, text: str, kind) -> list:
+    try:
+        return [kind(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} must be comma-separated numbers, got {text!r}") from None
+
+
 def _dispatch(args) -> int:
     if args.command in ("prepare-data", "train", "sweep"):
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
+        cfg = load_config(args.config, seed=args.seed)
         if args.out_dir is not None:
             cfg.out_dir = args.out_dir
         if args.command == "prepare-data":
             return cmd_prepare_data(cfg, args.task)
         if args.command == "train":
-            stages = None
-            if args.stages:
-                try:
-                    stages = [int(s) for s in args.stages.split(",")]
-                except ValueError:
-                    raise ConfigError(f"--stages must be comma-separated integers, got {args.stages!r}")
+            stages = _numbers("--stages", args.stages, int) if args.stages else None
             return cmd_train(cfg, stages, args.stage3_mode)
-        return cmd_sweep(cfg, args)
+        return cmd_sweep(cfg, args.checkpoint, _numbers("--lrs", args.lrs, float),
+                         _numbers("--epochs", args.epochs, int))
     if args.command == "generate":
         return cmd_generate(args)
     if args.command == "evaluate":

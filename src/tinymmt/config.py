@@ -11,9 +11,11 @@ import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from tinymmt.atomic import read_text
 from tinymmt.errors import ConfigError
 from tinymmt.datapipe.records import LANGS, SPLITS, TASKS
 from tinymmt.model.config import ModelConfig
+from tinymmt.training.stages import StageConfig, derive_stage_seed
 
 
 def _expect(cond: bool, where: str, message: str) -> None:
@@ -34,8 +36,9 @@ def _typed(d: dict, key: str, types, where: str, default=..., allow_none: bool =
     value = d[key]
     if value is None and allow_none:
         return None
-    _expect(isinstance(value, types), f"{where}.{key}",
-            f"expected {types}, got {type(value).__name__}")
+    # JSON true/false are bools, not numbers, though bool subclasses int
+    _expect(isinstance(value, types) and (types is bool or not isinstance(value, bool)),
+            f"{where}.{key}", f"expected {types}, got {type(value).__name__}")
     return value
 
 
@@ -52,21 +55,17 @@ class DataSection:
 
 @dataclass
 class StageSpec:
-    stage: int
+    """A configured stage: its settings and the instance files that feed it."""
+
+    config: StageConfig
     data: tuple[str, ...]
-    lr: float | None = None
-    epochs: int | None = None
-    batch_size: int = 8
-    mode: str = "full"
-    max_steps: int | None = None
     mix_cap: int | None = None
-    seed: int | None = None  # default: derived from the master seed by stage
 
 
 _TOP_KEYS = ("seed", "out_dir", "model", "data", "train")
 _TRAIN_KEYS = ("stages", "val")
 _DATA_KEYS = tuple(f.name for f in fields(DataSection))
-_STAGE_KEYS = tuple(f.name for f in fields(StageSpec))
+_STAGE_KEYS = ("data", "mix_cap", *(f.name for f in fields(StageConfig)))
 # vocab_size is not settable: train derives it from the data
 _MODEL_KEYS = tuple(f.name for f in fields(ModelConfig) if f.name != "vocab_size")
 
@@ -116,49 +115,54 @@ def _parse_data(raw: dict) -> DataSection:
     )
 
 
-def _parse_stage(raw: dict, index: int) -> StageSpec:
+def _parse_stage(raw: dict, index: int, master_seed: int) -> StageSpec:
     where = f"train.stages[{index}]"
     _expect(isinstance(raw, dict), where, "expected an object")
     _check_keys(raw, _STAGE_KEYS, where + ".")
     stage = _typed(raw, "stage", int, where)
-    _expect(stage in (1, 2, 3), where, f"stage must be 1, 2 or 3, got {stage}")
     data = _typed(raw, "data", list, where)
     _expect(all(isinstance(p, str) for p in data), f"{where}.data", "expected path strings")
     _expect(len(data) > 0, f"{where}.data", "at least one instance file required")
-    mode = _typed(raw, "mode", str, where, default="full")
-    _expect(mode in ("full", "lora"), f"{where}.mode", f"must be 'full' or 'lora', got {mode!r}")
-    lr = _typed(raw, "lr", (int, float), where, default=None, allow_none=True)
-    return StageSpec(
-        stage=stage,
-        data=tuple(data),
-        lr=None if lr is None else float(lr),
-        epochs=_typed(raw, "epochs", int, where, default=None, allow_none=True),
-        batch_size=_typed(raw, "batch_size", int, where, default=8),
-        mode=mode,
-        max_steps=_typed(raw, "max_steps", int, where, default=None, allow_none=True),
-        mix_cap=_typed(raw, "mix_cap", int, where, default=None, allow_none=True),
-        seed=_typed(raw, "seed", int, where, default=None, allow_none=True),
-    )
-
-
-def load_config(path) -> RunConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    seed = _typed(raw, "seed", int, where, default=None, allow_none=True)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        config = StageConfig(
+            stage=stage,
+            lr=_typed(raw, "lr", (int, float), where, default=None, allow_none=True),
+            epochs=_typed(raw, "epochs", int, where, default=None, allow_none=True),
+            batch_size=_typed(raw, "batch_size", int, where, default=8),
+            seed=0 if seed is None else seed,
+            mode=_typed(raw, "mode", str, where, default="full"),
+            max_steps=_typed(raw, "max_steps", int, where, default=None, allow_none=True),
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    if seed is None:  # derived once the stage number is known to be good
+        config.seed = derive_stage_seed(master_seed, stage)
+    return StageSpec(config=config, data=tuple(data),
+                     mix_cap=_typed(raw, "mix_cap", int, where, default=None, allow_none=True))
+
+
+def load_config(path, seed: int | None = None) -> RunConfig:
+    """Parse and check a run config; `seed` replaces its master seed, and
+    stage seeds derive from the result."""
+    path = Path(path)
+    try:
+        raw = json.loads(read_text(path, ConfigError))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     _expect(isinstance(raw, dict), str(path), "top level must be an object")
     _check_keys(raw, _TOP_KEYS, "")
+    if seed is None:
+        seed = _typed(raw, "seed", int, "config", default=0)
+    _expect(seed >= 0, "seed", f"must be >= 0, got {seed}")
     model = _typed(raw, "model", dict, "config", default={})
     _check_keys(model, _MODEL_KEYS, "model.")
 
     train_raw = _typed(raw, "train", dict, "config", default={})
     _check_keys(train_raw, _TRAIN_KEYS, "train.")
     stages_raw = _typed(train_raw, "stages", list, "train", default=[])
-    stages = [_parse_stage(s, i) for i, s in enumerate(stages_raw)]
-    numbers = [s.stage for s in stages]
+    stages = [_parse_stage(s, i, seed) for i, s in enumerate(stages_raw)]
+    numbers = [s.config.stage for s in stages]
     _expect(all(b > a for a, b in zip(numbers, numbers[1:])), "train.stages",
             f"stage numbers must be strictly increasing, got {numbers}")
 
@@ -166,7 +170,7 @@ def load_config(path) -> RunConfig:
     _expect(all(isinstance(p, str) for p in val_files), "train.val", "expected path strings")
 
     return RunConfig(
-        seed=_typed(raw, "seed", int, "config", default=0),
+        seed=seed,
         out_dir=_typed(raw, "out_dir", str, "config"),
         model=model,
         data=_parse_data(_typed(raw, "data", dict, "config", default={})),

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from tinymmt.atomic import atomic_write
+from tinymmt.atomic import atomic_write, read_text
 from tinymmt.errors import DataError, TsvParseError
 
 LANGS = ("hi", "bn", "ml")
@@ -118,17 +118,15 @@ def parse_vg_tsv(path, lang: str, split: str, strict: bool = True) -> ParseResul
     if split not in SPLITS:
         raise DataError(f"split must be one of {SPLITS}, got {split!r}")
     result = ParseResult()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n\r")
-            if not line:
-                continue
-            try:
-                result.records.append(_parse_line(line, line_no, lang, split))
-            except DataError as exc:
-                if strict:
-                    raise TsvParseError(f"{path}:{line_no}: {exc}") from exc
-                result.issues.append(ParseIssue(line_no=line_no, reason=str(exc)))
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line:
+            continue
+        try:
+            result.records.append(_parse_line(line, line_no, lang, split))
+        except DataError as exc:
+            if strict:
+                raise TsvParseError(f"{path}:{line_no}: {exc}") from exc
+            result.issues.append(ParseIssue(line_no=line_no, reason=str(exc)))
     return result
 
 
@@ -158,11 +156,10 @@ def _parse_line(line: str, line_no: int, lang: str, split: str) -> VgRecord:
 # detector output
 
 def read_detection_file(path) -> list[DetectedObject]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON: {exc}") from exc
+    try:
+        raw = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise DataError(f"{path}: detector file must hold a JSON array")
     out = []
@@ -212,21 +209,20 @@ def write_instances(path, instances: Iterable[PromptInstance]) -> None:
 
 def read_instances(path) -> list[PromptInstance]:
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                d = json.loads(line)
-                out.append(PromptInstance(
-                    task=d["task"],
-                    prompt=d["prompt"],
-                    response=d["response"],
-                    lang=d["lang"],
-                    source_id=d["source_id"],
-                    image_id=d.get("image_id"),
-                ))
-            except (json.JSONDecodeError, KeyError, DataError) as exc:
-                raise DataError(f"{path}:{line_no}: bad instance record: {exc}") from exc
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            d = json.loads(line)
+            out.append(PromptInstance(
+                task=d["task"],
+                prompt=d["prompt"],
+                response=d["response"],
+                lang=d["lang"],
+                source_id=d["source_id"],
+                image_id=d.get("image_id"),
+            ))
+        except (json.JSONDecodeError, KeyError, DataError) as exc:
+            raise DataError(f"{path}:{line_no}: bad instance record: {exc}") from exc
     return out

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
-from tinymmt.atomic import atomic_write
+from tinymmt.atomic import atomic_write, read_lines, read_text
 from tinymmt.errors import DataError
 from tinymmt.metrics.bleu import bleu
 from tinymmt.metrics.ribes import ribes
@@ -70,28 +69,11 @@ def evaluate_lines(hyp_lines: Sequence[str], ref_lines: Sequence[str], lang: str
     )
 
 
-def _read_text(path) -> str:
-    """A UTF-8 text file's contents; a missing or undecodable file raises DataError."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
-
-
-def _read_lines(path) -> list[str]:
-    lines = _read_text(path).split("\n")
-    if lines[-1] == "":
-        lines.pop()  # a final newline ends the last line, it does not start one
-    return lines
-
-
 def evaluate_files(hyp_path, ref_path, lang: str, split: str = "test",
                    smooth: bool = False) -> MetricReport:
     """Score one hypothesis file against one reference file (UTF-8, one
     sentence per line)."""
-    return evaluate_lines(_read_lines(hyp_path), _read_lines(ref_path), lang,
+    return evaluate_lines(read_lines(hyp_path), read_lines(ref_path), lang,
                           split=split, smooth=smooth)
 
 
@@ -106,7 +88,7 @@ _REPORT_FIELDS = {"lang": str, "split": str, "bleu": (int, float), "ribes": (int
 def read_report(path) -> MetricReport:
     """Read a report JSON; a missing, malformed or incomplete one raises DataError."""
     try:
-        d = json.loads(_read_text(path))
+        d = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(d, dict):

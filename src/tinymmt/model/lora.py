@@ -53,6 +53,11 @@ def lora_attach(model, targets: list[str] | None = None,
         targets = default_lora_targets(model)
     if not targets:
         raise ValueError("no lora targets given")
+    # clone() and the checkpoint header keep one rank and scale per model
+    first = next(iter(model.lora_adapters.values()), None)
+    if first is not None and (first.r, first.alpha) != (r, float(alpha)):
+        raise ValueError(f"lora adapters with r={first.r}, alpha={first.alpha} are already "
+                         f"attached; cannot add r={r}, alpha={alpha}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x10AA]))
     for target in targets:
         if target not in model.params:

@@ -13,7 +13,7 @@ A/B matrices train instead; the projector always trains fully.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from tinymmt.errors import ConfigError
 
@@ -38,6 +38,9 @@ def derive_stage_seed(master_seed: int, stage: int) -> int:
 
 @dataclass
 class StageConfig:
+    """One training stage: the only record of its settings, their defaults
+    and their checks. lr and epochs default by stage."""
+
     stage: int
     lr: float | None = None
     epochs: int | None = None
@@ -49,8 +52,7 @@ class StageConfig:
     def __post_init__(self):
         if self.stage not in (1, 2, 3):
             raise ConfigError(f"stage must be 1, 2 or 3, got {self.stage!r}")
-        if self.lr is None:
-            self.lr = DEFAULT_STAGE_LRS[self.stage]
+        self.lr = float(DEFAULT_STAGE_LRS[self.stage] if self.lr is None else self.lr)
         if self.epochs is None:
             self.epochs = DEFAULT_STAGE_EPOCHS[self.stage]
         if self.mode not in ("full", "lora"):
@@ -65,17 +67,11 @@ class StageConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_steps is not None and self.max_steps < 1:
             raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def summary(self) -> dict:
-        return {
-            "stage": self.stage,
-            "mode": self.mode,
-            "lr": self.lr,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "max_steps": self.max_steps,
-        }
+        return asdict(self)
 
 
 def freeze_plan(model, cfg: StageConfig) -> frozenset[str]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,21 +63,19 @@ def hyperparameter_sweep(
     base_model: MultimodalModel,
     train_dataset: Sequence[PromptInstance],
     val_dataset: Sequence[PromptInstance],
+    stage: StageConfig,
     lrs: Sequence[float],
     epochs_list: Sequence[int],
-    seed: int = 0,
-    mode: str = "full",
-    batch_size: int = 8,
-    max_steps: int | None = None,
     eval_fn: Callable[[MultimodalModel, Sequence[PromptInstance]], dict] | None = None,
     image_loader: ImageLoader | None = None,
 ) -> list[dict]:
-    """Train one stage-3 run per (lr, epochs) cell from a shared starting model.
+    """Train one run of `stage` per (lr, epochs) cell from a shared starting
+    model; each cell is `stage` with its lr and epochs replaced.
 
     Rows come back ranked by validation BLEU (descending, validation loss as
     the tiebreaker); a failed cell keeps its slot with an 'error' field
     instead of aborting the sweep. Every cell starts from a clone of
-    base_model and uses the same fixed seed, so the ranking is reproducible.
+    base_model and uses the stage's seed, so the ranking is reproducible.
     """
     if not lrs or not epochs_list:
         raise DataError("sweep grid is empty")
@@ -101,8 +100,7 @@ def hyperparameter_sweep(
             row: dict = {"lr": lr, "epochs": epochs, "error": None}
             try:
                 model = base_model.clone()
-                cfg = StageConfig(stage=3, lr=lr, epochs=epochs, batch_size=batch_size,
-                                  seed=seed, mode=mode, max_steps=max_steps)
+                cfg = dataclasses.replace(stage, lr=lr, epochs=epochs)
                 run_stage(model, train_dataset, cfg, image_loader=image_loader)
                 row.update(evaluate(model, val_dataset))
             except Exception as exc:  # propagate per-cell, keep sweeping

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -5,8 +6,10 @@ import numpy as np
 import pytest
 
 from tinymmt.cli import main
+from tinymmt.datapipe import read_instances
+from tinymmt.training import evaluate_bleu, load_checkpoint, save_checkpoint, validation_loss
 
-from conftest import HINDI, WORDS
+from conftest import HINDI, WORDS, build_model, make_instances, make_records
 
 
 def write_fixture_tree(root: Path, n_train=6, n_eval=2, seed=0):
@@ -374,3 +377,82 @@ def test_generate_blank_line_gets_an_empty_line(fixture_tree, tmp_path, capsys):
     assert json.loads(out.splitlines()[-1]) == {
         "sentences": 3, "tokens": 6, "stop_eos": 0, "stop_budget": 2, "prompt_overflow": 0,
         "blank": 1}
+
+
+def test_sweep_trains_the_config_stage3_as_train_does(fixture_tree, tmp_path, capsys):
+    config = str(fixture_tree)
+    assert main(["prepare-data", "--config", config]) == 0
+    assert main(["train", "--config", config]) == 0
+    assert main(["sweep", "--config", config, "--checkpoint", "run/stage2.ckpt",
+                 "--lrs", "1e-4,1e-3", "--epochs", "1"]) == 0
+    assert "ranked table" in capsys.readouterr().out
+    run = tmp_path / "run"
+    rows = json.loads((run / "sweep.json").read_text(encoding="utf-8"))
+    assert sorted((r["lr"], r["epochs"]) for r in rows) == [(1e-4, 1), (1e-3, 1)]
+    assert all(r["error"] is None and r["prompt_overflow"] == 0 for r in rows)
+
+    # stage 3's own lr and epochs: the cell is train's stage 3, scored on train.val
+    (cell,) = [r for r in rows if r["lr"] == 1e-4]
+    stage3 = load_checkpoint(run / "stage3.ckpt")
+    val = read_instances(run / "instances" / "text_only.hi.valid.jsonl")
+    assert cell["val_loss"] == validation_loss(stage3, val)
+    assert cell["bleu"] == evaluate_bleu(stage3, val, smooth=True)
+
+
+@pytest.mark.parametrize("drop, path", [("stage3", "train.stages"), ("val", "train.val")])
+def test_sweep_needs_a_stage3_entry_and_validation_files(fixture_tree, capsys, drop, path):
+    raw = json.loads(fixture_tree.read_text())
+    if drop == "stage3":
+        raw["train"]["stages"].pop()
+    else:
+        del raw["train"]["val"]
+    fixture_tree.write_text(json.dumps(raw))
+    assert main(["sweep", "--config", str(fixture_tree), "--checkpoint", "run/stage2.ckpt"]) == 2
+    assert f"config error: {path}:" in capsys.readouterr().err
+
+
+def text_only_checkpoint(path, extra_symbols=""):
+    """A small untrained model saved to `path`; its vocabulary covers the
+    text-only prompts over WORDS and `extra_symbols`."""
+    instances = make_instances(make_records(4, seed=1), "text_only")
+    instances.append(dataclasses.replace(instances[0], response=extra_symbols))
+    save_checkpoint(build_model(instances, seed=2, c_total=256), path)
+    return path
+
+
+def test_raw_sentences_break_lines_where_evaluate_does(tmp_path, capsys):
+    breaks = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+    ckpt = text_only_checkpoint(tmp_path / "m.ckpt", breaks)
+    sentences = tmp_path / "s.txt"
+    sentences.write_bytes(f"red{breaks}cat\r\nblue dog\n".encode("utf-8"))
+    hyp = tmp_path / "h.txt"
+    assert main(["generate", "--checkpoint", str(ckpt), "--input", str(sentences),
+                 "--out", str(hyp), "--raw-sentences", "--lang", "hi",
+                 "--max-new-tokens", "3"]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["sentences"] == 2
+    ref = tmp_path / "ref.txt"
+    ref.write_text("लाल बिल्ली\nनीला कुत्ता\n", encoding="utf-8")
+    assert main(["evaluate", "--hyp", str(hyp), "--ref", str(ref), "--lang", "hi"]) == 0
+    assert json.loads(capsys.readouterr().out)["n_sentences"] == 2
+
+
+@pytest.mark.parametrize("target, code", [
+    ("config.json", 2), ("hi_train.tsv", 3), ("detections/train0.json", 3),
+    ("run/instances/caption.hi.train.jsonl", 3), ("s.txt", 3),
+], ids=["config", "tsv", "detections", "instances", "raw-sentences"])
+def test_non_utf8_input_gets_its_exit_code(fixture_tree, tmp_path, capsys, target, code):
+    config = str(fixture_tree)
+    command = ["prepare-data", "--config", config]
+    if target.endswith(".jsonl"):
+        assert main(command) == 0
+        command = ["train", "--config", config]
+    elif target == "s.txt":
+        (tmp_path / target).write_text("red cat\n", encoding="utf-8")
+        command = ["generate", "--checkpoint", str(text_only_checkpoint(tmp_path / "m.ckpt")),
+                   "--input", str(tmp_path / target), "--out", str(tmp_path / "h.txt"),
+                   "--raw-sentences", "--lang", "hi"]
+    path = tmp_path / target
+    path.write_bytes(path.read_bytes() + b"caf\xe9\n")
+    assert main(command) == code
+    err = capsys.readouterr().err
+    assert "not UTF-8 text" in err and str(path) in err

@@ -1,14 +1,18 @@
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+import tinymmt
 from tinymmt.cli import main
-from tinymmt.config import load_config
+from tinymmt.config import StageSpec, load_config
 from tinymmt.errors import ConfigError
+from tinymmt.training import StageConfig, derive_stage_seed
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = Path(tinymmt.__file__).resolve().parent
 
 
 def base_config() -> dict:
@@ -32,21 +36,61 @@ def write(tmp_path, raw: dict) -> Path:
     return path
 
 
-@pytest.mark.parametrize("section, dotted", [
-    (lambda raw: raw, "batchsize"),
-    (lambda raw: raw.setdefault("model", {"c_total": 512}), "model.batchsize"),
-    (lambda raw: raw["data"], "data.batchsize"),
-    (lambda raw: raw["train"], "train.batchsize"),
-    (lambda raw: raw["train"]["stages"][1], "train.stages[1].batchsize"),
-], ids=["top", "model", "data", "train", "stage"])
-def test_unknown_key_names_its_dotted_path(tmp_path, capsys, section, dotted):
+@pytest.mark.parametrize("section, key, value, dotted, problem", [
+    (lambda raw: raw, "batchsize", 2, "batchsize", "unknown key"),
+    (lambda raw: raw.setdefault("model", {"c_total": 512}), "batchsize", 2, "model.batchsize",
+     "unknown key"),
+    (lambda raw: raw["data"], "batchsize", 2, "data.batchsize", "unknown key"),
+    (lambda raw: raw["train"], "batchsize", 2, "train.batchsize", "unknown key"),
+    (lambda raw: raw["train"]["stages"][1], "batchsize", 2, "train.stages[1].batchsize",
+     "unknown key"),
+    (lambda raw: raw["train"]["stages"][1], "lr", True, "train.stages[1].lr",
+     "expected .* got bool"),
+], ids=["top", "model", "data", "train", "stage", "bool-is-not-a-number"])
+def test_unknown_key_names_its_dotted_path(tmp_path, capsys, section, key, value, dotted,
+                                           problem):
     raw = base_config()
-    section(raw)["batchsize"] = 2
+    section(raw)[key] = value
     path = write(tmp_path, raw)
-    with pytest.raises(ConfigError, match=re.escape(dotted) + ": unknown key"):
+    with pytest.raises(ConfigError, match=re.escape(dotted) + ": " + problem):
         load_config(path)
     assert main(["prepare-data", "--config", str(path)]) == 2
     assert dotted in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("stage", 4), ("mode", "lora"), ("lr", 0), ("lr", -1e-4), ("epochs", 0),
+    ("batch_size", 0), ("max_steps", 0), ("seed", -1),
+])
+def test_bad_stage_value_fails_at_load_time(tmp_path, capsys, key, value):
+    raw = base_config()
+    raw["train"]["stages"][1][key] = value
+    path = write(tmp_path, raw)
+    with pytest.raises(ConfigError, match=re.escape("train.stages[1]: ")):
+        load_config(path)
+    for command in (["prepare-data"], ["train"], ["sweep", "--checkpoint", "x.ckpt"]):
+        assert main([*command, "--config", str(path)]) == 2
+        assert "train.stages[1]: " in capsys.readouterr().err
+
+
+def test_stage_seed_derives_from_the_final_master_seed(tmp_path):
+    raw = base_config()
+    raw["train"]["stages"][1]["seed"] = 42
+    path = write(tmp_path, raw)
+    assert [s.config.seed for s in load_config(path).stages] == [derive_stage_seed(3, 1), 42]
+    overridden = load_config(path, seed=5)
+    assert overridden.seed == 5
+    assert [s.config.seed for s in overridden.stages] == [derive_stage_seed(5, 1), 42]
+    with pytest.raises(ConfigError, match="seed: must be >= 0"):
+        load_config(path, seed=-1)
+
+
+def test_one_record_of_a_stage():
+    callers = sorted(str(p.relative_to(SRC)) for p in SRC.rglob("*.py")
+                     if re.search(r"(?<!def )derive_stage_seed\(", p.read_text(encoding="utf-8")))
+    assert callers == ["config.py"]
+    shared = {f.name for f in fields(StageSpec)} & {f.name for f in fields(StageConfig)}
+    assert not shared
 
 
 def test_model_keys_are_the_settable_model_config_fields(tmp_path):
@@ -76,6 +120,6 @@ def test_readme_walkthrough_config_loads(tmp_path):
     walkthrough = README.read_text(encoding="utf-8").split("## Walkthrough", 1)[1]
     block = re.search(r"```json\n(.*?)```", walkthrough, re.S).group(1)
     cfg = load_config(write(tmp_path, json.loads(block)))
-    assert [s.stage for s in cfg.stages] == [1, 2, 3]
+    assert [s.config.stage for s in cfg.stages] == [1, 2, 3]
     assert cfg.data.tasks == ("mmt", "text_only", "caption")
     assert cfg.val_files == ("run/instances/mmt.hi.valid.jsonl",)

@@ -1,9 +1,17 @@
+import contextlib
+
 import numpy as np
 import pytest
 
 from tinymmt.datapipe import synth_image
 from tinymmt.model import default_lora_targets, lora_attach, lora_merge
-from tinymmt.training import StageConfig, freeze_plan, run_stage
+from tinymmt.training import (
+    StageConfig,
+    freeze_plan,
+    load_checkpoint,
+    run_stage,
+    save_checkpoint,
+)
 
 from conftest import build_model, make_instances, make_records
 
@@ -61,6 +69,49 @@ def test_double_attach_rejected():
     lora_attach(model, targets=target)
     with pytest.raises(ValueError, match="already attached"):
         lora_attach(model, targets=target)
+
+
+WQ, WK = (f"llm.blocks.0.attn.{proj}.weight" for proj in ("wq", "wk"))
+
+
+def mixed_rank_model():
+    """wq attached at r=2, then wk asked for at r=4; B non-zero, so every
+    attached adapter's scale shows in the logits."""
+    model, instances = setup_model()
+    lora_attach(model, targets=[WQ], r=2)
+    with contextlib.suppress(ValueError):
+        lora_attach(model, targets=[WK], r=4)
+    rng = np.random.default_rng(5)
+    for adapter in model.lora_adapters.values():
+        adapter.B.data = rng.normal(0.0, 0.1, size=adapter.B.data.shape)
+    return model, instances
+
+
+def logits(model, inst):
+    prompt, resp = model.vocab.encode(inst.prompt), model.vocab.encode(inst.response)
+    visual = model.visual_tokens(synth_image(inst.image_id, 12))
+    return model.forward(model.assemble_sequence(prompt, visual, resp)).data
+
+
+@pytest.mark.parametrize("r, alpha", [(4, 16.0), (2, 8.0)], ids=["rank", "alpha"])
+def test_second_attach_with_another_rank_or_scale_rejected(r, alpha):
+    model, _ = setup_model()
+    lora_attach(model, targets=[WQ], r=2)
+    with pytest.raises(ValueError, match="already attached"):
+        lora_attach(model, targets=[WK], r=r, alpha=alpha)
+    assert list(model.lora_adapters) == [WQ] and f"lora.{WK}.A" not in model.params
+
+
+def test_clone_of_mixed_rank_request_gives_the_same_logits():
+    model, instances = mixed_rank_model()
+    assert np.array_equal(logits(model.clone(), instances[0]), logits(model, instances[0]))
+
+
+def test_checkpoint_of_mixed_rank_request_loads_with_the_same_logits(tmp_path):
+    model, instances = mixed_rank_model()
+    save_checkpoint(model, tmp_path / "m.ckpt")
+    loaded = load_checkpoint(tmp_path / "m.ckpt")
+    assert np.array_equal(logits(loaded, instances[0]), logits(model, instances[0]))
 
 
 def test_non_2d_target_rejected():

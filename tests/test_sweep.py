@@ -10,6 +10,9 @@ from tinymmt.training.stages import SWEEP_EPOCHS, SWEEP_LRS
 from conftest import build_model, make_instances, make_records
 
 
+STAGE = StageConfig(stage=3, seed=3, batch_size=2, max_steps=2)
+
+
 def sweep_setup():
     train = make_instances(make_records(4, seed=1), "text_only")
     val = make_instances(make_records(2, seed=30), "text_only")
@@ -23,8 +26,7 @@ def test_reference_grid_has_twelve_cells():
 
 def test_grid_covers_every_cell_and_ranks_by_bleu():
     model, train, val = sweep_setup()
-    rows = hyperparameter_sweep(model, train, val, lrs=[1e-3, 1e-4], epochs_list=[1, 2],
-                                seed=3, batch_size=2, max_steps=2)
+    rows = hyperparameter_sweep(model, train, val, STAGE, lrs=[1e-3, 1e-4], epochs_list=[1, 2])
     assert len(rows) == 4
     assert {(r["lr"], r["epochs"]) for r in rows} == {(1e-3, 1), (1e-3, 2), (1e-4, 1), (1e-4, 2)}
     bleus = [r["bleu"] for r in rows if r["error"] is None]
@@ -34,8 +36,7 @@ def test_grid_covers_every_cell_and_ranks_by_bleu():
 
 def test_single_cell_reduces_to_run_stage_plus_evaluate():
     model, train, val = sweep_setup()
-    rows = hyperparameter_sweep(model, train, val, lrs=[1e-3], epochs_list=[1],
-                                seed=3, batch_size=2, max_steps=2)
+    rows = hyperparameter_sweep(model, train, val, STAGE, lrs=[1e-3], epochs_list=[1])
 
     manual = model.clone()
     run_stage(manual, train, StageConfig(stage=3, lr=1e-3, epochs=1, batch_size=2,
@@ -46,15 +47,14 @@ def test_single_cell_reduces_to_run_stage_plus_evaluate():
 
 def test_ranking_reproducible_under_fixed_seed():
     model, train, val = sweep_setup()
-    kwargs = dict(lrs=[1e-3, 1e-4], epochs_list=[1], seed=5, batch_size=2, max_steps=2)
+    kwargs = dict(stage=dataclasses.replace(STAGE, seed=5), lrs=[1e-3, 1e-4], epochs_list=[1])
     assert (hyperparameter_sweep(model, train, val, **kwargs)
             == hyperparameter_sweep(model, train, val, **kwargs))
 
 
 def test_cell_failures_reported_without_aborting():
     model, train, val = sweep_setup()
-    rows = hyperparameter_sweep(model, train, val, lrs=[1e-3, -1.0], epochs_list=[1],
-                                seed=3, batch_size=2, max_steps=2)
+    rows = hyperparameter_sweep(model, train, val, STAGE, lrs=[1e-3, -1.0], epochs_list=[1])
     by_lr = {r["lr"]: r for r in rows}
     assert by_lr[-1.0]["error"] is not None
     assert by_lr[1e-3]["error"] is None
@@ -64,7 +64,7 @@ def test_cell_failures_reported_without_aborting():
 def test_empty_grid_rejected():
     model, train, val = sweep_setup()
     with pytest.raises(DataError, match="grid"):
-        hyperparameter_sweep(model, train, val, lrs=[], epochs_list=[1])
+        hyperparameter_sweep(model, train, val, STAGE, lrs=[], epochs_list=[1])
 
 
 def test_hypotheses_do_not_depend_on_the_reference():
@@ -99,7 +99,7 @@ def test_overlong_validation_prompt_scores_an_empty_hypothesis():
     assert ids.size == 0 and budget is None
     assert generate_hypotheses(model, [val[0], long, val[1]])[1] == ""
 
-    kwargs = dict(lrs=[1e-3], epochs_list=[1], seed=3, batch_size=2, max_steps=2)
+    kwargs = dict(stage=STAGE, lrs=[1e-3], epochs_list=[1])
     (row,) = hyperparameter_sweep(model, train, val + [long], **kwargs)
     (plain,) = hyperparameter_sweep(model, train, val, **kwargs)
     assert row["error"] is None and row["prompt_overflow"] == 1
