@@ -76,7 +76,9 @@ class SelfAttention:
     q, k and v stay (T, d) rows; the attention node splits them into heads
     by columns itself. With a KVCache the T rows are positions
     filled..filled+T-1 of a longer sequence: their keys and values are
-    appended to the cache and the rows attend over everything cached.
+    appended to the cache and the rows attend over everything cached. With
+    `last`, every row still gives a key and a value but only the last `last`
+    rows query, so the output has `last` rows.
     """
 
     def __init__(self, store: ParameterStore, name: str, d: int, n_heads: int,
@@ -89,8 +91,10 @@ class SelfAttention:
         self.wv = Linear(store, name + ".wv", d, d, rng, dtype)
         self.wo = Linear(store, name + ".wo", d, d, rng, dtype)
 
-    def __call__(self, x: Tensor, cache: KVCache | None = None) -> Tensor:
-        q, k, v = self.wq(x), self.wk(x), self.wv(x)
+    def __call__(self, x: Tensor, cache: KVCache | None = None,
+                 last: int | None = None) -> Tensor:
+        q = self.wq(x if last is None else x[-last:])
+        k, v = self.wk(x), self.wv(x)
         if cache is not None:
             start, end = cache.filled, cache.filled + x.shape[0]
             cache.k[start:end] = k.data
@@ -101,7 +105,11 @@ class SelfAttention:
 
 
 class Block:
-    """Pre-norm transformer block: x + attn(ln(x)), then x + mlp(ln(x))."""
+    """Pre-norm transformer block: x + attn(ln(x)), then x + mlp(ln(x)).
+
+    With `last`, the block returns only its last `last` rows: the other
+    rows supply keys and values and nothing else.
+    """
 
     def __init__(self, store: ParameterStore, name: str, d: int, n_heads: int,
                  rng: np.random.Generator, dtype, causal: bool = False):
@@ -111,8 +119,10 @@ class Block:
         self.fc1 = Linear(store, name + ".mlp.fc1", d, 4 * d, rng, dtype)
         self.fc2 = Linear(store, name + ".mlp.fc2", 4 * d, d, rng, dtype)
 
-    def __call__(self, x: Tensor, cache: KVCache | None = None) -> Tensor:
-        x = x + self.attn(self.ln1(x), cache)
+    def __call__(self, x: Tensor, cache: KVCache | None = None,
+                 last: int | None = None) -> Tensor:
+        h = self.attn(self.ln1(x), cache, last)
+        x = (x if last is None else x[-last:]) + h
         x = x + self.fc2(gelu(self.fc1(self.ln2(x))))
         return x
 
@@ -208,15 +218,22 @@ class DecoderLM:
         return [KVCache(n, self.cfg.d_model, self.cfg.np_dtype) for _ in self.blocks]
 
     def forward_embedded(self, embeds: Tensor, positions: np.ndarray,
-                         cache: list[KVCache] | None = None) -> Tensor:
+                         cache: list[KVCache] | None = None,
+                         last: int | None = None) -> Tensor:
         """(T, d_model) embeddings -> (T, vocab_size) logits.
 
         With a cache (from new_cache) the T rows continue the positions
-        already cached, and their keys and values are added to it.
+        already cached, and their keys and values are added to it. With
+        `last`, only the logits of the last `last` rows are computed,
+        (last, vocab_size): every block but the last still runs on all T
+        rows, whose keys and values the last rows attend over.
         """
+        t = embeds.shape[0]
+        if last is not None and not 0 < last <= t:
+            raise ShapeError(f"last must be in [1, {t}], got {last}")
         x = embeds + embedding(self.pos_emb, positions)
         layers = cache if cache is not None else [None] * len(self.blocks)
-        for block, layer in zip(self.blocks, layers):
-            x = block(x, layer)
+        for i, (block, layer) in enumerate(zip(self.blocks, layers)):
+            x = block(x, layer, last if i == len(self.blocks) - 1 else None)
         x = self.ln_f(x)
         return linear(x, self.tok_emb)

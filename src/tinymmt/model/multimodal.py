@@ -122,19 +122,26 @@ class MultimodalModel:
         return self._assemble(prompt_ids, visual_tokens, response_ids,
                               append_eos=response_ids is not None)
 
-    def forward(self, assembled: Assembled, cache: list[KVCache] | None = None) -> Tensor:
+    def forward(self, assembled: Assembled, cache: list[KVCache] | None = None,
+                last: int | None = None) -> Tensor:
         """Logits (T, vocab_size); strictly causal over the merged sequence.
 
         With a cache, `assembled` continues the sequence already cached.
+        With `last`, only the last `last` rows of logits, (last, vocab_size).
         """
-        return self.llm.forward_embedded(assembled.embeds, assembled.positions, cache)
+        return self.llm.forward_embedded(assembled.embeds, assembled.positions, cache, last)
 
     def loss(self, assembled: Assembled) -> tuple[Tensor, int]:
-        """Next-token loss over masked positions. Returns (scalar, n_masked)."""
-        logits = self.forward(assembled)
+        """Next-token loss over masked positions. Returns (scalar, n_masked).
+
+        Logits are computed from the first masked target's position on; the
+        rows before it are scored by no target.
+        """
         t = len(assembled.ids)
         shifted_mask = assembled.loss_mask[1:]
-        ce = cross_entropy_masked(logits[: t - 1], assembled.ids[1:], shifted_mask)
+        first = int(np.argmax(shifted_mask)) if shifted_mask.any() else 0
+        logits = self.forward(assembled, last=t - first)
+        ce = cross_entropy_masked(logits[:-1], assembled.ids[first + 1:], shifted_mask[first:])
         return ce, int(shifted_mask.sum())
 
     # ------------------------------------------------------------------
@@ -156,10 +163,11 @@ class MultimodalModel:
                  max_new_tokens: int | None = None) -> np.ndarray:
         """Greedy decoding; stops at <eos> or after max_new_tokens. Deterministic.
 
-        The prefix is fed once and its keys and values cached per layer; each
-        generated token is then fed as one position. max_new_tokens=None
-        decodes up to the rest of the context (c_total minus the prefix); an
-        explicit budget that does not fit raises BudgetError.
+        The prefix is fed once, its keys and values cached per layer and
+        only its last row of logits computed; each generated token is then
+        fed as one position. max_new_tokens=None decodes up to the rest of
+        the context (c_total minus the prefix); an explicit budget that does
+        not fit raises BudgetError.
         """
         if max_new_tokens is not None and max_new_tokens < 0:
             raise ValueError(f"max_new_tokens must be >= 0, got {max_new_tokens}")
@@ -181,7 +189,7 @@ class MultimodalModel:
             cache = self.llm.new_cache(n_prefix + max_new_tokens)
             step = prefix
             while True:
-                logits = self.forward(step, cache)
+                logits = self.forward(step, cache, last=1)
                 next_id = int(np.argmax(logits.data[-1]))
                 if next_id == EOS:
                     break

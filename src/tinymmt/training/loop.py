@@ -109,8 +109,19 @@ def run_stage(model: MultimodalModel, dataset: Sequence[PromptInstance],
 
     Exactly the freeze-plan parameters may change; everything else is
     bit-identical afterwards (the log's digests prove it). lora mode attaches
-    default adapters when none are present.
+    default adapters when none are present. A NaN or inf in a batch's loss
+    or in a trainable gradient stops the stage before that update. Errors
+    name the stage.
     """
+    try:
+        return _train_stage(model, dataset, cfg, val_dataset, image_loader)
+    except TinymmtError as exc:
+        raise type(exc)(f"stage {cfg.stage}: {exc}") from exc
+
+
+def _train_stage(model: MultimodalModel, dataset: Sequence[PromptInstance],
+                 cfg: StageConfig, val_dataset: Sequence[PromptInstance] | None,
+                 image_loader: ImageLoader | None) -> TrainLog:
     if not dataset:
         raise DataError("run_stage: dataset is empty")
     if image_loader is None:
@@ -121,6 +132,7 @@ def run_stage(model: MultimodalModel, dataset: Sequence[PromptInstance],
 
     plan = freeze_plan(model, cfg)
     model.params.set_trainable(plan)
+    trainable = sorted(plan)
     state = AdamState(model.params, lr=cfg.lr)
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0x57A6E]))
 
@@ -137,14 +149,22 @@ def run_stage(model: MultimodalModel, dataset: Sequence[PromptInstance],
             batch = [samples[i] for i in order[start: start + cfg.batch_size]]
             loss, loss_value = _batch_loss(model, batch)
             backward(loss)
-            for name in model.params.trainable:
+            step += 1
+            non_finite = None
+            for name in trainable:
                 # a trainable parameter the batch never touched (e.g. the
                 # adapter under text-only data) has gradient exactly zero
                 p = model.params[name]
                 if p.grad is None:
                     p.grad = np.zeros_like(p.data)
+                elif non_finite is None and not np.isfinite(p.grad).all():
+                    non_finite = name
+            if non_finite is not None or not np.isfinite(loss_value):
+                raise TinymmtError(
+                    f"step {step}: non-finite training values, batch loss {loss_value}, "
+                    f"first non-finite gradient {non_finite or 'none'}; batch source ids "
+                    f"{[s.source_id for s in batch]}; stopped before the update")
             adam_step(model.params, state)
-            step += 1
             log.steps.append({"step": step, "epoch": epoch + 1, "loss": loss_value})
             if cfg.max_steps is not None and step >= cfg.max_steps:
                 done = True
@@ -188,11 +208,8 @@ def run_pipeline(model: MultimodalModel, stage_configs: Sequence[StageConfig],
         if cfg.stage not in datasets:
             raise DataError(f"no dataset provided for stage {cfg.stage}")
         val = (val_datasets or {}).get(cfg.stage)
-        try:
-            log = run_stage(model, datasets[cfg.stage], cfg, val_dataset=val,
-                            image_loader=image_loader)
-        except TinymmtError as exc:
-            raise type(exc)(f"stage {cfg.stage}: {exc}") from exc
+        log = run_stage(model, datasets[cfg.stage], cfg, val_dataset=val,
+                        image_loader=image_loader)
         logs.append(log)
         model.provenance.append(cfg.summary())
         save_checkpoint(model, out_dir / f"stage{cfg.stage}.ckpt")

@@ -73,12 +73,16 @@ def hyperparameter_sweep(
     model; each cell is `stage` with its lr and epochs replaced.
 
     Rows come back ranked by validation BLEU (descending, validation loss as
-    the tiebreaker); a failed cell keeps its slot with an 'error' field
-    instead of aborting the sweep. Every cell starts from a clone of
-    base_model and uses the stage's seed, so the ranking is reproducible.
+    the tiebreaker); a cell that fails while it trains or scores keeps its
+    slot with an 'error' field instead of aborting the sweep. An invalid lr
+    or epochs value raises ConfigError before any cell trains. Every cell
+    starts from a clone of base_model and uses the stage's seed, so the
+    ranking is reproducible.
     """
     if not lrs or not epochs_list:
         raise DataError("sweep grid is empty")
+    cells = [dataclasses.replace(stage, lr=lr, epochs=epochs)
+             for lr in lrs for epochs in epochs_list]
 
     def default_eval(model: MultimodalModel, val: Sequence[PromptInstance]) -> dict:
         # an instance whose prompt overflows c_total scores an empty hypothesis
@@ -95,17 +99,15 @@ def hyperparameter_sweep(
 
     evaluate = eval_fn or default_eval
     rows: list[dict] = []
-    for lr in lrs:
-        for epochs in epochs_list:
-            row: dict = {"lr": lr, "epochs": epochs, "error": None}
-            try:
-                model = base_model.clone()
-                cfg = dataclasses.replace(stage, lr=lr, epochs=epochs)
-                run_stage(model, train_dataset, cfg, image_loader=image_loader)
-                row.update(evaluate(model, val_dataset))
-            except Exception as exc:  # propagate per-cell, keep sweeping
-                row["error"] = f"{type(exc).__name__}: {exc}"
-            rows.append(row)
+    for cfg in cells:
+        row: dict = {"lr": cfg.lr, "epochs": cfg.epochs, "error": None}
+        try:
+            model = base_model.clone()
+            run_stage(model, train_dataset, cfg, image_loader=image_loader)
+            row.update(evaluate(model, val_dataset))
+        except Exception as exc:  # propagate per-cell, keep sweeping
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        rows.append(row)
 
     def rank_key(row: dict):
         failed = row["error"] is not None

@@ -5,8 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tinymmt.cli as cli
+import tinymmt.training.sweep as sweep_module
 from tinymmt.cli import main
 from tinymmt.datapipe import read_instances
+from tinymmt.model.vocab import SYS
 from tinymmt.training import evaluate_bleu, load_checkpoint, save_checkpoint, validation_loss
 
 from conftest import HINDI, WORDS, build_model, make_instances, make_records
@@ -409,6 +412,58 @@ def test_sweep_needs_a_stage3_entry_and_validation_files(fixture_tree, capsys, d
     fixture_tree.write_text(json.dumps(raw))
     assert main(["sweep", "--config", str(fixture_tree), "--checkpoint", "run/stage2.ckpt"]) == 2
     assert f"config error: {path}:" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def stage2_tree(tmp_path_factory):
+    """The fixture tree with its instances and a trained stage2.ckpt."""
+    root = tmp_path_factory.mktemp("stage2")
+    config = str(write_fixture_tree(root))
+    assert main(["prepare-data", "--config", config]) == 0
+    assert main(["train", "--config", config, "--stages", "2"]) == 0
+    return root
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--lrs=-1,0"], "lr must be positive, got -1.0"),
+    (["--lrs=1e-4,-1"], "lr must be positive, got -1.0"),
+    (["--epochs", "0"], "epochs must be >= 1, got 0"),
+], ids=["lrs-all-bad", "lrs-second-bad", "epochs-zero"])
+def test_sweep_rejects_a_bad_grid_before_training(stage2_tree, monkeypatch, capsys, flags,
+                                                  message):
+    trained = []
+    monkeypatch.setattr(sweep_module, "run_stage", lambda *args, **kw: trained.append(args))
+    assert main(["sweep", "--config", str(stage2_tree / "config.json"),
+                 "--checkpoint", "run/stage2.ckpt", *flags]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert trained == []
+    assert not (stage2_tree / "run" / "sweep.json").exists()
+
+
+def test_train_stops_at_the_first_non_finite_gradient(fixture_tree, tmp_path, monkeypatch,
+                                                      capsys):
+    config = str(fixture_tree)
+    assert main(["prepare-data", "--config", config]) == 0
+    build = cli._build_model
+
+    def poisoned(*args):
+        model = build(*args)
+        model.params["llm.tok_emb"].data[SYS] = np.inf  # a token every prompt holds
+        return model
+
+    monkeypatch.setattr(cli, "_build_model", poisoned)
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["train", "--config", config]) == 4
+    err = capsys.readouterr().err
+    # stage 1 trains the adapter alone; its first parameter in sorted order
+    assert "error: stage 1: step 1: non-finite training values, batch loss nan, " \
+           "first non-finite gradient adapter.fc1.bias; batch source ids [" in err
+    ids = {inst.source_id for inst in
+           read_instances(tmp_path / "run" / "instances" / "caption.hi.train.jsonl")}
+    named = err.split("batch source ids [")[1].split("]")[0].split(", ")
+    assert len(named) == 2 and {n.strip("'") for n in named} <= ids
+    assert not list((tmp_path / "run").glob("stage*"))
 
 
 def text_only_checkpoint(path, extra_symbols=""):

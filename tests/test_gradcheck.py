@@ -1,9 +1,9 @@
 import numpy as np
 
 from conftest import tape_sum
-from tinymmt.numerics import Tensor, grad_check, grad_check_params
+from tinymmt.numerics import Tensor, grad_check, grad_check_params, no_grad
 from tinymmt.numerics.gradcheck import _rel_error
-from tinymmt.numerics.tensor import _accumulate, _make
+from tinymmt.numerics.tensor import _accumulate, _make, concat
 
 
 def test_quadratic_is_tight():
@@ -78,4 +78,44 @@ def test_full_model_loss_gradients(tiny_mm_setup):
     tensors = [model.params[name] for name in model.params.names()]
     err = grad_check_params(loss_fn, tensors, h=1e-4,
                             rng=np.random.default_rng(3), coords_per_tensor=2)
+    assert err < 1e-3
+
+
+def test_full_model_loss_gradients_mask_from_mid_sequence(tiny_mm_setup):
+    # the loss computes logits from the first scored target on; the rows
+    # before it reach the loss only through the last block's keys and values
+    model, instances = tiny_mm_setup
+    from dataclasses import replace
+
+    from tinymmt.datapipe import synth_image
+
+    inst = instances[0]
+    prompt = model.vocab.encode(inst.prompt)
+    response = model.vocab.encode(inst.response)
+    image = synth_image(inst.image_id, model.config.image_size)
+    t = len(model.assemble_sequence(prompt, model.visual_tokens(image), response).ids)
+    mask = np.zeros(t, dtype=bool)
+    mask[[t // 2, t // 2 + 1, t // 2 + 4, t - 2]] = True  # starts mid-prompt, with gaps
+
+    def loss_fn():
+        assembled = model.assemble_sequence(prompt, model.visual_tokens(image), response)
+        loss, _ = model.loss(replace(assembled, loss_mask=mask))
+        return loss
+
+    tensors = [model.params[name] for name in model.params.names()]
+    err = grad_check_params(loss_fn, tensors, h=1e-4,
+                            rng=np.random.default_rng(4), coords_per_tensor=2)
+    assert err < 1e-3
+    # the embeddings of rows before the first scored target, as a leaf
+    with no_grad():
+        base = model.assemble_sequence(prompt, model.visual_tokens(image), response)
+    head = Tensor(base.embeds.data[: t // 2].copy(), requires_grad=True)
+    rest = Tensor(base.embeds.data[t // 2:])
+
+    def head_loss():
+        loss, _ = model.loss(replace(base, embeds=concat([head, rest]), loss_mask=mask))
+        return loss
+
+    err = grad_check_params(head_loss, [head], h=1e-4,
+                            rng=np.random.default_rng(5), coords_per_tensor=40)
     assert err < 1e-3

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from tinymmt.model import (
 from tinymmt.model.components import DecoderLM
 from tinymmt.model.vocab import BOS, EOS, HUM, IMG, SYS
 from tinymmt.numerics import Tensor, no_grad
-from tinymmt.numerics.tensor import ATTN_BLOCK, _CAUSAL_MASKS
+from tinymmt.numerics.tensor import ATTN_BLOCK, _CAUSAL_MASKS, backward, cross_entropy_masked
 
 from conftest import build_model, make_instances, make_records
 
@@ -194,9 +196,10 @@ class TestForward:
 
     def test_forward_and_loss_record_a_fixed_number_of_tape_ops(self):
         # per block: 2 layer norms, 6 linear nodes, 1 attention (heads split
-        # and merged inside it), 1 gelu, 2 residual adds; around the LM:
-        # 2 token embeddings, concat, position embedding and its add, ln_f,
-        # the tied head, the logits slice and the cross-entropy
+        # and merged inside it), 1 gelu, 2 residual adds; the last block
+        # adds 2 row slices (the query rows and the residual rows); around
+        # the LM: 2 token embeddings, concat, position embedding and its
+        # add, ln_f, the tied head, the logits slice and the cross-entropy
         def recorded_ops(loss):
             seen, stack, ops = {id(loss)}, [loss], 0
             while stack:
@@ -212,7 +215,7 @@ class TestForward:
         cfg = model.config
         prompt, response = model.vocab.encode("hello"), model.vocab.encode("world")
         text_only = recorded_ops(model.loss(model.assemble_sequence(prompt, None, response))[0])
-        assert text_only == 9 + 12 * cfg.n_layers_lm
+        assert text_only == 11 + 12 * cfg.n_layers_lm
         # vision: patch projection, position add, its blocks and ln_f; mlp2 adapter: 3
         vis = model.visual_tokens(synth_image("n", 12))
         grounded = recorded_ops(model.loss(model.assemble_sequence(prompt, vis, response))[0])
@@ -372,9 +375,9 @@ class TestCachedDecoding:
         forward_embedded = DecoderLM.forward_embedded
         fed = []
 
-        def counting(self, embeds, positions, cache=None):
+        def counting(self, embeds, positions, cache=None, last=None):
             fed.append(len(positions))
-            return forward_embedded(self, embeds, positions, cache)
+            return forward_embedded(self, embeds, positions, cache, last)
 
         monkeypatch.setattr(DecoderLM, "forward_embedded", counting)
         image = synth_image("w", 12) if with_image else None
@@ -386,6 +389,112 @@ class TestCachedDecoding:
             steps = len(ids) + (len(ids) < budget)  # argmaxes taken, <eos> included
             assert fed == [n_prefix] + [1] * (steps - 1)
             assert sum(fed) == n_prefix + steps - 1
+
+
+# ----------------------------------------------------------------------
+# logits of the last rows only
+
+def _grounded(model, with_image=True):
+    image = model.visual_tokens(synth_image("rows", 12)) if with_image else None
+    return model.assemble_sequence(model.vocab.encode("hello world abc"), image,
+                                   model.vocab.encode("xyz abc"))
+
+
+def _full_rows_loss(model, asm):
+    """Reference: logits for every row, cross-entropy over all but the last."""
+    t = len(asm.ids)
+    return cross_entropy_masked(model.forward(asm)[: t - 1], asm.ids[1:], asm.loss_mask[1:])
+
+
+def _loss_and_grads(model, loss_fn, loss_mask):
+    names = model.params.names()
+    model.params.set_trainable(frozenset(names))
+    for name in names:
+        model.params[name].grad = None
+    asm = _grounded(model)  # a fresh graph: backward accumulates into its nodes
+    if loss_mask is not None:
+        asm = dataclasses.replace(asm, loss_mask=loss_mask)
+    loss = loss_fn(model, asm)
+    backward(loss)
+    return float(loss.data), {n: model.params[n].grad for n in names}
+
+
+class TestLastRows:
+    @pytest.mark.parametrize("dtype, tol", [("float64", 1e-12), ("float32", 1e-6)])
+    @pytest.mark.parametrize("lora", ["none", "attached", "merged"])
+    @pytest.mark.parametrize("with_image", [False, True], ids=["text", "image"])
+    def test_forward_equals_the_last_rows_of_a_full_forward(self, dtype, tol, lora,
+                                                            with_image):
+        model = _decoding_model(dtype, lora)
+        asm = _grounded(model, with_image)
+        t = len(asm.ids)
+        with no_grad():
+            full = model.forward(asm).data
+            for k in (1, 2, t - 1, t):
+                rows = model.forward(asm, last=k).data
+                assert rows.shape == (k, len(model.vocab))
+                np.testing.assert_allclose(rows, full[-k:], rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("last", [0, -1, 10_000])
+    def test_last_out_of_range_rejected(self, last):
+        model = small_model()
+        with pytest.raises(ShapeError, match="last"):
+            model.forward(_grounded(model), last=last)
+
+    @pytest.mark.parametrize("mask", ["response", "gap"])
+    def test_loss_and_gradients_equal_the_full_rows_reference(self, mask):
+        model = small_model(seed=4)
+        loss_mask = None
+        if mask == "gap":
+            # scored targets from mid-prompt on, with unscored rows between them
+            loss_mask = np.zeros(len(_grounded(model).ids), dtype=bool)
+            loss_mask[[14, 15, 19, len(loss_mask) - 3]] = True
+        loss, grads = _loss_and_grads(model, lambda m, a: m.loss(a)[0], loss_mask)
+        ref_loss, ref_grads = _loss_and_grads(model, _full_rows_loss, loss_mask)
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        assert grads.keys() == ref_grads.keys()
+        largest = max(np.abs(g).max() for g in ref_grads.values())
+        for name, ref in ref_grads.items():
+            np.testing.assert_allclose(grads[name], ref, rtol=0, atol=1e-12 * largest,
+                                       err_msg=name)
+
+    def test_empty_mask_still_raises(self):
+        model = small_model()
+        asm = _grounded(model)
+        with pytest.raises(ValueError, match="no positions"):
+            model.loss(dataclasses.replace(asm, loss_mask=np.zeros_like(asm.loss_mask)))
+
+    @pytest.mark.parametrize("dtype, tol", [("float64", 1e-12), ("float32", 1e-6)])
+    def test_one_row_prefill_equals_the_last_row_and_caches_every_row(self, dtype, tol):
+        model = _decoding_model(dtype, "attached")
+        prefix = model.assemble_sequence(model.vocab.encode("hello abc"),
+                                         model.visual_tokens(synth_image("p", 12)))
+        n = len(prefix.ids)
+        with no_grad():
+            full_cache = model.llm.new_cache(n)
+            full = model.forward(prefix, full_cache).data
+            cache = model.llm.new_cache(n + 4)
+            row = model.forward(prefix, cache, last=1).data
+        assert row.shape == (1, len(model.vocab))
+        np.testing.assert_allclose(row, full[-1:], rtol=0, atol=tol)
+        for layer, ref in zip(cache, full_cache):
+            assert layer.filled == n
+            assert np.array_equal(layer.k[:n], ref.k) and np.array_equal(layer.v[:n], ref.v)
+
+    def test_generate_computes_one_row_of_logits_per_step(self, monkeypatch):
+        model = _decoding_model("float64", "none")
+        forward = MultimodalModel.forward
+        rows = []
+
+        def counting(self, asm, cache=None, last=None):
+            logits = forward(self, asm, cache, last)
+            rows.append(logits.shape[0])
+            return logits
+
+        monkeypatch.setattr(MultimodalModel, "forward", counting)
+        ids = model.generate(model.vocab.encode("hello"), synth_image("g", 12),
+                             max_new_tokens=5)
+        assert rows == [1] * (len(ids) + (len(ids) < 5))
 
 
 def test_building_a_model_allocates_no_causal_mask():

@@ -1,8 +1,10 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
-from tinymmt.errors import DataError
+import tinymmt.training.sweep as sweep
+from tinymmt.errors import ConfigError, DataError
 from tinymmt.training import StageConfig, hyperparameter_sweep, run_stage
 from tinymmt.training.sweep import decode_instances, evaluate_bleu, generate_hypotheses
 from tinymmt.training.stages import SWEEP_EPOCHS, SWEEP_LRS
@@ -53,12 +55,29 @@ def test_ranking_reproducible_under_fixed_seed():
 
 
 def test_cell_failures_reported_without_aborting():
+    # lr 1e300 is a valid value whose first update overflows the weights, so
+    # the cell's second step fails the non-finite check while it trains
     model, train, val = sweep_setup()
-    rows = hyperparameter_sweep(model, train, val, STAGE, lrs=[1e-3, -1.0], epochs_list=[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = hyperparameter_sweep(model, train, val, STAGE, lrs=[1e300, 1e-3],
+                                    epochs_list=[1])
     by_lr = {r["lr"]: r for r in rows}
-    assert by_lr[-1.0]["error"] is not None
+    assert by_lr[1e300]["error"].startswith("TinymmtError: stage 3: step 2: non-finite")
     assert by_lr[1e-3]["error"] is None
-    assert rows[-1]["lr"] == -1.0  # failures rank last
+    assert rows[-1]["lr"] == 1e300  # failures rank last
+
+
+@pytest.mark.parametrize("lrs, epochs, bad", [([-1.0, 0.0], [1], "lr"),
+                                              ([1e-4, -1.0], [1], "lr"),
+                                              ([1e-4], [1, 0], "epochs")],
+                         ids=["lrs-all-bad", "lrs-second-bad", "epochs-zero"])
+def test_invalid_cell_rejected_before_any_cell_trains(monkeypatch, lrs, epochs, bad):
+    model, train, val = sweep_setup()
+    trained = []
+    monkeypatch.setattr(sweep, "run_stage", lambda *args, **kw: trained.append(args))
+    with pytest.raises(ConfigError, match=bad):
+        hyperparameter_sweep(model, train, val, STAGE, lrs=lrs, epochs_list=epochs)
+    assert trained == []
 
 
 def test_empty_grid_rejected():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from tinymmt.errors import ConfigError, DataError
+from tinymmt.errors import ConfigError, DataError, TinymmtError
 from tinymmt.model import lora_attach
+from tinymmt.model.vocab import SYS
 from tinymmt.training import (
     STAGE_COMPONENTS,
     StageConfig,
@@ -206,6 +207,27 @@ class TestPipeline:
         full_bytes = (tmp_path / "full" / "stage3.ckpt").read_bytes()
         resumed_bytes = (tmp_path / "resumed" / "stage3.ckpt").read_bytes()
         assert full_bytes == resumed_bytes
+
+    @pytest.mark.parametrize("stage, task, first", [(2, "mmt", "adapter.fc1.bias"),
+                                                    (3, "text_only", "llm.blocks.0.attn.wk.bias")])
+    def test_non_finite_gradient_stops_before_the_update(self, tmp_path, stage, task, first):
+        # text-only batches never reach the adapter, whose zero gradient is
+        # finite, so the first non-finite parameter is then the LM's first
+        model, _ = full_setup()
+        data = make_instances(make_records(6, seed=2), task)
+        model.params["llm.tok_emb"].data[SYS] = np.inf  # a token every prompt holds
+        before = model.params.component_digests()
+        cfg = StageConfig(stage=stage, seed=1, batch_size=len(data))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(TinymmtError) as info:
+            run_pipeline(model, [cfg], {stage: data}, tmp_path)
+        assert type(info.value) is TinymmtError
+        message = str(info.value)
+        assert message.startswith(f"stage {stage}: step 1: non-finite training values, "
+                                  f"batch loss nan, first non-finite gradient {first}; ")
+        assert all(repr(inst.source_id) in message for inst in data)
+        assert model.params.component_digests() == before
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_stage_dataset_rejected(self, tmp_path):
         model, datasets = full_setup()
