@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 
 from conftest import tape_sum
@@ -85,8 +87,6 @@ def test_full_model_loss_gradients_mask_from_mid_sequence(tiny_mm_setup):
     # the loss computes logits from the first scored target on; the rows
     # before it reach the loss only through the last block's keys and values
     model, instances = tiny_mm_setup
-    from dataclasses import replace
-
     from tinymmt.datapipe import synth_image
 
     inst = instances[0]
