@@ -18,6 +18,7 @@ from tinymmt.config import RunConfig, load_config
 from tinymmt.datapipe import (
     LANG_NAMES,
     PromptInstance,
+    VgRecord,
     corpus_stats,
     load_detections,
     mix_samples,
@@ -43,8 +44,18 @@ def _json_dumps(obj) -> str:
 # ----------------------------------------------------------------------
 # prepare-data
 
+def _record_tag(cfg: RunConfig, detections_dir: Path | None,
+                rec: VgRecord) -> str | list[str] | None:
+    """A record's object labels: the best-IoU detection, or all of them."""
+    dets = load_detections(detections_dir, rec.image_id)
+    if cfg.data.all_labels:
+        return [d.label for d in dets] or None
+    return select_tag(rec.box, dets, cfg.data.iou_threshold)
+
+
 def cmd_prepare_data(cfg: RunConfig, task_filter: str | None) -> int:
     tasks = cfg.data.tasks if task_filter is None else (task_filter,)
+    grounded = sum(task != "text_only" for task in tasks)  # tasks that carry a tag
     if not cfg.data.tsv:
         raise ConfigError("data.tsv: no input files configured")
     instances_dir = cfg.out_path / cfg.data.instances_dir
@@ -53,11 +64,11 @@ def cmd_prepare_data(cfg: RunConfig, task_filter: str | None) -> int:
     detections_dir = None
     if cfg.data.detections_dir is not None:
         detections_dir = cfg.resolve(cfg.data.detections_dir)
-        if not detections_dir.exists() and any(t in ("mmt", "caption") for t in tasks):
+        if not detections_dir.exists() and grounded:
             print(f"warning: detections dir {detections_dir} not found; "
                   "prompts will carry no object labels", file=sys.stderr)
             detections_dir = None
-    elif any(t in ("mmt", "caption") for t in tasks):
+    elif grounded:
         print("warning: no detections_dir configured; prompts will carry no object labels",
               file=sys.stderr)
 
@@ -74,20 +85,13 @@ def cmd_prepare_data(cfg: RunConfig, task_filter: str | None) -> int:
                       file=sys.stderr)
             records_by_split[split] = result.records
 
-            untagged = 0
+            # text_only ignores the tag, so a text_only run reads no detector file
+            tags = [_record_tag(cfg, detections_dir, rec) if grounded else None
+                    for rec in result.records]
+            untagged = tags.count(None) * grounded
             for task in tasks:
-                instances = []
-                for rec in result.records:
-                    tag = None
-                    if task in ("mmt", "caption"):
-                        dets = load_detections(detections_dir, rec.image_id)
-                        if cfg.data.all_labels:
-                            tag = [d.label for d in dets] or None
-                        else:
-                            tag = select_tag(rec.box, dets, cfg.data.iou_threshold)
-                        if tag is None:
-                            untagged += 1
-                    instances.append(render_prompt(rec, task, tag))
+                instances = [render_prompt(rec, task, tag)
+                             for rec, tag in zip(result.records, tags)]
                 out_path = instances_dir / f"{task}.{lang}.{split}.jsonl"
                 write_instances(out_path, instances)
                 print(f"wrote {len(instances)} {task} instances -> {out_path}")
@@ -210,11 +214,7 @@ def cmd_generate(args) -> int:
         if args.task is not None:
             instances = [inst for inst in instances if inst.task == args.task]
         if args.no_image:
-            instances = [
-                PromptInstance(task=inst.task, prompt=inst.prompt, response=inst.response,
-                               lang=inst.lang, source_id=inst.source_id, image_id=None)
-                for inst in instances
-            ]
+            instances = [dataclasses.replace(inst, image_id=None) for inst in instances]
 
     decoded = decode_instances(model, instances, max_new_tokens=args.max_new_tokens)
     hyps = [model.vocab.decode(ids, on_special="skip") for ids, _ in decoded]

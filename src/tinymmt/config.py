@@ -89,30 +89,32 @@ class RunConfig:
         return self.resolve(self.out_dir)
 
 
+def _present(raw: dict, kinds: dict, where: str, nullable=()) -> dict:
+    """The keys of `kinds` that `raw` sets, type-checked; the dataclass
+    defaults fill in the rest."""
+    return {key: _typed(raw, key, kind, where, allow_none=key in nullable)
+            for key, kind in kinds.items() if key in raw}
+
+
 def _parse_data(raw: dict) -> DataSection:
     where = "data"
     _check_keys(raw, _DATA_KEYS, "data.")
-    tsv = _typed(raw, "tsv", dict, where, default={})
-    for lang, splits in tsv.items():
+    data = DataSection(**_present(raw, {
+        "tsv": dict, "detections_dir": str, "tasks": list, "iou_threshold": (int, float),
+        "all_labels": bool, "strict": bool, "instances_dir": str,
+    }, where, nullable=("detections_dir",)))
+    for lang, splits in data.tsv.items():
         _expect(lang in LANGS, f"{where}.tsv", f"unknown language {lang!r}")
         _expect(isinstance(splits, dict), f"{where}.tsv.{lang}", "expected a split -> path map")
         for split, path in splits.items():
             _expect(split in SPLITS, f"{where}.tsv.{lang}", f"unknown split {split!r}")
             _expect(isinstance(path, str), f"{where}.tsv.{lang}.{split}", "expected a path string")
-    tasks = tuple(_typed(raw, "tasks", list, where, default=["mmt"]))
-    for task in tasks:
+    data.tasks = tuple(data.tasks)
+    for task in data.tasks:
         _expect(task in TASKS, f"{where}.tasks", f"unknown task {task!r}")
-    threshold = float(_typed(raw, "iou_threshold", (int, float), where, default=0.1))
-    _expect(0.0 <= threshold <= 1.0, f"{where}.iou_threshold", "must be in [0, 1]")
-    return DataSection(
-        tsv=tsv,
-        detections_dir=_typed(raw, "detections_dir", str, where, default=None, allow_none=True),
-        tasks=tasks,
-        iou_threshold=threshold,
-        all_labels=_typed(raw, "all_labels", bool, where, default=False),
-        strict=_typed(raw, "strict", bool, where, default=True),
-        instances_dir=_typed(raw, "instances_dir", str, where, default="instances"),
-    )
+    data.iou_threshold = float(data.iou_threshold)
+    _expect(0.0 <= data.iou_threshold <= 1.0, f"{where}.iou_threshold", "must be in [0, 1]")
+    return data
 
 
 def _parse_stage(raw: dict, index: int, master_seed: int) -> StageSpec:
@@ -123,23 +125,20 @@ def _parse_stage(raw: dict, index: int, master_seed: int) -> StageSpec:
     data = _typed(raw, "data", list, where)
     _expect(all(isinstance(p, str) for p in data), f"{where}.data", "expected path strings")
     _expect(len(data) > 0, f"{where}.data", "at least one instance file required")
-    seed = _typed(raw, "seed", int, where, default=None, allow_none=True)
+    settings = _present(raw, {
+        "seed": int, "lr": (int, float), "epochs": int, "batch_size": int, "mode": str,
+        "max_steps": int,
+    }, where, nullable=("seed", "lr", "epochs", "max_steps"))
+    if settings.get("seed") is None:  # derived once the stage number is known to be good
+        settings.pop("seed", None)
     try:
-        config = StageConfig(
-            stage=stage,
-            lr=_typed(raw, "lr", (int, float), where, default=None, allow_none=True),
-            epochs=_typed(raw, "epochs", int, where, default=None, allow_none=True),
-            batch_size=_typed(raw, "batch_size", int, where, default=8),
-            seed=0 if seed is None else seed,
-            mode=_typed(raw, "mode", str, where, default="full"),
-            max_steps=_typed(raw, "max_steps", int, where, default=None, allow_none=True),
-        )
+        config = StageConfig(stage=stage, **settings)
     except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from None
-    if seed is None:  # derived once the stage number is known to be good
+    if "seed" not in settings:
         config.seed = derive_stage_seed(master_seed, stage)
     return StageSpec(config=config, data=tuple(data),
-                     mix_cap=_typed(raw, "mix_cap", int, where, default=None, allow_none=True))
+                     **_present(raw, {"mix_cap": int}, where, nullable=("mix_cap",)))
 
 
 def load_config(path, seed: int | None = None) -> RunConfig:

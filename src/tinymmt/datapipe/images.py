@@ -2,8 +2,7 @@
 
 Real pixels are out of scope at desk scale: each image id deterministically
 hashes to a synthetic raster, so two references to the same id always see the
-same pixels. A different loader (e.g. one that reads real files) can be
-plugged in anywhere an image_loader is accepted.
+same pixels.
 """
 
 from __future__ import annotations
@@ -12,8 +11,6 @@ import hashlib
 from typing import Callable
 
 import numpy as np
-
-ImageLoader = Callable[[str], np.ndarray]
 
 
 def synth_image(image_id: str, image_size: int) -> np.ndarray:
@@ -24,5 +21,5 @@ def synth_image(image_id: str, image_size: int) -> np.ndarray:
     return rng.random((image_size, image_size))
 
 
-def make_synth_loader(image_size: int) -> ImageLoader:
+def make_synth_loader(image_size: int) -> Callable[[str], np.ndarray]:
     return lambda image_id: synth_image(image_id, image_size)

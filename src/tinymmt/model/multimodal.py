@@ -29,7 +29,6 @@ class Assembled:
     embeds: Tensor          # (T, d_model)
     loss_mask: np.ndarray   # (T,) bool
     positions: np.ndarray   # (T,) contiguous position ids
-    has_image: bool
 
 
 class MultimodalModel:
@@ -108,7 +107,6 @@ class MultimodalModel:
             embeds=embeds,
             loss_mask=loss_mask,
             positions=np.arange(total, dtype=np.int64),
-            has_image=has_image,
         )
 
     def assemble_sequence(self, prompt_ids, visual_tokens: Tensor | None = None,
@@ -152,12 +150,12 @@ class MultimodalModel:
         n_vis = self.config.c_vis if has_image else 0
         return self.config.c_total - (3 + n_vis + len(prompt_ids))
 
-    def _next_step(self, token: int, position: int, has_image: bool) -> Assembled:
+    def _next_step(self, token: int, position: int) -> Assembled:
         """The one-position sequence that feeds a generated token back in."""
         ids = np.array([token], dtype=np.int64)
         return Assembled(ids=ids, embeds=self.llm.embed_tokens(ids),
                          loss_mask=np.zeros(1, dtype=bool),
-                         positions=np.array([position], dtype=np.int64), has_image=has_image)
+                         positions=np.array([position], dtype=np.int64))
 
     def generate(self, prompt_ids, image: np.ndarray | None = None,
                  max_new_tokens: int | None = None) -> np.ndarray:
@@ -176,7 +174,7 @@ class MultimodalModel:
             visual = self.visual_tokens(image) if image is not None else None
             prefix = self._assemble(prompt_ids, visual, None, append_eos=False)
             n_prefix = len(prefix.ids)
-            room = self.context_room(prompt_ids, prefix.has_image)
+            room = self.config.c_total - n_prefix
             if max_new_tokens is None:
                 max_new_tokens = room
             elif max_new_tokens > room:
@@ -196,7 +194,7 @@ class MultimodalModel:
                 generated.append(next_id)
                 if len(generated) == max_new_tokens:
                     break
-                step = self._next_step(next_id, n_prefix + len(generated) - 1, prefix.has_image)
+                step = self._next_step(next_id, n_prefix + len(generated) - 1)
         return np.array(generated, dtype=np.int64)
 
     # ------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from tinymmt.atomic import atomic_write
-from tinymmt.datapipe.images import ImageLoader, make_synth_loader
+from tinymmt.datapipe.images import make_synth_loader
 from tinymmt.datapipe.records import PromptInstance
 from tinymmt.errors import BudgetError, ConfigError, DataError, TinymmtError
 from tinymmt.model.lora import lora_attach
@@ -60,11 +60,11 @@ class _Sample:
     source_id: str
 
 
-def _prepare_samples(model: MultimodalModel, dataset: Sequence[PromptInstance],
-                     image_loader: ImageLoader) -> list[_Sample]:
+def _prepare_samples(model: MultimodalModel, dataset: Sequence[PromptInstance]) -> list[_Sample]:
+    load_image = make_synth_loader(model.config.image_size)
     samples = []
     for inst in dataset:
-        image = image_loader(inst.image_id) if inst.image_id is not None else None
+        image = load_image(inst.image_id) if inst.image_id is not None else None
         samples.append(_Sample(
             prompt_ids=model.vocab.encode(inst.prompt),
             response_ids=model.vocab.encode(inst.response),
@@ -91,20 +91,16 @@ def _batch_loss(model: MultimodalModel, batch: Sequence[_Sample]) -> tuple[Tenso
     return weighted * (1.0 / total_count), float(weighted.data) / total_count
 
 
-def validation_loss(model: MultimodalModel, dataset: Sequence[PromptInstance],
-                    image_loader: ImageLoader | None = None) -> float:
+def validation_loss(model: MultimodalModel, dataset: Sequence[PromptInstance]) -> float:
     """Pooled mean NLL over a dataset, no gradients."""
-    if image_loader is None:
-        image_loader = make_synth_loader(model.config.image_size)
-    samples = _prepare_samples(model, dataset, image_loader)
+    samples = _prepare_samples(model, dataset)
     with no_grad():
         _, value = _batch_loss(model, samples)
     return value
 
 
 def run_stage(model: MultimodalModel, dataset: Sequence[PromptInstance],
-              cfg: StageConfig, val_dataset: Sequence[PromptInstance] | None = None,
-              image_loader: ImageLoader | None = None) -> TrainLog:
+              cfg: StageConfig, val_dataset: Sequence[PromptInstance] | None = None) -> TrainLog:
     """Train one stage in place and return its log.
 
     Exactly the freeze-plan parameters may change; everything else is
@@ -114,18 +110,15 @@ def run_stage(model: MultimodalModel, dataset: Sequence[PromptInstance],
     name the stage.
     """
     try:
-        return _train_stage(model, dataset, cfg, val_dataset, image_loader)
+        return _train_stage(model, dataset, cfg, val_dataset)
     except TinymmtError as exc:
         raise type(exc)(f"stage {cfg.stage}: {exc}") from exc
 
 
 def _train_stage(model: MultimodalModel, dataset: Sequence[PromptInstance],
-                 cfg: StageConfig, val_dataset: Sequence[PromptInstance] | None,
-                 image_loader: ImageLoader | None) -> TrainLog:
+                 cfg: StageConfig, val_dataset: Sequence[PromptInstance] | None) -> TrainLog:
     if not dataset:
         raise DataError("run_stage: dataset is empty")
-    if image_loader is None:
-        image_loader = make_synth_loader(model.config.image_size)
 
     if cfg.mode == "lora" and not model.lora_adapters:
         lora_attach(model, seed=cfg.seed)
@@ -136,7 +129,7 @@ def _train_stage(model: MultimodalModel, dataset: Sequence[PromptInstance],
     state = AdamState(model.params, lr=cfg.lr)
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0x57A6E]))
 
-    samples = _prepare_samples(model, dataset, image_loader)
+    samples = _prepare_samples(model, dataset)
     log = TrainLog(stage=cfg.stage)
     log.digests_pre = model.params.component_digests()
     started = time.monotonic()
@@ -147,8 +140,10 @@ def _train_stage(model: MultimodalModel, dataset: Sequence[PromptInstance],
         order = rng.permutation(len(samples))
         for start in range(0, len(samples), cfg.batch_size):
             batch = [samples[i] for i in order[start: start + cfg.batch_size]]
-            loss, loss_value = _batch_loss(model, batch)
-            backward(loss)
+            # a diverging step is reported by the non-finite check below
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                loss, loss_value = _batch_loss(model, batch)
+                backward(loss)
             step += 1
             non_finite = None
             for name in trainable:
@@ -172,7 +167,7 @@ def _train_stage(model: MultimodalModel, dataset: Sequence[PromptInstance],
         if val_dataset:
             log.val_losses.append({
                 "epoch": epoch + 1,
-                "val_loss": validation_loss(model, val_dataset, image_loader),
+                "val_loss": validation_loss(model, val_dataset),
             })
         if done:
             break
@@ -184,8 +179,8 @@ def _train_stage(model: MultimodalModel, dataset: Sequence[PromptInstance],
 
 def run_pipeline(model: MultimodalModel, stage_configs: Sequence[StageConfig],
                  datasets: dict[int, Sequence[PromptInstance]], out_dir,
-                 val_datasets: dict[int, Sequence[PromptInstance]] | None = None,
-                 image_loader: ImageLoader | None = None) -> tuple[MultimodalModel, list[TrainLog]]:
+                 val_datasets: dict[int, Sequence[PromptInstance]] | None = None
+                 ) -> tuple[MultimodalModel, list[TrainLog]]:
     """Run an ordered subset of stages, checkpointing after each.
 
     Stage numbers must be strictly increasing; [1, 3] (skip instruction
@@ -208,8 +203,7 @@ def run_pipeline(model: MultimodalModel, stage_configs: Sequence[StageConfig],
         if cfg.stage not in datasets:
             raise DataError(f"no dataset provided for stage {cfg.stage}")
         val = (val_datasets or {}).get(cfg.stage)
-        log = run_stage(model, datasets[cfg.stage], cfg, val_dataset=val,
-                        image_loader=image_loader)
+        log = run_stage(model, datasets[cfg.stage], cfg, val_dataset=val)
         logs.append(log)
         model.provenance.append(cfg.summary())
         save_checkpoint(model, out_dir / f"stage{cfg.stage}.ckpt")

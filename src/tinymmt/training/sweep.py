@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from tinymmt.datapipe.images import ImageLoader, make_synth_loader
+from tinymmt.datapipe.images import make_synth_loader
 from tinymmt.datapipe.records import PromptInstance
 from tinymmt.errors import DataError
 from tinymmt.metrics.bleu import bleu
@@ -18,7 +18,6 @@ from tinymmt.training.stages import StageConfig
 
 
 def decode_instances(model: MultimodalModel, dataset: Sequence[PromptInstance],
-                     image_loader: ImageLoader | None = None,
                      max_new_tokens: int | None = None) -> list[tuple[np.ndarray, int | None]]:
     """Greedy token ids and the decode budget they had, for each instance.
 
@@ -28,8 +27,7 @@ def decode_instances(model: MultimodalModel, dataset: Sequence[PromptInstance],
     ended at <eos>. An instance whose prompt alone overflows c_total gets
     an empty output and budget None, so one long prompt aborts nothing.
     """
-    if image_loader is None:
-        image_loader = make_synth_loader(model.config.image_size)
+    load_image = make_synth_loader(model.config.image_size)
     out: list[tuple[np.ndarray, int | None]] = []
     for inst in dataset:
         prompt = model.vocab.encode(inst.prompt)
@@ -39,22 +37,21 @@ def decode_instances(model: MultimodalModel, dataset: Sequence[PromptInstance],
             continue
         if max_new_tokens is not None:
             budget = min(budget, max_new_tokens)
-        image = image_loader(inst.image_id) if inst.image_id is not None else None
+        image = load_image(inst.image_id) if inst.image_id is not None else None
         out.append((model.generate(prompt, image, max_new_tokens=budget), budget))
     return out
 
 
 def generate_hypotheses(model: MultimodalModel, dataset: Sequence[PromptInstance],
-                        image_loader: ImageLoader | None = None,
                         max_new_tokens: int | None = None) -> list[str]:
     """Greedy hypotheses for each instance's prompt, decoded to text."""
     return [model.vocab.decode(ids, on_special="skip")
-            for ids, _ in decode_instances(model, dataset, image_loader, max_new_tokens)]
+            for ids, _ in decode_instances(model, dataset, max_new_tokens)]
 
 
 def evaluate_bleu(model: MultimodalModel, dataset: Sequence[PromptInstance],
-                  image_loader: ImageLoader | None = None, smooth: bool = False) -> float:
-    hyps = generate_hypotheses(model, dataset, image_loader)
+                  smooth: bool = False) -> float:
+    hyps = generate_hypotheses(model, dataset)
     return bleu([tokenize(h) for h in hyps],
                 [tokenize(inst.response) for inst in dataset], smooth=smooth)
 
@@ -66,8 +63,6 @@ def hyperparameter_sweep(
     stage: StageConfig,
     lrs: Sequence[float],
     epochs_list: Sequence[int],
-    eval_fn: Callable[[MultimodalModel, Sequence[PromptInstance]], dict] | None = None,
-    image_loader: ImageLoader | None = None,
 ) -> list[dict]:
     """Train one run of `stage` per (lr, epochs) cell from a shared starting
     model; each cell is `stage` with its lr and epochs replaced.
@@ -84,27 +79,21 @@ def hyperparameter_sweep(
     cells = [dataclasses.replace(stage, lr=lr, epochs=epochs)
              for lr in lrs for epochs in epochs_list]
 
-    def default_eval(model: MultimodalModel, val: Sequence[PromptInstance]) -> dict:
-        # an instance whose prompt overflows c_total scores an empty hypothesis
-        # and has no loss
-        fits = [inst for inst in val if model.context_room(
-            model.vocab.encode(inst.prompt), inst.image_id is not None) >= 0]
-        if not fits:
-            raise DataError("no validation prompt fits the context budget")
-        return {
-            "bleu": evaluate_bleu(model, val, image_loader, smooth=True),
-            "val_loss": validation_loss(model, fits, image_loader),
-            "prompt_overflow": len(val) - len(fits),
-        }
-
-    evaluate = eval_fn or default_eval
     rows: list[dict] = []
     for cfg in cells:
         row: dict = {"lr": cfg.lr, "epochs": cfg.epochs, "error": None}
         try:
             model = base_model.clone()
-            run_stage(model, train_dataset, cfg, image_loader=image_loader)
-            row.update(evaluate(model, val_dataset))
+            run_stage(model, train_dataset, cfg)
+            # an instance whose prompt overflows c_total scores an empty
+            # hypothesis and has no loss
+            fits = [inst for inst in val_dataset if model.context_room(
+                model.vocab.encode(inst.prompt), inst.image_id is not None) >= 0]
+            if not fits:
+                raise DataError("no validation prompt fits the context budget")
+            row.update(bleu=evaluate_bleu(model, val_dataset, smooth=True),
+                       val_loss=validation_loss(model, fits),
+                       prompt_overflow=len(val_dataset) - len(fits))
         except Exception as exc:  # propagate per-cell, keep sweeping
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)

@@ -183,16 +183,81 @@ def test_no_image_flag_drops_visual_grounding(fixture_tree, tmp_path):
     assert len(out_without.read_text(encoding="utf-8").splitlines()) == n
 
 
-def test_text_only_task_never_touches_detector(fixture_tree, tmp_path, capsys):
+def spy_detections(monkeypatch) -> list[str]:
+    """Record the image id of every detector file prepare-data asks for."""
+    calls = []
+    real = cli.load_detections
+
+    def spy(detections_dir, image_id):
+        calls.append(image_id)
+        return real(detections_dir, image_id)
+
+    monkeypatch.setattr(cli, "load_detections", spy)
+    return calls
+
+
+def test_text_only_task_never_touches_detector(fixture_tree, tmp_path, capsys, monkeypatch):
     raw = json.loads(fixture_tree.read_text())
     raw["data"]["detections_dir"] = "definitely_missing"
     fixture_tree.write_text(json.dumps(raw))
+    calls = spy_detections(monkeypatch)
     assert main(["prepare-data", "--config", str(fixture_tree),
                  "--task", "text_only"]) == 0
+    assert calls == []
     captured = capsys.readouterr()
     assert "warning" not in captured.err
     assert (tmp_path / "run" / "instances" / "text_only.hi.train.jsonl").exists()
     assert not (tmp_path / "run" / "instances" / "mmt.hi.train.jsonl").exists()
+
+
+def test_prepare_data_reads_each_detector_file_once(fixture_tree, tmp_path, monkeypatch):
+    calls = spy_detections(monkeypatch)
+    assert main(["prepare-data", "--config", str(fixture_tree)]) == 0  # mmt, text_only, caption
+    image_ids = [line.split("\t")[0] for split in ("train", "valid", "test")
+                 for line in (tmp_path / f"hi_{split}.tsv").read_text(
+                     encoding="utf-8").splitlines()]
+    assert sorted(calls) == sorted(image_ids)
+
+
+# train_untagged: untagged train records x the two grounded tasks
+@pytest.mark.parametrize("all_labels, detections, train_untagged", [
+    (False, "detections", 2 * 2), (True, "detections", 1 * 2), (False, "no_such_dir", 6 * 2),
+], ids=["best-iou", "all-labels", "missing-dir"])
+def test_prepare_data_matches_a_per_task_reference(fixture_tree, tmp_path, capsys,
+                                                    all_labels, detections, train_untagged):
+    from tinymmt.datapipe import load_detections, parse_vg_tsv, render_prompt, select_tag
+
+    # one record loses its detector file and one detection misses its box,
+    # so some grounded prompts go untagged
+    (tmp_path / "detections" / "train1.json").unlink()
+    far = json.loads((tmp_path / "detections" / "train2.json").read_text())
+    far[0]["box"] = [100, 100, 120, 120]
+    (tmp_path / "detections" / "train2.json").write_text(json.dumps(far))
+    raw = json.loads(fixture_tree.read_text())
+    raw["data"].update(all_labels=all_labels, detections_dir=detections)
+    fixture_tree.write_text(json.dumps(raw))
+    assert main(["prepare-data", "--config", str(fixture_tree)]) == 0
+    err = capsys.readouterr().err
+
+    det_dir = tmp_path / detections if (tmp_path / detections).exists() else None
+    for split in ("train", "valid", "test"):
+        records = parse_vg_tsv(tmp_path / f"hi_{split}.tsv", "hi", split).records
+        untagged = 0
+        for task in ("mmt", "text_only", "caption"):
+            expected = []
+            for rec in records:
+                tag = None
+                if task != "text_only":
+                    dets = load_detections(det_dir, rec.image_id)
+                    tag = ([d.label for d in dets] or None) if all_labels else select_tag(
+                        rec.box, dets, 0.1)
+                    untagged += tag is None
+                expected.append(render_prompt(rec, task, tag))
+            got = read_instances(tmp_path / "run" / "instances" / f"{task}.hi.{split}.jsonl")
+            assert got == expected, (task, split)
+        warning = f"warning: hi/{split}: {untagged} grounded prompts"
+        assert (warning in err) == (untagged > 0), (split, err)
+    assert f"warning: hi/train: {train_untagged} grounded prompts" in err
 
 
 def test_empty_input_file_gives_empty_output(fixture_tree, tmp_path):

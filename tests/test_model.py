@@ -345,8 +345,8 @@ class TestCachedDecoding:
             expected = model.forward(full).data
             cache = model.llm.new_cache(len(full.ids))
             parts = [model.forward(Assembled(full.ids[rows], Tensor(full.embeds.data[rows]),
-                                             full.loss_mask[rows], full.positions[rows],
-                                             True), cache).data
+                                             full.loss_mask[rows], full.positions[rows]),
+                                   cache).data
                      for rows in (slice(0, split), slice(split, None))]
         np.testing.assert_allclose(np.concatenate(parts), expected, rtol=0, atol=1e-12)
 

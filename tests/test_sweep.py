@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -56,9 +57,11 @@ def test_ranking_reproducible_under_fixed_seed():
 
 def test_cell_failures_reported_without_aborting():
     # lr 1e300 is a valid value whose first update overflows the weights, so
-    # the cell's second step fails the non-finite check while it trains
+    # the cell's second step fails the non-finite check while it trains, with
+    # no raw numpy RuntimeWarning on the way
     model, train, val = sweep_setup()
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rows = hyperparameter_sweep(model, train, val, STAGE, lrs=[1e300, 1e-3],
                                     epochs_list=[1])
     by_lr = {r["lr"]: r for r in rows}
