@@ -17,6 +17,7 @@ from tinymmt.atomic import atomic_write, read_lines
 from tinymmt.config import RunConfig, load_config
 from tinymmt.datapipe import (
     LANG_NAMES,
+    DetectedObject,
     PromptInstance,
     VgRecord,
     corpus_stats,
@@ -44,10 +45,16 @@ def _json_dumps(obj) -> str:
 # ----------------------------------------------------------------------
 # prepare-data
 
-def _record_tag(cfg: RunConfig, detections_dir: Path | None,
-                rec: VgRecord) -> str | list[str] | None:
-    """A record's object labels: the best-IoU detection, or all of them."""
-    dets = load_detections(detections_dir, rec.image_id)
+def _record_tag(cfg: RunConfig, detections_dir: Path | None, rec: VgRecord,
+                detections: dict[str, list[DetectedObject]]) -> str | list[str] | None:
+    """A record's object labels: the best-IoU detection, or all of them.
+
+    `detections` maps image id to its detector output for the whole run, so
+    each image's file is read once however many records and splits share it.
+    """
+    if rec.image_id not in detections:
+        detections[rec.image_id] = load_detections(detections_dir, rec.image_id)
+    dets = detections[rec.image_id]
     if cfg.data.all_labels:
         return [d.label for d in dets] or None
     return select_tag(rec.box, dets, cfg.data.iou_threshold)
@@ -72,6 +79,7 @@ def cmd_prepare_data(cfg: RunConfig, task_filter: str | None) -> int:
         print("warning: no detections_dir configured; prompts will carry no object labels",
               file=sys.stderr)
 
+    detections: dict[str, list[DetectedObject]] = {}
     all_stats = {}
     for lang in sorted(cfg.data.tsv):
         records_by_split = {}
@@ -86,7 +94,7 @@ def cmd_prepare_data(cfg: RunConfig, task_filter: str | None) -> int:
             records_by_split[split] = result.records
 
             # text_only ignores the tag, so a text_only run reads no detector file
-            tags = [_record_tag(cfg, detections_dir, rec) if grounded else None
+            tags = [_record_tag(cfg, detections_dir, rec, detections) if grounded else None
                     for rec in result.records]
             untagged = tags.count(None) * grounded
             for task in tasks:

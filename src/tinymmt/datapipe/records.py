@@ -142,8 +142,12 @@ def _parse_line(line: str, line_no: int, lang: str, split: str) -> VgRecord:
         except ValueError:
             raise DataError(f"box field {name} is not an integer: {raw!r}") from None
     box = BoundingBox(*coords)
+    image_id = image_id.strip()
+    # the id names a file inside detections_dir, so it must stay one path component
+    if "/" in image_id or image_id in (".", ".."):
+        raise DataError(f"image_id must be a single path component, got {image_id!r}")
     return VgRecord(
-        image_id=image_id.strip(),
+        image_id=image_id,
         box=box,
         english=_nfc(english),
         target_lang=lang,
@@ -189,6 +193,10 @@ def load_detections(detections_dir, image_id: str) -> list[DetectedObject]:
 # ----------------------------------------------------------------------
 # instruction-data files (JSON-lines)
 
+# json.dumps with these options builds a new encoder on every call
+_INSTANCE_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
+
 def instance_to_json(inst: PromptInstance) -> str:
     d = {
         "task": inst.task,
@@ -199,7 +207,7 @@ def instance_to_json(inst: PromptInstance) -> str:
     }
     if inst.image_id is not None:
         d["image_id"] = inst.image_id
-    return json.dumps(d, ensure_ascii=False, sort_keys=True)
+    return _INSTANCE_ENCODER.encode(d)
 
 
 def write_instances(path, instances: Iterable[PromptInstance]) -> None:

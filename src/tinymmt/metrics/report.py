@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -94,8 +95,12 @@ def read_report(path) -> MetricReport:
     if not isinstance(d, dict):
         raise DataError(f"{path}: a report must be a JSON object")
     for key, types in _REPORT_FIELDS.items():
-        if not isinstance(d.get(key), types):
+        value = d.get(key)
+        # JSON true/false are bools, not numbers, though bool subclasses int
+        if not isinstance(value, types) or isinstance(value, bool):
             raise DataError(f"{path}: report field {key!r} is missing or has the wrong type")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DataError(f"{path}: report field {key!r} is not a finite number: {value}")
     return MetricReport(**{key: d[key] for key in _REPORT_FIELDS})
 
 

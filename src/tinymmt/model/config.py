@@ -36,7 +36,8 @@ class ModelConfig:
         for field in ("vocab_size", "d_vis", "d_model", "n_layers_vis",
                       "n_layers_lm", "n_heads", "c_total", "image_size", "patch_size"):
             value = getattr(self, field)
-            if not isinstance(value, int) or value <= 0:
+            # JSON true/false are bools, not numbers, though bool subclasses int
+            if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
                 raise ConfigError(f"model.{field} must be a positive integer, got {value!r}")
         if self.image_size % self.patch_size != 0:
             raise ConfigError(

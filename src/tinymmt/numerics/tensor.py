@@ -129,8 +129,14 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add g into t.grad. fresh: the caller just built g in t's shape and
+    keeps no other use for it, so a first contribution in t's dtype becomes
+    t.grad itself instead of a copy."""
     if t.grad is None:
+        if fresh and g.dtype == t.data.dtype:
+            t.grad = g
+            return
         # a copy in t's own dtype and layout: g may be a view of another buffer
         t.grad = np.empty_like(t.data)
         t.grad[...] = g
@@ -255,7 +261,7 @@ def gelu(x: Tensor) -> Tensor:
             dinner *= 0.5
             local += dinner
             local *= g
-            _accumulate(x, local)
+            _accumulate(x, local, fresh=True)
 
     return _make(out_data, (x,), fn)
 
@@ -293,7 +299,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             dxhat -= _row_mean(dxhat, d)
             dxhat -= xhat * m2
             dxhat *= inv
-            _accumulate(x, dxhat)
+            _accumulate(x, dxhat, fresh=True)
 
     return _make(out_data, (x, gamma, beta), fn)
 
@@ -415,7 +421,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float,
                 _matmul_into(dkh[:, :m], _swap_last(d), qh[:, r0:r1], add)
         for x, dx in ((q, dq), (k, dk), (v, dv)):
             if dx is not None:
-                _accumulate(x, dx)
+                _accumulate(x, dx, fresh=True)
 
     return _make(out, (q, k, v), fn)
 
@@ -439,7 +445,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     def fn(g: np.ndarray) -> None:
         if x.requires_grad:
-            _accumulate(x, g @ w.data)
+            _accumulate(x, g @ w.data, fresh=True)
         if w.requires_grad:
             dw_t = _unbroadcast(_swap_last(x.data) @ g, w.data.shape[::-1])
             _accumulate(w, dw_t.T)
@@ -485,7 +491,7 @@ def cross_entropy_masked(logits: Tensor, targets, mask) -> Tensor:
             d = p.copy()
             d[np.arange(t_len), targets] -= 1.0
             d *= (mask.astype(logits.data.dtype) / count)[:, None]
-            _accumulate(logits, d * g)
+            _accumulate(logits, d * g, fresh=True)
 
     return _make(out_data, (logits,), fn)
 

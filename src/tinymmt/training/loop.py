@@ -56,19 +56,29 @@ class TrainLog:
 class _Sample:
     prompt_ids: np.ndarray
     response_ids: np.ndarray
-    image: np.ndarray | None
+    image: Tensor | None  # the frozen encoder's output, shared by samples of one image
     source_id: str
 
 
 def _prepare_samples(model: MultimodalModel, dataset: Sequence[PromptInstance]) -> list[_Sample]:
+    """Encode each instance, running the vision encoder once per distinct image.
+
+    The encoder output is a constant (c_vis, d_vis) Tensor per image id,
+    computed under no_grad and held for as long as the samples are, which
+    is c_vis × d_vis floats per image (2.3 KB at the desk config).
+    """
     load_image = make_synth_loader(model.config.image_size)
+    encoded: dict[str, Tensor] = {}
     samples = []
     for inst in dataset:
-        image = load_image(inst.image_id) if inst.image_id is not None else None
+        if inst.image_id is not None and inst.image_id not in encoded:
+            # STAGE_COMPONENTS never trains vision, so its output is a constant
+            with no_grad():
+                encoded[inst.image_id] = model.encode_image(load_image(inst.image_id))
         samples.append(_Sample(
             prompt_ids=model.vocab.encode(inst.prompt),
             response_ids=model.vocab.encode(inst.response),
-            image=image,
+            image=None if inst.image_id is None else encoded[inst.image_id],
             source_id=inst.source_id,
         ))
     return samples
@@ -79,7 +89,7 @@ def _batch_loss(model: MultimodalModel, batch: Sequence[_Sample]) -> tuple[Tenso
     weighted = None
     total_count = 0
     for sample in batch:
-        visual = model.visual_tokens(sample.image) if sample.image is not None else None
+        visual = model.project(sample.image) if sample.image is not None else None
         try:
             assembled = model.assemble_sequence(sample.prompt_ids, visual, sample.response_ids)
         except BudgetError as exc:
@@ -130,6 +140,7 @@ def _train_stage(model: MultimodalModel, dataset: Sequence[PromptInstance],
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0x57A6E]))
 
     samples = _prepare_samples(model, dataset)
+    val_samples = _prepare_samples(model, val_dataset) if val_dataset else []
     log = TrainLog(stage=cfg.stage)
     log.digests_pre = model.params.component_digests()
     started = time.monotonic()
@@ -164,11 +175,10 @@ def _train_stage(model: MultimodalModel, dataset: Sequence[PromptInstance],
             if cfg.max_steps is not None and step >= cfg.max_steps:
                 done = True
                 break
-        if val_dataset:
-            log.val_losses.append({
-                "epoch": epoch + 1,
-                "val_loss": validation_loss(model, val_dataset),
-            })
+        if val_samples:
+            with no_grad():
+                _, val_loss = _batch_loss(model, val_samples)
+            log.val_losses.append({"epoch": epoch + 1, "val_loss": val_loss})
         if done:
             break
 

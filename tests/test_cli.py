@@ -219,25 +219,11 @@ def test_prepare_data_reads_each_detector_file_once(fixture_tree, tmp_path, monk
     assert sorted(calls) == sorted(image_ids)
 
 
-# train_untagged: untagged train records x the two grounded tasks
-@pytest.mark.parametrize("all_labels, detections, train_untagged", [
-    (False, "detections", 2 * 2), (True, "detections", 1 * 2), (False, "no_such_dir", 6 * 2),
-], ids=["best-iou", "all-labels", "missing-dir"])
-def test_prepare_data_matches_a_per_task_reference(fixture_tree, tmp_path, capsys,
-                                                    all_labels, detections, train_untagged):
+def assert_prepare_data_matches_a_per_record_reference(tmp_path, err, all_labels, detections):
+    """Every instance file equals a reference that renders each record for each
+    task with its own load_detections call, and each split's untagged warning
+    matches the reference's count."""
     from tinymmt.datapipe import load_detections, parse_vg_tsv, render_prompt, select_tag
-
-    # one record loses its detector file and one detection misses its box,
-    # so some grounded prompts go untagged
-    (tmp_path / "detections" / "train1.json").unlink()
-    far = json.loads((tmp_path / "detections" / "train2.json").read_text())
-    far[0]["box"] = [100, 100, 120, 120]
-    (tmp_path / "detections" / "train2.json").write_text(json.dumps(far))
-    raw = json.loads(fixture_tree.read_text())
-    raw["data"].update(all_labels=all_labels, detections_dir=detections)
-    fixture_tree.write_text(json.dumps(raw))
-    assert main(["prepare-data", "--config", str(fixture_tree)]) == 0
-    err = capsys.readouterr().err
 
     det_dir = tmp_path / detections if (tmp_path / detections).exists() else None
     for split in ("train", "valid", "test"):
@@ -257,7 +243,77 @@ def test_prepare_data_matches_a_per_task_reference(fixture_tree, tmp_path, capsy
             assert got == expected, (task, split)
         warning = f"warning: hi/{split}: {untagged} grounded prompts"
         assert (warning in err) == (untagged > 0), (split, err)
+
+
+def untag_two_images(root: Path) -> None:
+    """train1 loses its detector file and train2's detection misses its box,
+    so the grounded prompts of their records go untagged."""
+    (root / "detections" / "train1.json").unlink()
+    far = json.loads((root / "detections" / "train2.json").read_text())
+    far[0]["box"] = [100, 100, 120, 120]
+    (root / "detections" / "train2.json").write_text(json.dumps(far))
+
+
+# train_untagged: untagged train records x the two grounded tasks
+@pytest.mark.parametrize("all_labels, detections, train_untagged", [
+    (False, "detections", 2 * 2), (True, "detections", 1 * 2), (False, "no_such_dir", 6 * 2),
+], ids=["best-iou", "all-labels", "missing-dir"])
+def test_prepare_data_matches_a_per_task_reference(fixture_tree, tmp_path, capsys,
+                                                    all_labels, detections, train_untagged):
+    untag_two_images(tmp_path)
+    raw = json.loads(fixture_tree.read_text())
+    raw["data"].update(all_labels=all_labels, detections_dir=detections)
+    fixture_tree.write_text(json.dumps(raw))
+    assert main(["prepare-data", "--config", str(fixture_tree)]) == 0
+    err = capsys.readouterr().err
+    assert_prepare_data_matches_a_per_record_reference(tmp_path, err, all_labels, detections)
     assert f"warning: hi/train: {train_untagged} grounded prompts" in err
+
+
+# each split's records, by line, renamed to these image ids: train0, and the
+# untagged train1 and train2, recur within train and again in valid and test
+SHARED_IMAGE_IDS = {
+    "train": ["train0", "train1", "train0", "train2", "train1", "train0"],
+    "valid": ["train0", "valid1"],
+    "test": ["train2", "train1"],
+}
+
+
+def share_image_ids(root: Path) -> list[str]:
+    """Rewrite the fixture TSVs to SHARED_IMAGE_IDS; return every record's id."""
+    untag_two_images(root)
+    for split, ids in SHARED_IMAGE_IDS.items():
+        path = root / f"hi_{split}.tsv"
+        rest = [line.partition("\t")[2] for line in path.read_text(encoding="utf-8").splitlines()]
+        path.write_text("".join(f"{image_id}\t{fields}\n"
+                                for image_id, fields in zip(ids, rest, strict=True)),
+                        encoding="utf-8")
+    return [image_id for ids in SHARED_IMAGE_IDS.values() for image_id in ids]
+
+
+@pytest.mark.parametrize("all_labels", [False, True], ids=["best-iou", "all-labels"])
+def test_prepare_data_reads_each_shared_image_once(fixture_tree, tmp_path, capsys, monkeypatch,
+                                                   all_labels):
+    image_ids = share_image_ids(tmp_path)
+    raw = json.loads(fixture_tree.read_text())
+    raw["data"]["all_labels"] = all_labels
+    fixture_tree.write_text(json.dumps(raw))
+    calls = spy_detections(monkeypatch)
+    assert main(["prepare-data", "--config", str(fixture_tree)]) == 0  # mmt, text_only, caption
+    assert len(image_ids) == 10 and len(set(image_ids)) == 4
+    assert sorted(calls) == sorted(set(image_ids))  # once per image, not per record
+    err = capsys.readouterr().err
+    assert_prepare_data_matches_a_per_record_reference(tmp_path, err, all_labels, "detections")
+
+
+def test_a_shared_malformed_detector_file_exits_3_before_writing(fixture_tree, tmp_path,
+                                                                 capsys):
+    share_image_ids(tmp_path)
+    (tmp_path / "detections" / "train0.json").write_text("[{\"label\": 1}]")
+    assert main(["prepare-data", "--config", str(fixture_tree)]) == 3
+    err = capsys.readouterr().err
+    assert "train0.json: bad detection entry 0" in err
+    assert not (tmp_path / "run" / "instances" / "mmt.hi.train.jsonl").exists()
 
 
 def test_empty_input_file_gives_empty_output(fixture_tree, tmp_path):
@@ -364,7 +420,17 @@ def test_evaluate_input_errors_exit_3(tmp_path, capsys, which, content):
     None, "{not json", "[1, 2]", '{"lang": "hi", "bleu": 1.0}',
     '{"lang": "hi", "split": "test", "bleu": "high", "ribes": 0.5, "n_sentences": 1, '
     '"hyp_tokens": 2, "ref_tokens": 2}',
-], ids=["missing", "invalid-json", "not-an-object", "missing-keys", "wrong-type"])
+    # JSON true is not a number, and the leaderboard would print nan or inf
+    '{"lang": "hi", "split": "test", "bleu": 1.0, "ribes": 0.5, "n_sentences": true, '
+    '"hyp_tokens": 2, "ref_tokens": 2}',
+    '{"lang": "hi", "split": "test", "bleu": 1.0, "ribes": true, "n_sentences": 1, '
+    '"hyp_tokens": 2, "ref_tokens": 2}',
+    '{"lang": "hi", "split": "test", "bleu": NaN, "ribes": 0.5, "n_sentences": 1, '
+    '"hyp_tokens": 2, "ref_tokens": 2}',
+    '{"lang": "hi", "split": "test", "bleu": 1.0, "ribes": Infinity, "n_sentences": 1, '
+    '"hyp_tokens": 2, "ref_tokens": 2}',
+], ids=["missing", "invalid-json", "not-an-object", "missing-keys", "wrong-type", "bool-count",
+        "bool-score", "nan-score", "inf-score"])
 def test_report_input_errors_exit_3(tmp_path, capsys, content):
     path = tmp_path / "report.json"
     if content is not None:

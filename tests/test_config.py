@@ -9,6 +9,7 @@ import tinymmt
 from tinymmt.cli import main
 from tinymmt.config import StageSpec, load_config
 from tinymmt.errors import ConfigError
+from tinymmt.model import ModelConfig
 from tinymmt.training import StageConfig, derive_stage_seed
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -100,6 +101,13 @@ def test_model_keys_are_the_settable_model_config_fields(tmp_path):
     raw["model"]["vocab_size"] = 40  # derived from the data by train
     with pytest.raises(ConfigError, match=re.escape("model.vocab_size") + ": unknown key"):
         load_config(write(tmp_path, raw))
+
+
+@pytest.mark.parametrize("field", ["n_heads", "d_model", "c_total", "patch_size"])
+def test_model_config_rejects_json_booleans(field):
+    # True would pass as the integer 1: n_heads true built a one-head model
+    with pytest.raises(ConfigError, match=f"model.{field} must be a positive integer, got True"):
+        ModelConfig.from_dict(json.loads(f'{{"vocab_size": 40, "{field}": true}}'))
 
 
 def test_metrics_section_rejected(tmp_path):

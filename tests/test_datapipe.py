@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tinymmt.datapipe import (
     BoundingBox,
     DetectedObject,
+    PromptInstance,
     back_translation_augment,
     corpus_stats,
     iou,
@@ -19,6 +20,7 @@ from tinymmt.datapipe import (
     select_tag,
     synth_image,
 )
+from tinymmt.datapipe.records import instance_to_json
 from tinymmt.errors import DataError, TsvParseError
 from tinymmt.metrics import tokenize
 
@@ -78,6 +80,17 @@ class TestParseTsv:
         result = parse_vg_tsv(path, "hi", "train", strict=False)
         assert len(result.records) == 2
         assert [issue.line_no for issue in result.issues] == [2]
+
+    @pytest.mark.parametrize("image_id", ["../outside/x", "/abs/path/x", "a/b", ".", ".."])
+    def test_image_id_must_be_one_path_component(self, tmp_path, image_id):
+        # load_detections joins the id onto detections_dir
+        path = write_tsv(tmp_path, [GOOD_LINE, f"{image_id}\t1\t1\t2\t2\tsun\tसूरज"])
+        with pytest.raises(TsvParseError, match=":2: image_id must be a single path component"):
+            parse_vg_tsv(path, "hi", "train")
+        result = parse_vg_tsv(path, "hi", "train", strict=False)
+        assert [rec.image_id for rec in result.records] == ["img1"]
+        assert [(i.line_no, i.reason) for i in result.issues] == [
+            (2, f"image_id must be a single path component, got {image_id!r}")]
 
     def test_unknown_lang_or_split_rejected(self, tmp_path):
         path = write_tsv(tmp_path, [GOOD_LINE])
@@ -191,6 +204,21 @@ class TestDetections:
         path.write_text(json.dumps([{"label": "x", "box": [0, 0, 1, 1], "confidence": 1.5}]))
         with pytest.raises(DataError):
             read_detection_file(path)
+
+
+# ----------------------------------------------------------------------
+# instance files
+
+@pytest.mark.parametrize("image_id", ["img7", None])
+def test_instance_json_equals_json_dumps(image_id):
+    inst = PromptInstance(task="mmt", prompt="Translate: a red cat",
+                          response="एक लाल बिल्ली", lang="hi", source_id="hi/train/3",
+                          image_id=image_id)
+    d = {"task": "mmt", "prompt": inst.prompt, "response": inst.response, "lang": "hi",
+         "source_id": "hi/train/3"}
+    if image_id is not None:
+        d["image_id"] = image_id
+    assert instance_to_json(inst) == json.dumps(d, ensure_ascii=False, sort_keys=True)
 
 
 # ----------------------------------------------------------------------

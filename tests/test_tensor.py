@@ -499,6 +499,38 @@ def _layer_norm_reference(x, gamma, beta, g, eps=1e-5):
             (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0))
 
 
+class TestGradientHandOver:
+    """A node hands its freshly built gradient to its input instead of copying
+    it, so a tensor that feeds two slots must still receive the sum of both."""
+
+    def test_one_tensor_as_query_and_key(self):
+        rng = np.random.default_rng(11)
+        xd, vd = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
+        x, v = Tensor(xd, requires_grad=True), Tensor(vd, requires_grad=True)
+        backward(tape_sum(attention(x, x, v, 2, 0.5, causal=True)))
+        q, k = Tensor(xd, requires_grad=True), Tensor(xd, requires_grad=True)
+        v2 = Tensor(vd, requires_grad=True)
+        backward(tape_sum(attention(q, k, v2, 2, 0.5, causal=True)))
+        assert np.array_equal(x.grad, q.grad + k.grad)
+        assert np.array_equal(v.grad, v2.grad)
+
+    def test_one_tensor_into_two_gelu_nodes(self):
+        rng = np.random.default_rng(12)
+        xd = rng.normal(size=(3, 6))
+        x = Tensor(xd, requires_grad=True)
+        backward(tape_sum(gelu(x) + gelu(x) * 3.0))
+        a, b = Tensor(xd, requires_grad=True), Tensor(xd, requires_grad=True)
+        backward(tape_sum(gelu(a) + gelu(b) * 3.0))
+        assert np.array_equal(x.grad, a.grad + b.grad)
+
+    def test_a_gradient_in_another_dtype_is_still_copied(self):
+        x = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        w = Tensor(np.ones((4, 3)))
+        backward(tape_sum(linear(x, w)))
+        assert x.grad.dtype == np.float32
+        assert np.array_equal(x.grad, np.full((2, 3), 4.0))
+
+
 class TestGeluLayerNormBitwise:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("shape", [(347, 256), (1, 256), (9, 48)])

@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from tinymmt.datapipe import synth_image
 from tinymmt.errors import ConfigError, DataError, TinymmtError
-from tinymmt.model import lora_attach
+from tinymmt.model import MultimodalModel, lora_attach
 from tinymmt.model.vocab import SYS
+from tinymmt.numerics import no_grad
 from tinymmt.training import (
     STAGE_COMPONENTS,
     StageConfig,
@@ -13,6 +17,7 @@ from tinymmt.training import (
     run_pipeline,
     run_stage,
 )
+from tinymmt.training.loop import _prepare_samples
 
 from conftest import build_model, make_instances, make_records
 
@@ -154,6 +159,63 @@ class TestRunStage:
                         val_dataset=datasets[1][:2])
         assert [v["epoch"] for v in log.val_losses] == [1, 2]
         assert all(np.isfinite(v["val_loss"]) for v in log.val_losses)
+
+
+def shared_image_setup():
+    """Six mmt instances over three images, as Visual Genome regions share them."""
+    records = make_records(6, seed=4)
+    shared = ["imgA", "imgB", "imgA", "imgC", "imgB", "imgA"]
+    instances = [dataclasses.replace(inst, image_id=image_id)
+                 for inst, image_id in zip(make_instances(records, "mmt"), shared)]
+    return build_model(instances, seed=5, c_total=512), instances
+
+
+class TestFrozenVisionOncePerImage:
+    def test_encoder_runs_once_per_distinct_image_per_stage(self, monkeypatch):
+        model, instances = shared_image_setup()
+        calls = []
+        real = MultimodalModel.encode_image
+
+        def spy(self, image):
+            calls.append(image)
+            return real(self, image)
+
+        monkeypatch.setattr(MultimodalModel, "encode_image", spy)
+        cfg = StageConfig(stage=2, seed=3, epochs=2, batch_size=3)
+        val = [dataclasses.replace(instances[0], image_id="imgV")] * 2 + instances[1:2]
+        log = run_stage(model, instances, cfg, val_dataset=val)
+        assert len(log.steps) == 4 and len(log.val_losses) == 2
+        assert log.val_losses[0]["val_loss"] != log.val_losses[1]["val_loss"]
+        assert len(calls) == 5  # imgA, imgB, imgC, then imgV and imgB; not samples x epochs
+        assert log.digests_pre["vision"] == log.digests_post["vision"]
+        assert log.digests_pre["adapter"] != log.digests_post["adapter"]
+
+    def test_first_step_loss_equals_a_per_sample_encoding(self):
+        model, instances = shared_image_setup()
+        size = model.config.image_size
+        weighted, total = 0.0, 0
+        with no_grad():
+            for inst in instances:
+                visual = model.visual_tokens(synth_image(inst.image_id, size))
+                assembled = model.assemble_sequence(model.vocab.encode(inst.prompt), visual,
+                                                    model.vocab.encode(inst.response))
+                loss, count = model.loss(assembled)
+                weighted += float(loss.data) * count
+                total += count
+        cfg = StageConfig(stage=2, seed=3, epochs=1, batch_size=len(instances))
+        log = run_stage(model, instances, cfg)
+        # one batch of every sample; only the pooling order may differ
+        assert log.steps[0]["loss"] == pytest.approx(weighted / total, rel=1e-12, abs=0)
+
+    def test_samples_of_one_image_share_one_constant_encoding(self):
+        model, instances = shared_image_setup()
+        samples = _prepare_samples(model, instances)
+        a = [s.image for s in samples]
+        assert a[0] is a[2] is a[5] and a[1] is a[4]
+        assert len({id(x) for x in a}) == 3
+        assert not any(x.requires_grad or x._parents for x in a)
+        expected = model.encode_image(synth_image("imgC", model.config.image_size))
+        assert np.array_equal(a[3].data, expected.data)
 
 
 class TestPipeline:
