@@ -20,9 +20,7 @@ from tinymmt.datapipe.prompts import (
     CAPTION_TEMPLATE,
     MMT_TEMPLATE,
     TEXT_ONLY_TEMPLATE,
-    back_translation_augment,
     render_prompt,
-    reverse_instance,
 )
 from tinymmt.datapipe.sampling import mix_samples
 from tinymmt.datapipe.stats import CorpusStats, SplitStats, corpus_stats
@@ -44,7 +42,6 @@ __all__ = [
     "TASKS",
     "TEXT_ONLY_TEMPLATE",
     "VgRecord",
-    "back_translation_augment",
     "corpus_stats",
     "iou",
     "load_detections",
@@ -54,7 +51,6 @@ __all__ = [
     "read_detection_file",
     "read_instances",
     "render_prompt",
-    "reverse_instance",
     "select_tag",
     "synth_image",
     "write_instances",

@@ -10,8 +10,7 @@ for ablation.
 
 from __future__ import annotations
 
-import re
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from tinymmt.errors import DataError
 from tinymmt.datapipe.records import LANG_NAMES, PromptInstance, VgRecord
@@ -41,14 +40,6 @@ CAPTION_TEMPLATE = (
     + "{labels_clause}"
     + "Provide a short caption of the object in {tgt} language."
 )
-
-_TEXT_ONLY_RE = re.compile(
-    r"^Translate the following sentence from (?P<src>\w+) into (?P<tgt>\w+) language\. "
-    r"(?P=src) sentence is: (?P<sentence>.*)\.$",
-    re.DOTALL,
-)
-_SENTENCE_RE = re.compile(r"English sentence is: (?P<sentence>.*)\.$", re.DOTALL)
-
 
 def _labels_value(tag: str | Sequence[str] | None) -> str | None:
     if tag is None:
@@ -100,55 +91,3 @@ def render_prompt(record: VgRecord, task: str, tag: str | Sequence[str] | None =
         image_id=image_id,
     )
 
-
-def _extract_sentence(inst: PromptInstance) -> tuple[str, str]:
-    """(source language name, source sentence) recovered from the prompt."""
-    if inst.task == "text_only":
-        m = _TEXT_ONLY_RE.match(inst.prompt)
-        if not m:
-            raise DataError(f"prompt does not match the text_only template: {inst.prompt!r}")
-        return m.group("src"), m.group("sentence")
-    if inst.task == "mmt":
-        m = _SENTENCE_RE.search(inst.prompt)
-        if not m:
-            raise DataError(f"prompt does not match the mmt template: {inst.prompt!r}")
-        return "English", m.group("sentence")
-    raise DataError(f"cannot extract a source sentence from a {inst.task!r} instance")
-
-
-_NAME_TO_CODE = {name: code for code, name in LANG_NAMES.items()}
-
-
-def reverse_instance(inst: PromptInstance) -> PromptInstance:
-    """Swap translation direction: the response becomes the source sentence.
-
-    The reversed instance is always a text_only task (target -> source
-    translation carries no box grounding).
-    """
-    src_name, sentence = _extract_sentence(inst)
-    tgt_name = LANG_NAMES[inst.lang]
-    prompt = TEXT_ONLY_TEMPLATE.format(src=tgt_name, tgt=src_name, sentence=inst.response)
-    # toggle the marker so double reversal restores the original id
-    if inst.source_id.endswith("#rev"):
-        source_id = inst.source_id[: -len("#rev")]
-    else:
-        source_id = inst.source_id + "#rev"
-    return PromptInstance(
-        task="text_only",
-        prompt=prompt,
-        response=sentence,
-        lang=_NAME_TO_CODE[src_name],
-        source_id=source_id,
-        image_id=None,
-    )
-
-
-def back_translation_augment(instances: Iterable[PromptInstance]) -> list[PromptInstance]:
-    """Originals plus one reversed-direction copy of each (n in, 2n out)."""
-    instances = list(instances)
-    out = list(instances)
-    for inst in instances:
-        if inst.task == "caption":
-            raise DataError("back-translation applies to translation tasks, not captioning")
-        out.append(reverse_instance(inst))
-    return out

@@ -15,6 +15,7 @@ from tinymmt.errors import ShapeError
 from tinymmt.model.config import ModelConfig
 from tinymmt.numerics.params import ParameterStore
 from tinymmt.numerics.tensor import (
+    Segments,
     Tensor,
     attention,
     embedding,
@@ -77,8 +78,9 @@ class SelfAttention:
     by columns itself. With a KVCache the T rows are positions
     filled..filled+T-1 of a longer sequence: their keys and values are
     appended to the cache and the rows attend over everything cached. With
-    `last`, every row still gives a key and a value but only the last `last`
-    rows query, so the output has `last` rows.
+    a Segments table the rows pack the table's sequences; every row still
+    gives a key and a value but only the rows the table selects query, so
+    the output has one row per query.
     """
 
     def __init__(self, store: ParameterStore, name: str, d: int, n_heads: int,
@@ -92,8 +94,8 @@ class SelfAttention:
         self.wo = Linear(store, name + ".wo", d, d, rng, dtype)
 
     def __call__(self, x: Tensor, cache: KVCache | None = None,
-                 last: int | None = None) -> Tensor:
-        q = self.wq(x if last is None else x[-last:])
+                 segments: Segments | None = None) -> Tensor:
+        q = self.wq(x if segments is None else segments.select(x))
         k, v = self.wk(x), self.wv(x)
         if cache is not None:
             start, end = cache.filled, cache.filled + x.shape[0]
@@ -101,14 +103,14 @@ class SelfAttention:
             cache.v[start:end] = v.data
             cache.filled = end
             k, v = Tensor(cache.k[:end]), Tensor(cache.v[:end])
-        return self.wo(attention(q, k, v, self.n_heads, self.scale, self.causal))
+        return self.wo(attention(q, k, v, self.n_heads, self.scale, self.causal, segments))
 
 
 class Block:
     """Pre-norm transformer block: x + attn(ln(x)), then x + mlp(ln(x)).
 
-    With `last`, the block returns only its last `last` rows: the other
-    rows supply keys and values and nothing else.
+    With a Segments table, the block returns only the rows that query: the
+    other rows supply keys and values and nothing else.
     """
 
     def __init__(self, store: ParameterStore, name: str, d: int, n_heads: int,
@@ -120,9 +122,9 @@ class Block:
         self.fc2 = Linear(store, name + ".mlp.fc2", 4 * d, d, rng, dtype)
 
     def __call__(self, x: Tensor, cache: KVCache | None = None,
-                 last: int | None = None) -> Tensor:
-        h = self.attn(self.ln1(x), cache, last)
-        x = (x if last is None else x[-last:]) + h
+                 segments: Segments | None = None) -> Tensor:
+        h = self.attn(self.ln1(x), cache, segments)
+        x = (x if segments is None else segments.select(x)) + h
         x = x + self.fc2(gelu(self.fc1(self.ln2(x))))
         return x
 
@@ -219,21 +221,21 @@ class DecoderLM:
 
     def forward_embedded(self, embeds: Tensor, positions: np.ndarray,
                          cache: list[KVCache] | None = None,
-                         last: int | None = None) -> Tensor:
+                         segments: Segments | None = None) -> Tensor:
         """(T, d_model) embeddings -> (T, vocab_size) logits.
 
         With a cache (from new_cache) the T rows continue the positions
-        already cached, and their keys and values are added to it. With
-        `last`, only the logits of the last `last` rows are computed,
-        (last, vocab_size): every block but the last still runs on all T
-        rows, whose keys and values the last rows attend over.
+        already cached, and their keys and values are added to it. With a
+        Segments table the rows pack its sequences, and only the rows its
+        queries select get logits: every block but the last still runs on
+        all T rows, whose keys and values those rows attend over.
         """
-        t = embeds.shape[0]
-        if last is not None and not 0 < last <= t:
-            raise ShapeError(f"last must be in [1, {t}], got {last}")
+        if segments is not None and segments.ends[-1] != embeds.shape[0]:
+            raise ShapeError(f"segments pack {segments.ends[-1]} rows, got {embeds.shape[0]}")
         x = embeds + embedding(self.pos_emb, positions)
         layers = cache if cache is not None else [None] * len(self.blocks)
+        inner = None if segments is None else segments.every_row()
         for i, (block, layer) in enumerate(zip(self.blocks, layers)):
-            x = block(x, layer, last if i == len(self.blocks) - 1 else None)
+            x = block(x, layer, segments if i == len(self.blocks) - 1 else inner)
         x = self.ln_f(x)
         return linear(x, self.tok_emb)

@@ -5,6 +5,7 @@ Sequence layout (token ids; <img> slots carry projected patch embeddings):
     <bos> [<img> x c_vis, image only] <hum> prompt <sys> response <eos>
 
 The loss mask is True exactly on the response tokens and the closing <eos>.
+Several sequences can run as one packed group (see MultimodalModel.loss).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from tinymmt.model.components import AdapterProjector, DecoderLM, KVCache, Visio
 from tinymmt.model.config import ModelConfig
 from tinymmt.model.vocab import BOS, EOS, HUM, IMG, SYS, Vocabulary
 from tinymmt.numerics.params import ParameterStore
-from tinymmt.numerics.tensor import Tensor, concat, cross_entropy_masked, no_grad
+from tinymmt.numerics.tensor import Segments, Tensor, concat, cross_entropy_masked, no_grad
 
 
 @dataclass
@@ -29,6 +30,20 @@ class Assembled:
     embeds: Tensor          # (T, d_model)
     loss_mask: np.ndarray   # (T,) bool
     positions: np.ndarray   # (T,) contiguous position ids
+
+
+def _shared_rows(members, cap: int) -> int:
+    """How many leading rows, at most cap, every member has equal to the first's
+    in id, position and embedding."""
+    head = members[0]
+    shared = cap
+    for asm in members[1:]:
+        same = ((asm.ids[:shared] == head.ids[:shared])
+                & (asm.positions[:shared] == head.positions[:shared])
+                & (asm.embeds.data[:shared] == head.embeds.data[:shared]).all(axis=1))
+        if not same.all():
+            shared = int(np.argmin(same))
+    return shared
 
 
 class MultimodalModel:
@@ -121,26 +136,58 @@ class MultimodalModel:
                               append_eos=response_ids is not None)
 
     def forward(self, assembled: Assembled, cache: list[KVCache] | None = None,
-                last: int | None = None) -> Tensor:
+                last: int | Segments | None = None) -> Tensor:
         """Logits (T, vocab_size); strictly causal over the merged sequence.
 
         With a cache, `assembled` continues the sequence already cached.
         With `last`, only the last `last` rows of logits, (last, vocab_size).
+        With a Segments table instead, `assembled` packs the table's
+        sequences and only the rows its queries select get logits.
         """
+        if last is not None and not isinstance(last, Segments):
+            last = Segments((len(assembled.ids),), queries=(last,))
         return self.llm.forward_embedded(assembled.embeds, assembled.positions, cache, last)
 
-    def loss(self, assembled: Assembled) -> tuple[Tensor, int]:
-        """Next-token loss over masked positions. Returns (scalar, n_masked).
+    def loss(self, *members: Assembled) -> tuple[Tensor, int]:
+        """Next-token loss over the masked positions of one or more sequences,
+        pooled. Returns (scalar mean, n_masked).
 
-        Logits are computed from the first masked target's position on; the
-        rows before it are scored by no target.
+        The sequences run as one packed group. The longest prefix of rows
+        they all share (ids, positions and embeddings), up to the first row
+        any of them scores, runs once; each sequence then runs only its own
+        rows, which attend over the prefix's keys and values, and the
+        prefix's nodes receive every sequence's gradient. Rows equal in
+        value must be the same function of the parameters, as token rows
+        and the visual rows of one projected image are. Logits are computed
+        from each sequence's first scored row on; the rows before it are
+        scored by no target. One sequence is a group with no shared prefix.
         """
-        t = len(assembled.ids)
-        shifted_mask = assembled.loss_mask[1:]
-        first = int(np.argmax(shifted_mask)) if shifted_mask.any() else 0
-        logits = self.forward(assembled, last=t - first)
-        ce = cross_entropy_masked(logits[:-1], assembled.ids[first + 1:], shifted_mask[first:])
-        return ce, int(shifted_mask.sum())
+        firsts = []
+        for asm in members:
+            shifted = asm.loss_mask[1:]
+            if not shifted.any():
+                raise ValueError("loss: a sequence's mask selects no positions; "
+                                 "the mean is undefined")
+            firsts.append(int(np.argmax(shifted)))
+        head, rest = members[0], members[1:]
+        prefix = _shared_rows(members, min(firsts)) if rest else 0
+        packed = head if not rest else Assembled(
+            ids=np.concatenate([head.ids] + [a.ids[prefix:] for a in rest]),
+            embeds=concat([head.embeds] + [a.embeds[prefix:] for a in rest]),
+            loss_mask=np.concatenate([head.loss_mask] + [a.loss_mask[prefix:] for a in rest]),
+            positions=np.concatenate([head.positions] + [a.positions[prefix:] for a in rest]),
+        )
+        lengths = [len(a.ids) for a in members]
+        ends = np.cumsum([lengths[0]] + [n - prefix for n in lengths[1:]])
+        table = Segments(ends, prefix, [n - first for n, first in zip(lengths, firsts)])
+        logits = self.forward(packed, None, table)
+        # each sequence's last row predicts nothing: a masked placeholder target
+        targets = np.concatenate([np.append(a.ids[first + 1:], 0)
+                                  for a, first in zip(members, firsts)])
+        mask = np.concatenate([np.append(a.loss_mask[first + 1:], False)
+                               for a, first in zip(members, firsts)])
+        ce = cross_entropy_masked(logits, targets, mask)
+        return ce, int(mask.sum())
 
     # ------------------------------------------------------------------
     # inference
@@ -185,9 +232,8 @@ class MultimodalModel:
             if max_new_tokens == 0:
                 return np.zeros(0, dtype=np.int64)
             cache = self.llm.new_cache(n_prefix + max_new_tokens)
-            step = prefix
+            logits = self.forward(prefix, cache, last=1)
             while True:
-                logits = self.forward(step, cache, last=1)
                 next_id = int(np.argmax(logits.data[-1]))
                 if next_id == EOS:
                     break
@@ -195,6 +241,7 @@ class MultimodalModel:
                 if len(generated) == max_new_tokens:
                     break
                 step = self._next_step(next_id, n_prefix + len(generated) - 1)
+                logits = self.forward(step, cache)
         return np.array(generated, dtype=np.int64)
 
     # ------------------------------------------------------------------

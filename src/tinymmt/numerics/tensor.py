@@ -91,13 +91,13 @@ class Tensor:
     def __getitem__(self, idx):
         out_data = self.data[idx].copy()
         src = self
-        basic = _is_basic_index(idx)
+        once = _selects_once(idx)
 
         def fn(g: np.ndarray) -> None:
             if src.requires_grad:
                 if src.grad is None:
                     src.grad = np.zeros_like(src.data)
-                if basic:
+                if once:
                     src.grad[idx] += g  # each element selected at most once
                 else:
                     np.add.at(src.grad, idx, g)
@@ -105,8 +105,11 @@ class Tensor:
         return _make(out_data, (self,), fn)
 
 
-def _is_basic_index(idx) -> bool:
-    """True for an int, a slice, or a tuple of them: no element is selected twice."""
+def _selects_once(idx) -> bool:
+    """True for an int, a slice, a tuple of them, or a strictly increasing 1-D
+    integer array (rows picked in order): no element is selected twice."""
+    if isinstance(idx, np.ndarray):
+        return idx.ndim == 1 and idx.dtype.kind in "iu" and bool((idx[1:] > idx[:-1]).all())
     parts = idx if isinstance(idx, tuple) else (idx,)
     return all(
         isinstance(i, slice) or (isinstance(i, (int, np.integer)) and not isinstance(i, bool))
@@ -355,8 +358,75 @@ def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     return x.reshape(x.shape[0], n_heads, -1).transpose(1, 0, 2)
 
 
+class Segments:
+    """Causal sequences packed as the rows of one (rows, d) matrix.
+
+    Sequence 0 is rows [0, ends[0]). Every later sequence starts with the
+    same `prefix` positions, held once as rows [0, prefix) of sequence 0,
+    and goes on with its own rows [ends[j-1], ends[j]). Only the last
+    queries[j] positions of sequence j query and give an output row; for a
+    later sequence they lie in its own rows. queries=None: every row
+    queries.
+
+    This is packed ("varlen") attention with a shared prefix: row-wise ops
+    run once over the packed rows, the prefix rows among them, and one
+    attention node per layer serves every sequence. A table of one
+    sequence only says how many last rows query: attention then reads q as
+    the last t of the n positions k holds, which is also the KV-cache case.
+    """
+
+    __slots__ = ("ends", "prefix", "spans", "index")
+
+    def __init__(self, ends: Sequence[int], prefix: int = 0,
+                 queries: Sequence[int] | None = None):
+        ends = tuple(int(e) for e in ends)
+        own = [b - a for a, b in zip((0,) + ends, ends)]
+        if not ends or min(own) < 1 or not 0 <= prefix <= ends[0] \
+                or (queries is not None and len(queries) != len(ends)):
+            raise ShapeError(f"segments need ends increasing from above 0, 0 <= prefix <= "
+                             f"ends[0] and one query count per sequence, got ends={ends}, "
+                             f"prefix={prefix}, queries={queries}")
+        if queries is None:
+            queries = own
+        for j, (t, rows) in enumerate(zip(queries, own)):
+            if not 0 < t <= rows:
+                raise ShapeError(f"sequence {j}: last must be in [1, {rows}], got {t}")
+        queries = [int(t) for t in queries]
+        self.ends, self.prefix = ends, prefix
+        # per sequence (q0, q1, shared, k0, k1): output rows [q0, q1) attend
+        # over the keys [0, shared) followed by [k0, k1)
+        spans, q0, k0 = [], 0, 0
+        for j, (end, t) in enumerate(zip(ends, queries)):
+            spans.append((q0, q0 + t, prefix if j else 0, k0, end))
+            q0, k0 = q0 + t, end
+        self.spans = tuple(spans)
+        if queries == own:
+            self.index = None
+        elif len(ends) == 1:
+            self.index = slice(-queries[0], None)
+        else:
+            self.index = np.concatenate([np.arange(end - t, end)
+                                         for end, t in zip(ends, queries)])
+
+    def select(self, x: Tensor) -> Tensor:
+        """The rows of the packed x that query, in order."""
+        return x if self.index is None else x[self.index]
+
+    def every_row(self) -> "Segments | None":
+        """The same packing with every row querying; None for one sequence,
+        where every row querying is plain causal attention."""
+        if len(self.ends) == 1:
+            return None
+        return self if self.index is None else Segments(self.ends, self.prefix)
+
+
+def _keys(x: np.ndarray, shared: int, k0: int, k1: int) -> np.ndarray:
+    """Rows [0, shared) then [k0, k1) of x: a view when shared is 0."""
+    return np.concatenate((x[:shared], x[k0:k1])) if shared else x[k0:k1]
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float,
-              causal: bool) -> Tensor:
+              causal: bool, segments: Segments | None = None) -> Tensor:
     """softmax(q @ kᵀ * scale + mask) @ v for each head, as one tape node.
 
     q is (t, d) and holds the last t of the n positions whose keys and values
@@ -370,6 +440,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float,
     exponentiated or back-propagated. One row, or a bidirectional layer, is
     one block with no mask. The backward is analytic, block by block; a
     masked key gets exactly zero probability and zero gradient.
+
+    With a Segments table of several sequences, k and v are the packed rows
+    and q the rows the table's queries select; each sequence runs as above
+    over its own keys, the shared prefix's first, and the prefix rows of dk
+    and dv sum every sequence's share.
     """
     qd, kd, vd = q.data, k.data, v.data
     if qd.ndim != 2 or kd.ndim != 2 or vd.ndim != 2 or kd.shape[1] != qd.shape[1] \
@@ -378,47 +453,76 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float,
         raise ShapeError(f"attention expects q (t, d), k (n, d), v (n, dv) with 0 < t <= n "
                          f"and d, dv divisible by n_heads={n_heads}, "
                          f"got {qd.shape}, {kd.shape}, {vd.shape}")
-    t = qd.shape[0]
-    offset = kd.shape[0] - t
+    t, n = qd.shape[0], kd.shape[0]
+    if segments is None or len(segments.ends) == 1:
+        spans = ((0, t, 0, 0, n),)
+    else:
+        spans = segments.spans
+        if spans[-1][1] != t or segments.ends[-1] != n:
+            raise ShapeError(f"attention: segments select {spans[-1][1]} query rows of "
+                             f"{segments.ends[-1]}, got q {qd.shape} and k {kd.shape}")
     scale = qd.dtype.type(scale)
-    masked = causal and t > 1
-    step = ATTN_BLOCK if masked else t
-    qh, kh, vh = _heads(qd, n_heads), _heads(kd, n_heads), _heads(vd, n_heads)
+    qh = _heads(qd, n_heads)
     out = np.empty((t, vd.shape[1]), dtype=np.result_type(qd, vd))
     out_h = _heads(out, n_heads)
-    blocks = []  # (r0, r1, keys seen, probabilities)
-    for r0 in range(0, t, step):
-        r1 = min(r0 + step, t)
-        m = offset + r1
-        p = qh[:, r0:r1] @ _swap_last(kh[:, :m])
-        p *= scale
-        if masked:
-            p[:, :, offset + r0:] += causal_mask(r1 - r0, p.dtype)
-        _softmax_inplace(p, -1)
-        np.matmul(p, vh[:, :m], out=out_h[:, r0:r1])
-        blocks.append((r0, r1, m, p))
+    blocks = []  # per sequence: (q0, q1, shared, k0, k1, [(r0, r1, keys seen, probabilities)])
+    for q0, q1, shared, k0, k1 in spans:
+        kh = _heads(_keys(kd, shared, k0, k1), n_heads)
+        vh = _heads(_keys(vd, shared, k0, k1), n_heads)
+        offset = kh.shape[1] - (q1 - q0)
+        masked = causal and q1 - q0 > 1
+        step = ATTN_BLOCK if masked else q1 - q0
+        seq = []
+        for r0 in range(q0, q1, step):
+            r1 = min(r0 + step, q1)
+            m = offset + r1 - q0
+            p = qh[:, r0:r1] @ _swap_last(kh[:, :m])
+            p *= scale
+            if masked:
+                p[:, :, offset + r0 - q0:] += causal_mask(r1 - r0, p.dtype)
+            _softmax_inplace(p, -1)
+            np.matmul(p, vh[:, :m], out=out_h[:, r0:r1])
+            seq.append((r0, r1, m, p))
+        blocks.append((q0, q1, shared, k0, k1, seq))
 
     def fn(g: np.ndarray) -> None:
         gh = _heads(g, n_heads)
         dq = np.empty(qd.shape, qd.dtype) if q.requires_grad else None
         dk = np.empty(kd.shape, kd.dtype) if k.requires_grad else None
         dv = np.empty(vd.shape, vd.dtype) if v.requires_grad else None
-        dqh, dkh, dvh = (None if dx is None else _heads(dx, n_heads) for dx in (dq, dk, dv))
-        # the last block sees every key, so walking backwards its write
-        # fills dk and dv whole and every earlier block adds into them
-        for r0, r1, m, p in reversed(blocks):
-            gb = gh[:, r0:r1]
-            add = r1 < t
-            if dvh is not None:
-                _matmul_into(dvh[:, :m], _swap_last(p), gb, add)
-            if dqh is None and dkh is None:
-                continue
-            d = _softmax_grad(gb @ _swap_last(vh[:, :m]), p, -1)
-            d *= scale
-            if dqh is not None:
-                np.matmul(d, kh[:, :m], out=dqh[:, r0:r1])
-            if dkh is not None:
-                _matmul_into(dkh[:, :m], _swap_last(d), qh[:, r0:r1], add)
+        dqh = None if dq is None else _heads(dq, n_heads)
+        for q0, q1, shared, k0, k1, seq in blocks:
+            # gathered again, not held from the forward: the tape keeps no
+            # per-sequence copy of the keys and values
+            kh = _heads(_keys(kd, shared, k0, k1), n_heads)
+            vh = _heads(_keys(vd, shared, k0, k1), n_heads)
+            # a sequence's own key rows are its alone; with a shared prefix
+            # it writes into buffers of its own and adds the prefix rows
+            # into those sequence 0 wrote
+            dks, dvs = (None if dx is None else
+                        np.empty((kh.shape[1], dx.shape[1]), dx.dtype) if shared else dx[k0:k1]
+                        for dx in (dk, dv))
+            dkh, dvh = (None if dx is None else _heads(dx, n_heads) for dx in (dks, dvs))
+            # the last block sees every key, so walking backwards its write
+            # fills dk and dv whole and every earlier block adds into them
+            for r0, r1, m, p in reversed(seq):
+                gb = gh[:, r0:r1]
+                add = r1 < q1
+                if dvh is not None:
+                    _matmul_into(dvh[:, :m], _swap_last(p), gb, add)
+                if dqh is None and dkh is None:
+                    continue
+                d = _softmax_grad(gb @ _swap_last(vh[:, :m]), p, -1)
+                d *= scale
+                if dqh is not None:
+                    np.matmul(d, kh[:, :m], out=dqh[:, r0:r1])
+                if dkh is not None:
+                    _matmul_into(dkh[:, :m], _swap_last(d), qh[:, r0:r1], add)
+            if shared:
+                for dx, dxs in ((dk, dks), (dv, dvs)):
+                    if dx is not None:
+                        dx[:shared] += dxs[:shared]
+                        dx[k0:k1] = dxs[shared:]
         for x, dx in ((q, dq), (k, dk), (v, dv)):
             if dx is not None:
                 _accumulate(x, dx, fresh=True)

@@ -1,8 +1,12 @@
 """The optimizer loop over instruction instances, plus the staged pipeline.
 
 Every batch pools the per-position negative log-likelihoods across its
-samples (each sample forwarded at its exact length; padding would be masked
-out of both loss and attention anyway, so skipping it is bit-equivalent).
+samples. The samples of one image, and all samples without one, form a
+group that runs as one packed forward: the prompt prefix they share (for
+text-only prompts of one language, the instruction template) is computed
+once, and each sample adds only its own rows, which attend over the
+prefix's keys and values. No row is padding, and the pooled loss and
+gradients equal those of forwarding each sample alone up to rounding.
 Determinism: all shuffling flows from the stage seed, and component digests
 are recorded before and after each stage so freezing is bit-checkable.
 """
@@ -56,6 +60,7 @@ class TrainLog:
 class _Sample:
     prompt_ids: np.ndarray
     response_ids: np.ndarray
+    image_id: str | None
     image: Tensor | None  # the frozen encoder's output, shared by samples of one image
     source_id: str
 
@@ -78,35 +83,60 @@ def _prepare_samples(model: MultimodalModel, dataset: Sequence[PromptInstance]) 
         samples.append(_Sample(
             prompt_ids=model.vocab.encode(inst.prompt),
             response_ids=model.vocab.encode(inst.response),
+            image_id=inst.image_id,
             image=None if inst.image_id is None else encoded[inst.image_id],
             source_id=inst.source_id,
         ))
     return samples
 
 
-def _batch_loss(model: MultimodalModel, batch: Sequence[_Sample]) -> tuple[Tensor, float]:
-    """Pooled mean NLL over all masked positions in the batch."""
+def _batch_loss(model: MultimodalModel, batch: Sequence[_Sample]) -> tuple[Tensor, int]:
+    """Summed NLL over all masked positions in the batch, and their count.
+
+    Samples are grouped by image id, in order of first appearance; a group
+    projects its image once and runs as one packed loss call.
+    """
+    groups: dict[str | None, list[_Sample]] = {}
+    for sample in batch:
+        groups.setdefault(sample.image_id, []).append(sample)
     weighted = None
     total_count = 0
-    for sample in batch:
-        visual = model.project(sample.image) if sample.image is not None else None
-        try:
-            assembled = model.assemble_sequence(sample.prompt_ids, visual, sample.response_ids)
-        except BudgetError as exc:
-            raise DataError(f"sample {sample.source_id!r}: {exc}") from exc
-        loss, count = model.loss(assembled)
+    for group in groups.values():
+        image = group[0].image
+        visual = model.project(image) if image is not None else None
+        assembled = []
+        for sample in group:
+            try:
+                assembled.append(
+                    model.assemble_sequence(sample.prompt_ids, visual, sample.response_ids))
+            except BudgetError as exc:
+                raise DataError(f"sample {sample.source_id!r}: {exc}") from exc
+        loss, count = model.loss(*assembled)
         term = loss * float(count)
         weighted = term if weighted is None else weighted + term
         total_count += count
-    return weighted * (1.0 / total_count), float(weighted.data) / total_count
+    return weighted, total_count
+
+
+# samples per packed batch when scoring a validation set: a group's (rows, 4d)
+# buffers grow with its size, and a whole set as one group falls out of cache
+_EVAL_BATCH = 8
+
+
+def _pooled_loss(model: MultimodalModel, samples: Sequence[_Sample]) -> float:
+    """Pooled mean NLL over samples, no gradients, in batches of _EVAL_BATCH."""
+    weighted, total = 0.0, 0
+    with no_grad():
+        for start in range(0, len(samples), _EVAL_BATCH):
+            summed, count = _batch_loss(model, samples[start: start + _EVAL_BATCH])
+            weighted += float(summed.data)
+            total += count
+    return weighted / total
 
 
 def validation_loss(model: MultimodalModel, dataset: Sequence[PromptInstance]) -> float:
     """Pooled mean NLL over a dataset, no gradients."""
-    samples = _prepare_samples(model, dataset)
-    with no_grad():
-        _, value = _batch_loss(model, samples)
-    return value
+    return _pooled_loss(model, _prepare_samples(model, dataset))
 
 
 def run_stage(model: MultimodalModel, dataset: Sequence[PromptInstance],
@@ -153,8 +183,9 @@ def _train_stage(model: MultimodalModel, dataset: Sequence[PromptInstance],
             batch = [samples[i] for i in order[start: start + cfg.batch_size]]
             # a diverging step is reported by the non-finite check below
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                loss, loss_value = _batch_loss(model, batch)
-                backward(loss)
+                summed, count = _batch_loss(model, batch)
+                backward(summed * (1.0 / count))
+            loss_value = float(summed.data) / count
             step += 1
             non_finite = None
             for name in trainable:
@@ -176,9 +207,8 @@ def _train_stage(model: MultimodalModel, dataset: Sequence[PromptInstance],
                 done = True
                 break
         if val_samples:
-            with no_grad():
-                _, val_loss = _batch_loss(model, val_samples)
-            log.val_losses.append({"epoch": epoch + 1, "val_loss": val_loss})
+            log.val_losses.append({"epoch": epoch + 1,
+                                   "val_loss": _pooled_loss(model, val_samples)})
         if done:
             break
 

@@ -10,7 +10,6 @@ from tinymmt.datapipe import (
     BoundingBox,
     DetectedObject,
     PromptInstance,
-    back_translation_augment,
     corpus_stats,
     iou,
     load_detections,
@@ -275,31 +274,6 @@ class TestMixSamples:
         corpora = [("a", list(range(10))), ("empty", [])]
         out = mix_samples(corpora, 10, seed=0)
         assert len(out) == 5  # min(cap, achievable)
-
-
-# ----------------------------------------------------------------------
-# back-translation
-
-class TestBackTranslation:
-    def test_doubles_the_corpus(self):
-        instances = make_instances(make_records(4, seed=1), "text_only")
-        out = back_translation_augment(instances)
-        assert len(out) == 8
-        assert out[:4] == instances
-
-    def test_reversed_response_is_original_english(self):
-        records = make_records(2, seed=2)
-        instances = make_instances(records, "text_only")
-        out = back_translation_augment(instances)
-        for rec, rev in zip(records, out[2:]):
-            assert rev.response == rec.english
-            assert rec.target_text in rev.prompt
-            assert rev.lang == "en"
-
-    def test_caption_rejected(self):
-        instances = make_instances(make_records(1, seed=3), "caption")
-        with pytest.raises(DataError):
-            back_translation_augment(instances)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,12 @@
 from dataclasses import replace
 
+import os
+
 import numpy as np
+import pytest
 
 from conftest import tape_sum
+from tinymmt.model import lora_attach
 from tinymmt.numerics import Tensor, grad_check, grad_check_params, no_grad
 from tinymmt.numerics.gradcheck import _rel_error
 from tinymmt.numerics.tensor import _accumulate, _make, concat
@@ -118,4 +122,29 @@ def test_full_model_loss_gradients_mask_from_mid_sequence(tiny_mm_setup):
 
     err = grad_check_params(head_loss, [head], h=1e-4,
                             rng=np.random.default_rng(5), coords_per_tensor=40)
+    assert err < 1e-3
+
+
+@pytest.mark.parametrize("mode", ["full", "lora"])
+def test_shared_prefix_group_loss_gradients(tiny_text_setup, mode):
+    # two text-only samples in one loss call: the template rows they share
+    # run once, and their nodes take both samples' gradients
+    model, instances = tiny_text_setup
+    if mode == "lora":
+        lora_attach(model, r=2, alpha=8.0)
+        rng = np.random.default_rng(6)
+        for adapter in model.lora_adapters.values():
+            adapter.B.data[...] = rng.normal(0.0, 0.05, size=adapter.B.shape)
+    pair = [(model.vocab.encode(inst.prompt), model.vocab.encode(inst.response))
+            for inst in instances[:2]]
+    assert len(os.path.commonprefix([inst.prompt for inst in instances[:2]])) >= 88
+
+    def loss_fn():
+        loss, _ = model.loss(*(model.assemble_sequence(p, None, r) for p, r in pair))
+        return loss
+
+    tensors = [model.params[name] for name in sorted(model.params.trainable)]
+    assert any(name.startswith("lora.") for name in model.params.trainable) == (mode == "lora")
+    err = grad_check_params(loss_fn, tensors, h=1e-4,
+                            rng=np.random.default_rng(7), coords_per_tensor=2)
     assert err < 1e-3

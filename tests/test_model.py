@@ -199,7 +199,8 @@ class TestForward:
         # and merged inside it), 1 gelu, 2 residual adds; the last block
         # adds 2 row slices (the query rows and the residual rows); around
         # the LM: 2 token embeddings, concat, position embedding and its
-        # add, ln_f, the tied head, the logits slice and the cross-entropy
+        # add, ln_f, the tied head and the cross-entropy (the last row's
+        # logits stay in it under a masked target, so no logits slice)
         def recorded_ops(loss):
             seen, stack, ops = {id(loss)}, [loss], 0
             while stack:
@@ -215,7 +216,7 @@ class TestForward:
         cfg = model.config
         prompt, response = model.vocab.encode("hello"), model.vocab.encode("world")
         text_only = recorded_ops(model.loss(model.assemble_sequence(prompt, None, response))[0])
-        assert text_only == 11 + 12 * cfg.n_layers_lm
+        assert text_only == 10 + 12 * cfg.n_layers_lm
         # vision: patch projection, position add, its blocks and ln_f; mlp2 adapter: 3
         vis = model.visual_tokens(synth_image("n", 12))
         grounded = recorded_ops(model.loss(model.assemble_sequence(prompt, vis, response))[0])

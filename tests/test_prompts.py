@@ -4,10 +4,10 @@ import pytest
 
 from tinymmt.datapipe import (
     BoundingBox,
+    PromptInstance,
     VgRecord,
     read_instances,
     render_prompt,
-    reverse_instance,
     write_instances,
 )
 from tinymmt.errors import DataError
@@ -96,7 +96,11 @@ class TestInstanceFiles:
         instances = [
             render_prompt(RECORD, "mmt", tag="cat"),
             render_prompt(RECORD, "text_only"),
-            reverse_instance(render_prompt(RECORD, "text_only")),
+            PromptInstance(task="text_only",
+                           prompt="Translate the following sentence from Hindi into English "
+                                  "language. Hindi sentence is: एक बिल्ली चटाई पर बैठी है.",
+                           response="a cat sits on the mat", lang="en",
+                           source_id="hi/train/im042#rev", image_id=None),
         ]
         path = tmp_path / "instances.jsonl"
         write_instances(path, instances)

@@ -1,0 +1,215 @@
+"""A batch's shared prompt prefix runs once per group of samples.
+
+Oracles: the pooled loss and every trainable gradient of the grouped path
+(`_batch_loss`, which groups by image and calls `MultimodalModel.loss` once
+per group) against forwarding each sample alone over every row.
+"""
+
+import dataclasses
+import os
+
+import numpy as np
+import pytest
+
+from tinymmt.errors import DataError
+from tinymmt.model import MultimodalModel, lora_attach
+from tinymmt.model.components import DecoderLM
+from tinymmt.model.config import ModelConfig
+from tinymmt.numerics import backward, cross_entropy_masked, no_grad
+from tinymmt.training import StageConfig, run_stage, validation_loss
+from tinymmt.training.loop import _batch_loss, _prepare_samples
+
+from conftest import build_model, make_instances, make_records
+
+
+def _reference_loss(model, samples):
+    """Each sample projected, assembled and forwarded alone, logits on every
+    row, the per-sample losses pooled by their counts."""
+    weighted, total = None, 0
+    for s in samples:
+        visual = model.project(s.image) if s.image is not None else None
+        asm = model.assemble_sequence(s.prompt_ids, visual, s.response_ids)
+        t = len(asm.ids)
+        ce = cross_entropy_masked(model.forward(asm)[: t - 1], asm.ids[1:], asm.loss_mask[1:])
+        count = int(asm.loss_mask[1:].sum())
+        term = ce * float(count)
+        weighted = term if weighted is None else weighted + term
+        total += count
+    return weighted * (1.0 / total)
+
+
+def _grouped_loss(model, samples):
+    summed, count = _batch_loss(model, samples)
+    return summed * (1.0 / count)
+
+
+def _loss_and_grads(model, samples, loss_fn):
+    for name in model.params.names():
+        model.params[name].grad = None
+    loss = loss_fn(model, samples)
+    backward(loss)
+    grads = {}
+    for name in sorted(model.params.trainable):
+        grad = model.params[name].grad
+        grads[name] = np.zeros_like(model.params[name].data) if grad is None else grad.copy()
+    return float(loss.data), grads
+
+
+def assert_matches_per_sample(model, instances, tol):
+    """Pooled loss within tol relative; each gradient entry within tol times
+    the largest reference entry (a per-tensor relative error is meaningless
+    for a gradient that is analytically zero, like attn.wk.bias's)."""
+    samples = _prepare_samples(model, instances)
+    loss, grads = _loss_and_grads(model, samples, _grouped_loss)
+    ref_loss, ref_grads = _loss_and_grads(model, samples, _reference_loss)
+    assert abs(loss - ref_loss) <= tol * abs(ref_loss)
+    assert grads.keys() == ref_grads.keys() and grads
+    largest = max(np.abs(g).max() for g in ref_grads.values())
+    assert largest > 0
+    for name, ref in ref_grads.items():
+        np.testing.assert_allclose(grads[name], ref, rtol=0, atol=tol * largest, err_msg=name)
+
+
+def _all_trainable(model):
+    model.params.set_trainable(frozenset(model.params.names()))
+    return model
+
+
+def _share_images(instances, ids):
+    return [dataclasses.replace(inst, image_id=i) for inst, i in zip(instances, ids)]
+
+
+def _loss_calls(monkeypatch):
+    """Record the number of sequences in each MultimodalModel.loss call."""
+    loss = MultimodalModel.loss
+    groups = []
+
+    def spy(self, *members):
+        groups.append(len(members))
+        return loss(self, *members)
+
+    monkeypatch.setattr(MultimodalModel, "loss", spy)
+    return groups
+
+
+def _text_batch(n=8, seed=5, **model_kw):
+    instances = make_instances(make_records(n, seed=seed), "text_only")
+    return build_model(instances, seed=3, c_total=256, **model_kw), instances
+
+
+class TestAgainstPerSample:
+    def test_text_only_batch_of_eight(self):
+        model, instances = _text_batch()
+        assert_matches_per_sample(_all_trainable(model), instances, 1e-12)
+
+    def test_mmt_batch_with_samples_sharing_an_image(self):
+        instances = make_instances(make_records(6, seed=6), "mmt")
+        instances = _share_images(instances, ["imgA", "imgB", "imgA", "imgC", "imgB", "imgA"])
+        model = build_model(instances, seed=4, c_total=512)
+        assert_matches_per_sample(_all_trainable(model), instances, 1e-12)
+
+    def test_mixed_caption_mmt_and_text_batch(self):
+        # caption and mmt of one record share its image and the box clause
+        records = make_records(3, seed=7)
+        instances = (make_instances(records, "caption") + make_instances(records, "mmt")
+                     + make_instances(records, "text_only"))
+        order = [0, 6, 3, 1, 7, 4, 8, 2, 5]
+        instances = [instances[i] for i in order]
+        model = build_model(instances, seed=5, c_total=512)
+        assert_matches_per_sample(_all_trainable(model), instances, 1e-12)
+
+    def test_single_sample(self):
+        model, instances = _text_batch(n=1)
+        assert_matches_per_sample(_all_trainable(model), instances, 1e-12)
+
+    def test_lora_with_non_zero_b(self):
+        model, instances = _text_batch()
+        lora_attach(model, r=2, alpha=8.0)
+        rng = np.random.default_rng(9)
+        for adapter in model.lora_adapters.values():
+            adapter.B.data[...] = rng.normal(0.0, 0.05, size=adapter.B.shape)
+        assert_matches_per_sample(_all_trainable(model), instances, 1e-12)
+
+    def test_float32(self):
+        model, instances = _text_batch(dtype="float32")
+        assert model.params["llm.tok_emb"].data.dtype == np.float32
+        assert_matches_per_sample(_all_trainable(model), instances, 1e-5)
+
+
+class TestRowsComputed:
+    def test_text_only_batch_of_eight_feeds_the_prefix_once(self, monkeypatch):
+        model, instances = _text_batch()
+        samples = _prepare_samples(model, instances)
+        # <bos>, <hum> and the 88 characters of the text-only template
+        prefix = 2 + len(os.path.commonprefix([inst.prompt for inst in instances]))
+        assert prefix == 90
+        lengths = [len(model.assemble_sequence(s.prompt_ids, None, s.response_ids).ids)
+                   for s in samples]
+        forward_embedded = DecoderLM.forward_embedded
+        fed = []
+
+        def counting(self, embeds, positions, cache=None, segments=None):
+            fed.append(embeds.shape[0])
+            return forward_embedded(self, embeds, positions, cache, segments)
+
+        monkeypatch.setattr(DecoderLM, "forward_embedded", counting)
+        _batch_loss(model, samples)
+        assert fed == [prefix + sum(n - prefix for n in lengths)]
+
+    def test_one_loss_call_per_image_group(self, monkeypatch):
+        instances = make_instances(make_records(5, seed=8), "mmt")
+        instances = _share_images(instances, ["a", "b", "a", "c", "b"])
+        instances += make_instances(make_records(2, seed=9), "text_only")
+        model = build_model(instances, seed=2, c_total=512)
+        groups = _loss_calls(monkeypatch)
+        _batch_loss(model, _prepare_samples(model, instances))
+        assert groups == [2, 2, 1, 2]  # a, b, c, then the text-only samples
+
+    def test_validation_loss_runs_grouped_and_matches_per_sample(self, monkeypatch):
+        model, instances = _text_batch(n=10)
+        samples = _prepare_samples(model, instances)
+        with no_grad():
+            ref = float(_reference_loss(model, samples).data)
+        groups = _loss_calls(monkeypatch)
+        value = validation_loss(model, instances)
+        assert groups == [8, 2]
+        assert value == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+class TestHardEdges:
+    def test_overflow_in_second_member_of_a_group_names_it(self):
+        instances = make_instances(make_records(3, seed=10), "text_only")
+        long = dataclasses.replace(instances[1], response=instances[1].response * 20,
+                                   source_id="hi/train/long")
+        instances = [instances[0], long, instances[2]]
+        model = build_model(instances, seed=1, c_total=512)
+        small = MultimodalModel(ModelConfig(vocab_size=len(model.vocab), c_total=160),
+                                model.vocab, seed=1)
+        for inst in (instances[0], instances[2]):
+            assert len(inst.prompt) + len(inst.response) + 4 <= 160
+        with pytest.raises(DataError, match="'hi/train/long'") as info:
+            run_stage(small, instances, StageConfig(stage=3, seed=1, max_steps=1,
+                                                    batch_size=3))
+        assert "context budget" in str(info.value)
+
+    def test_members_with_different_visual_rows_share_only_bos(self, monkeypatch):
+        # equal ids are not enough: <img> rows of two images differ in value
+        instances = make_instances(make_records(2, seed=11), "mmt")
+        model = build_model(instances, seed=6, c_total=512)
+        samples = _prepare_samples(model, instances)
+        fed = []
+        forward = MultimodalModel.forward
+
+        def spy(self, asm, cache=None, last=None):
+            fed.append(len(asm.ids))
+            return forward(self, asm, cache, last)
+
+        monkeypatch.setattr(MultimodalModel, "forward", spy)
+        with no_grad():
+            asms = [model.assemble_sequence(s.prompt_ids, model.project(s.image), s.response_ids)
+                    for s in samples]
+            grouped, count = model.loss(*asms)
+            singles = [model.loss(a) for a in asms]
+        assert fed[0] == len(asms[0].ids) + len(asms[1].ids) - 1
+        pooled = sum(float(ce.data) * n for ce, n in singles) / count
+        assert float(grouped.data) == pytest.approx(pooled, rel=1e-12, abs=0)

@@ -19,7 +19,7 @@ from tinymmt.numerics import (
     linear,
     no_grad,
 )
-from tinymmt.numerics.tensor import ATTN_BLOCK, causal_mask
+from tinymmt.numerics.tensor import ATTN_BLOCK, Segments, causal_mask
 
 
 class TestMatmul:
@@ -435,6 +435,18 @@ class TestAttention:
         with pytest.raises(ShapeError, match="n_heads=4"):
             attention(q, k, v, 4, 1.0, True)
 
+    def test_one_sequence_table_is_plain_attention(self):
+        rng = np.random.default_rng(16)
+        q, k, v = _qkv(rng, 2, 20, 90, 4)  # a cached prefix of 70 positions
+        g = rng.normal(size=(20, 8))
+        want = _attention_grads(q, k, v, 2, 0.5, True, g)
+        for x in (q, k, v):
+            x.grad = None
+        out = attention(q, k, v, 2, 0.5, True, Segments((20,), queries=(20,)))
+        backward(tape_sum(out * Tensor(g)))
+        for a, b in zip((out.data, q.grad, k.grad, v.grad), want):
+            assert np.array_equal(a, b)
+
     def test_causal_mask_only_covers_one_block(self):
         assert causal_mask(ATTN_BLOCK, np.float64).shape == (ATTN_BLOCK, ATTN_BLOCK)
         with pytest.raises(ValueError, match="causal_mask"):
@@ -570,3 +582,89 @@ def test_forward_backward_values_stay_finite():
     backward(loss)
     assert np.all(np.isfinite(out.data))
     assert np.all(np.isfinite(x.grad))
+
+
+# ----------------------------------------------------------------------
+# packed sequences sharing a prefix
+
+# sequence 0 is rows [0, 100); sequences 1 and 2 share its first 30 rows and
+# own rows [100, 150) and [150, 160); the last-block case queries only the
+# last rows of each
+PACKED = dict(ends=(100, 150, 160), prefix=30)
+LAST_ROWS = (7, 50, 1)
+
+
+def _per_sequence_grads(q, k, v, table, h, scale, g):
+    """Each sequence alone through one-sequence attention on copied rows, its
+    gradients added back into packed (rows, d) buffers."""
+    out = np.empty((q.shape[0], v.shape[1]))
+    dq, dk, dv = np.zeros(q.shape), np.zeros(k.shape), np.zeros(v.shape)
+    for q0, q1, shared, k0, k1 in table.spans:
+        rows = np.r_[0:shared, k0:k1]
+        parts = [Tensor(x.data[r].copy(), requires_grad=True)
+                 for x, r in ((q, slice(q0, q1)), (k, rows), (v, rows))]
+        o, gq, gk, gv = _attention_grads(*parts, h, scale, True, g[q0:q1])
+        out[q0:q1] = o
+        dq[q0:q1] += gq
+        dk[rows] += gk
+        dv[rows] += gv
+    return out, dq, dk, dv
+
+
+class TestPackedAttention:
+    @pytest.mark.parametrize("queries", [None, LAST_ROWS], ids=["every-row", "last-rows"])
+    def test_grad_check(self, queries):
+        table = Segments(**PACKED, queries=queries)
+        rng = np.random.default_rng(21)
+        t = table.spans[-1][1]
+        q, k, v = _qkv(rng, 2, t, 160, 3)
+        w = Tensor(rng.normal(size=(t, 6)))
+        loss = lambda: tape_sum(attention(q, k, v, 2, 0.6, True, table) * w)  # noqa: E731
+        assert grad_check_params(loss, [q, k, v], rng=np.random.default_rng(1),
+                                 coords_per_tensor=80) < 1e-6
+        assert np.all(k.grad[:30] != 0.0)  # every sequence reads the prefix keys
+
+    @pytest.mark.parametrize("queries", [None, LAST_ROWS], ids=["every-row", "last-rows"])
+    def test_matches_each_sequence_alone(self, queries):
+        table = Segments(**PACKED, queries=queries)
+        rng = np.random.default_rng(22)
+        t = table.spans[-1][1]
+        q, k, v = _qkv(rng, 4, t, 160, 4)
+        g = rng.normal(size=(t, 16))
+        want = _per_sequence_grads(q, k, v, table, 4, 0.5, g)
+        for x in (q, k, v):
+            x.grad = None
+        out = attention(q, k, v, 4, 0.5, True, table)
+        backward(tape_sum(out * Tensor(g)))
+        got = (out.data, q.grad, k.grad, v.grad)
+        for a, b in zip(got, want):
+            assert np.max(np.abs(a - b)) < 1e-13
+
+    def test_select_picks_the_query_rows(self):
+        x = Tensor(np.arange(160.0)[:, None], requires_grad=True)
+        picked = Segments(**PACKED, queries=LAST_ROWS).select(x)
+        rows = np.r_[93:100, 100:150, 159:160]
+        assert np.array_equal(picked.data[:, 0], rows)
+        backward(tape_sum(picked))
+        assert np.array_equal(np.flatnonzero(x.grad[:, 0]), rows)
+        assert Segments(**PACKED).select(x) is x
+        assert Segments(**PACKED).every_row() is not None
+        assert Segments((9,), queries=(3,)).every_row() is None
+
+    @pytest.mark.parametrize("ends, prefix, queries, match", [
+        ((), 0, None, "segments"),
+        ((10, 10), 2, None, "segments"),
+        ((10, 20), 11, None, "segments"),
+        ((10, 20), 2, (1,), "segments"),
+        ((10, 20), 2, (0, 3), "sequence 0: last"),
+        ((10, 20), 2, (3, 11), "sequence 1: last"),
+    ])
+    def test_bad_tables_rejected(self, ends, prefix, queries, match):
+        with pytest.raises(ShapeError, match=match):
+            Segments(ends, prefix, queries)
+
+    def test_rows_must_match_the_table(self):
+        rng = np.random.default_rng(23)
+        q, k, v = _qkv(rng, 2, 150, 150, 3)
+        with pytest.raises(ShapeError, match="segments"):
+            attention(q, k, v, 2, 1.0, True, Segments(**PACKED))
