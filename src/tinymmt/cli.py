@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import unicodedata
 from pathlib import Path
 
 from tinymmt.atomic import atomic_write, read_lines
@@ -195,6 +196,8 @@ def cmd_train(cfg: RunConfig, stages_filter: list[int] | None,
 # generate
 
 def cmd_generate(args) -> int:
+    if args.max_new_tokens is not None and args.max_new_tokens < 0:
+        raise ConfigError(f"--max-new-tokens must be >= 0, got {args.max_new_tokens}")
     model = load_checkpoint(args.checkpoint)
     input_path = Path(args.input)
     if not input_path.exists():
@@ -209,8 +212,9 @@ def cmd_generate(args) -> int:
         instances = [
             PromptInstance(
                 task="text_only",
-                prompt=TEXT_ONLY_TEMPLATE.format(
-                    src="English", tgt=LANG_NAMES[args.lang], sentence=line),
+                # NFC, as TSV ingestion normalizes every sentence
+                prompt=TEXT_ONLY_TEMPLATE.format(src="English", tgt=LANG_NAMES[args.lang],
+                                                 sentence=unicodedata.normalize("NFC", line)),
                 response="",
                 lang=args.lang,
                 source_id=f"stdin/{i}",

@@ -24,7 +24,7 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 
 
 def select_tag(record_box: BoundingBox, detections: Sequence[DetectedObject],
-               threshold: float = 0.1) -> str | None:
+               threshold: float) -> str | None:
     """Label of the detection with the highest IoU against record_box.
 
     Returns None when there are no detections or the best IoU falls below

@@ -109,7 +109,7 @@ def _nfc(text: str) -> str:
     return unicodedata.normalize("NFC", text)
 
 
-def parse_vg_tsv(path, lang: str, split: str, strict: bool = True) -> ParseResult:
+def parse_vg_tsv(path, lang: str, split: str, strict: bool) -> ParseResult:
     """Parse one TSV split. strict: abort on the first bad line; lenient:
     skip bad lines and report them (line numbers are 1-based)."""
     path = Path(path)

@@ -1,13 +1,6 @@
 from tinymmt.metrics.tokenizer import PUNCTUATION, tokenize
 from tinymmt.metrics.bleu import bleu, ngram_counts
-from tinymmt.metrics.ribes import (
-    DEFAULT_ALPHA,
-    DEFAULT_BETA,
-    align_words,
-    kendall_tau,
-    ribes,
-    sentence_ribes,
-)
+from tinymmt.metrics.ribes import align_words, kendall_tau, ribes, sentence_ribes
 from tinymmt.metrics.report import (
     MetricReport,
     TABLE_COLUMNS,
@@ -19,8 +12,6 @@ from tinymmt.metrics.report import (
 )
 
 __all__ = [
-    "DEFAULT_ALPHA",
-    "DEFAULT_BETA",
     "MetricReport",
     "PUNCTUATION",
     "TABLE_COLUMNS",

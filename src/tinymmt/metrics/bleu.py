@@ -18,6 +18,7 @@ from typing import Sequence
 
 from tinymmt.errors import DataError
 
+MAX_N = 4  # BLEU-4
 SMOOTH_EPS = 1e-9
 
 
@@ -26,21 +27,21 @@ def ngram_counts(tokens: Sequence[str], n: int) -> Counter:
 
 
 def bleu(hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]],
-         max_n: int = 4, smooth: bool = False) -> float:
+         smooth: bool = False) -> float:
     """Corpus BLEU in [0, 100] over tokenized sentence pairs."""
     if len(hyps) != len(refs):
         raise DataError(f"hypothesis/reference count mismatch: {len(hyps)} vs {len(refs)}")
     if not hyps:
         raise DataError("empty corpus")
 
-    matches = [0] * (max_n + 1)
-    totals = [0] * (max_n + 1)
+    matches = [0] * (MAX_N + 1)
+    totals = [0] * (MAX_N + 1)
     hyp_len = 0
     ref_len = 0
     for hyp, ref in zip(hyps, refs):
         hyp_len += len(hyp)
         ref_len += len(ref)
-        for n in range(1, max_n + 1):
+        for n in range(1, MAX_N + 1):
             hyp_counts = ngram_counts(hyp, n)
             if not hyp_counts:
                 continue
@@ -48,7 +49,7 @@ def bleu(hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]],
             totals[n] += sum(hyp_counts.values())
             matches[n] += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
 
-    orders = [n for n in range(1, max_n + 1) if totals[n] > 0]
+    orders = [n for n in range(1, MAX_N + 1) if totals[n] > 0]
     if not orders or hyp_len == 0:
         return 0.0
 

@@ -12,7 +12,7 @@ Unmatched tokens are skipped and each reference position is used at most
 once. The aligned reference positions, read in hypothesis order, give the
 rank list; the sentence score is
 
-    NKT * P^alpha * BP^beta
+    NKT * P^ALPHA * BP^BETA
 
 with NKT = (tau + 1) / 2 over the rank pairs, P = aligned / |hyp|, and
 BP = min(1, e^{1 - |ref|/|hyp|}). Fewer than two aligned tokens score 0.
@@ -27,8 +27,8 @@ from typing import Sequence
 
 from tinymmt.errors import DataError
 
-DEFAULT_ALPHA = 0.25
-DEFAULT_BETA = 0.10
+ALPHA = 0.25
+BETA = 0.10
 
 
 def align_words(hyp: Sequence[str], ref: Sequence[str]) -> list[tuple[int, int]]:
@@ -85,8 +85,7 @@ def kendall_tau(ranks: Sequence[int]) -> float:
     return 2.0 * concordant / total - 1.0
 
 
-def sentence_ribes(hyp: Sequence[str], ref: Sequence[str],
-                   alpha: float = DEFAULT_ALPHA, beta: float = DEFAULT_BETA) -> float:
+def sentence_ribes(hyp: Sequence[str], ref: Sequence[str]) -> float:
     if not hyp:
         return 0.0
     pairs = align_words(hyp, ref)
@@ -96,14 +95,13 @@ def sentence_ribes(hyp: Sequence[str], ref: Sequence[str],
     nkt = (kendall_tau(ranks) + 1.0) / 2.0
     precision = len(pairs) / len(hyp)
     bp = min(1.0, math.exp(1.0 - len(ref) / len(hyp)))
-    return nkt * precision ** alpha * bp ** beta
+    return nkt * precision ** ALPHA * bp ** BETA
 
 
-def ribes(hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]],
-          alpha: float = DEFAULT_ALPHA, beta: float = DEFAULT_BETA) -> float:
+def ribes(hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]]) -> float:
     """Mean sentence score over the corpus, in [0, 1]."""
     if len(hyps) != len(refs):
         raise DataError(f"hypothesis/reference count mismatch: {len(hyps)} vs {len(refs)}")
     if not hyps:
         raise DataError("empty corpus")
-    return sum(sentence_ribes(h, r, alpha, beta) for h, r in zip(hyps, refs)) / len(hyps)
+    return sum(sentence_ribes(h, r) for h, r in zip(hyps, refs)) / len(hyps)

@@ -29,14 +29,12 @@ INIT_STD = 0.02
 
 class Linear:
     def __init__(self, store: ParameterStore, name: str, d_in: int, d_out: int,
-                 rng: np.random.Generator, dtype, bias: bool = True):
+                 rng: np.random.Generator, dtype):
         self.weight = store.add(
             name + ".weight",
             Tensor(rng.normal(0.0, INIT_STD, size=(d_out, d_in)).astype(dtype)),
         )
-        self.bias = None
-        if bias:
-            self.bias = store.add(name + ".bias", Tensor(np.zeros(d_out, dtype=dtype)))
+        self.bias = store.add(name + ".bias", Tensor(np.zeros(d_out, dtype=dtype)))
         self.lora = None  # set by lora_attach
         store.linears[name + ".weight"] = self
 

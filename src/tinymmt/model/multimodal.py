@@ -108,9 +108,9 @@ class MultimodalModel:
         head = self.llm.embed_tokens(ids[: 1])
         tail = self.llm.embed_tokens(ids[1 + n_vis:])
         if has_image:
-            embeds = concat([head, visual_tokens, tail], axis=0)
+            embeds = concat([head, visual_tokens, tail])
         else:
-            embeds = concat([head, tail], axis=0)
+            embeds = concat([head, tail])
 
         loss_mask = np.zeros(total, dtype=bool)
         if append_eos:
@@ -204,27 +204,23 @@ class MultimodalModel:
                          loss_mask=np.zeros(1, dtype=bool),
                          positions=np.array([position], dtype=np.int64))
 
-    def generate(self, prompt_ids, image: np.ndarray | None = None,
-                 max_new_tokens: int | None = None) -> np.ndarray:
+    def generate(self, prompt_ids, image: np.ndarray | None,
+                 max_new_tokens: int) -> np.ndarray:
         """Greedy decoding; stops at <eos> or after max_new_tokens. Deterministic.
 
         The prefix is fed once, its keys and values cached per layer and
         only its last row of logits computed; each generated token is then
-        fed as one position. max_new_tokens=None decodes up to the rest of
-        the context (c_total minus the prefix); an explicit budget that does
-        not fit raises BudgetError.
+        fed as one position. A budget that does not fit in the context left
+        after the prefix (context_room) raises BudgetError.
         """
-        if max_new_tokens is not None and max_new_tokens < 0:
+        if max_new_tokens < 0:
             raise ValueError(f"max_new_tokens must be >= 0, got {max_new_tokens}")
         generated: list[int] = []
         with no_grad():
             visual = self.visual_tokens(image) if image is not None else None
             prefix = self._assemble(prompt_ids, visual, None, append_eos=False)
             n_prefix = len(prefix.ids)
-            room = self.config.c_total - n_prefix
-            if max_new_tokens is None:
-                max_new_tokens = room
-            elif max_new_tokens > room:
+            if max_new_tokens > self.config.c_total - n_prefix:
                 raise BudgetError(
                     f"prompt length {n_prefix} + max_new_tokens {max_new_tokens} "
                     f"exceeds context budget c_total={self.config.c_total}"

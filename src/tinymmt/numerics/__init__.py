@@ -14,7 +14,7 @@ from tinymmt.numerics.tensor import (
 )
 from tinymmt.numerics.params import ParameterStore
 from tinymmt.numerics.optim import AdamState, adam_step
-from tinymmt.numerics.gradcheck import grad_check, grad_check_params
+from tinymmt.numerics.gradcheck import grad_check_params
 
 __all__ = [
     "AdamState",
@@ -28,7 +28,6 @@ __all__ = [
     "cross_entropy_masked",
     "embedding",
     "gelu",
-    "grad_check",
     "grad_check_params",
     "layer_norm",
     "linear",

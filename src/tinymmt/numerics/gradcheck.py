@@ -21,16 +21,6 @@ def _rel_error(analytic: float, f_plus: float, f_minus: float, h: float, eps: fl
     return diff / max(abs(analytic), abs(numeric), 1e-8)
 
 
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-4) -> float:
-    """Max relative error between backward() and central differences on f at x.
-
-    f must be scalar-valued. See grad_check_params for how the error is
-    measured.
-    """
-    x.requires_grad = True
-    return grad_check_params(lambda: f(x), [x], h=h)
-
-
 def grad_check_params(
     loss_fn: Callable[[], Tensor],
     tensors: Sequence[Tensor],

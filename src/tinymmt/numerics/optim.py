@@ -6,6 +6,10 @@ import numpy as np
 
 from tinymmt.numerics.params import ParameterStore
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class AdamState:
     """Moment buffers for exactly the store's trainable set at creation time.
@@ -14,16 +18,10 @@ class AdamState:
     stage); adam_step refuses to run against a drifted set.
     """
 
-    def __init__(self, store: ParameterStore, lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, store: ParameterStore, lr: float):
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError(f"betas must be in [0, 1), got {beta1}, {beta2}")
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
         self.m = {name: np.zeros_like(store[name].data) for name in sorted(store.trainable)}
         self.v = {name: np.zeros_like(store[name].data) for name in sorted(store.trainable)}
@@ -41,8 +39,8 @@ def adam_step(store: ParameterStore, state: AdamState) -> None:
         )
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name in sorted(state.m):
         p = store[name]
         if p.grad is None:
@@ -50,10 +48,10 @@ def adam_step(store: ParameterStore, state: AdamState) -> None:
         g = p.grad
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
     for _, p in store.items():
         p.grad = None

@@ -23,13 +23,12 @@ class ParameterStore:
         # weight name -> the layer that applies it; each Linear adds itself
         self.linears: dict[str, object] = {}
 
-    def add(self, name: str, tensor: Tensor, trainable: bool = True) -> Tensor:
+    def add(self, name: str, tensor: Tensor) -> Tensor:
         if name in self._entries:
             raise ValueError(f"duplicate parameter name {name!r}")
         self._entries[name] = tensor
-        if trainable:
-            self._trainable.add(name)
-        tensor.requires_grad = trainable
+        self._trainable.add(name)
+        tensor.requires_grad = True
         return tensor
 
     def remove(self, name: str) -> None:
@@ -75,8 +74,8 @@ class ParameterStore:
     def components(self) -> list[str]:
         return sorted({name.split(".", 1)[0] for name in self._entries})
 
-    def digest(self, prefix: str = "") -> str:
-        """SHA-256 over (name, shape, dtype, raw bytes) of matching parameters."""
+    def digest(self, prefix: str) -> str:
+        """SHA-256 over (name, shape, dtype, raw bytes) of the parameters under prefix."""
         h = hashlib.sha256()
         for name, tensor in self.items():
             if not name.startswith(prefix):

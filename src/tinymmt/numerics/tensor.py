@@ -16,6 +16,7 @@ import numpy as np
 from tinymmt.errors import ShapeError
 
 DEFAULT_DTYPE = np.float64
+LAYER_NORM_EPS = 1e-5
 
 _GRAD_ENABLED = True
 
@@ -38,8 +39,8 @@ class no_grad:
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype.kind != "f":
             arr = arr.astype(DEFAULT_DTYPE)
         self.data: np.ndarray = arr
@@ -189,20 +190,19 @@ def _swap_last(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """The parts stacked along their first axis."""
     parts = [p if isinstance(p, Tensor) else Tensor(p) for p in parts]
     if not parts:
         raise ValueError("concat of an empty sequence")
-    out_data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
+    out_data = np.concatenate([p.data for p in parts])
+    sizes = [p.data.shape[0] for p in parts]
 
     def fn(g: np.ndarray) -> None:
         pos = 0
         for p, size in zip(parts, sizes):
             if p.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(pos, pos + size)
-                _accumulate(p, g[tuple(sl)])
+                _accumulate(p, g[pos:pos + size])
             pos += size
 
     return _make(out_data, tuple(parts), fn)
@@ -276,14 +276,14 @@ def _row_mean(a: np.ndarray, d: int) -> np.ndarray:
     return m
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift."""
     d = x.data.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeError(f"layer_norm scale/shift must have shape ({d},)")
     xhat = x.data - _row_mean(x.data, d)
     inv = _row_mean(xhat * xhat, d)
-    inv += eps
+    inv += LAYER_NORM_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
@@ -538,9 +538,9 @@ def _matmul_into(dst: np.ndarray, a: np.ndarray, b: np.ndarray, add: bool) -> No
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ wᵀ (+ b) as one tape node; w is (d_out, d_in) and b is (d_out,)."""
-    if x.data.ndim < 2 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[1]:
-        raise ShapeError(f"linear expects x (..., d_in) and w (d_out, d_in), "
+    """x @ wᵀ (+ b) as one tape node; x is (n, d_in), w (d_out, d_in) and b (d_out,)."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
+        raise ShapeError(f"linear expects x (n, d_in) and w (d_out, d_in), "
                          f"got {x.data.shape} and {w.data.shape}")
     out_data = x.data @ w.data.T
     if b is not None:
@@ -551,10 +551,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         if x.requires_grad:
             _accumulate(x, g @ w.data, fresh=True)
         if w.requires_grad:
-            dw_t = _unbroadcast(_swap_last(x.data) @ g, w.data.shape[::-1])
-            _accumulate(w, dw_t.T)
+            _accumulate(w, (x.data.T @ g).T)
         if b is not None and b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.data.shape))
+            _accumulate(b, g.sum(axis=0))
 
     return _make(out_data, parents, fn)
 

@@ -42,18 +42,38 @@ def decode_instances(model: MultimodalModel, dataset: Sequence[PromptInstance],
     return out
 
 
-def generate_hypotheses(model: MultimodalModel, dataset: Sequence[PromptInstance],
-                        max_new_tokens: int | None = None) -> list[str]:
+def generate_hypotheses(model: MultimodalModel, dataset: Sequence[PromptInstance]) -> list[str]:
     """Greedy hypotheses for each instance's prompt, decoded to text."""
     return [model.vocab.decode(ids, on_special="skip")
-            for ids, _ in decode_instances(model, dataset, max_new_tokens)]
+            for ids, _ in decode_instances(model, dataset)]
 
 
-def evaluate_bleu(model: MultimodalModel, dataset: Sequence[PromptInstance],
-                  smooth: bool = False) -> float:
+def evaluate_bleu(model: MultimodalModel, dataset: Sequence[PromptInstance]) -> float:
+    """Smoothed corpus BLEU of the greedy hypotheses against the references."""
     hyps = generate_hypotheses(model, dataset)
     return bleu([tokenize(h) for h in hyps],
-                [tokenize(inst.response) for inst in dataset], smooth=smooth)
+                [tokenize(inst.response) for inst in dataset], smooth=True)
+
+
+def _scorable(model: MultimodalModel, dataset: Sequence[PromptInstance]) -> list[PromptInstance]:
+    """The instances whose prompt fits c_total, which have a validation loss;
+    an instance whose prompt overflows scores an empty hypothesis. One whose
+    prompt fits but whose prompt, reference and <eos> together do not
+    raises DataError, as its validation loss would in every cell."""
+    c_total = model.config.c_total
+    fits = []
+    for inst in dataset:
+        room = model.context_room(model.vocab.encode(inst.prompt), inst.image_id is not None)
+        if room < 0:
+            continue
+        need = len(model.vocab.encode(inst.response)) + 1  # the reference and <eos>
+        if need > room:
+            raise DataError(f"sample {inst.source_id!r}: assembled sequence length "
+                            f"{c_total - room + need} exceeds context budget c_total={c_total}")
+        fits.append(inst)
+    if not fits:
+        raise DataError("no validation prompt fits the context budget")
+    return fits
 
 
 def hyperparameter_sweep(
@@ -70,14 +90,16 @@ def hyperparameter_sweep(
     Rows come back ranked by validation BLEU (descending, validation loss as
     the tiebreaker); a cell that fails while it trains or scores keeps its
     slot with an 'error' field instead of aborting the sweep. An invalid lr
-    or epochs value raises ConfigError before any cell trains. Every cell
-    starts from a clone of base_model and uses the stage's seed, so the
-    ranking is reproducible.
+    or epochs value raises ConfigError, and a validation set that no cell
+    could score raises DataError, before any cell trains. Every cell starts
+    from a clone of base_model and uses the stage's seed, so the ranking is
+    reproducible.
     """
     if not lrs or not epochs_list:
         raise DataError("sweep grid is empty")
     cells = [dataclasses.replace(stage, lr=lr, epochs=epochs)
              for lr in lrs for epochs in epochs_list]
+    fits = _scorable(base_model, val_dataset)
 
     rows: list[dict] = []
     for cfg in cells:
@@ -85,13 +107,7 @@ def hyperparameter_sweep(
         try:
             model = base_model.clone()
             run_stage(model, train_dataset, cfg)
-            # an instance whose prompt overflows c_total scores an empty
-            # hypothesis and has no loss
-            fits = [inst for inst in val_dataset if model.context_room(
-                model.vocab.encode(inst.prompt), inst.image_id is not None) >= 0]
-            if not fits:
-                raise DataError("no validation prompt fits the context budget")
-            row.update(bleu=evaluate_bleu(model, val_dataset, smooth=True),
+            row.update(bleu=evaluate_bleu(model, val_dataset),
                        val_loss=validation_loss(model, fits),
                        prompt_overflow=len(val_dataset) - len(fits))
         except Exception as exc:  # propagate per-cell, keep sweeping

@@ -226,7 +226,7 @@ def test_criterion_05_stage_skip_ablations(tmp_path):
             assert (tmp_path / name / f"stage{s}.log.jsonl").exists()
 
     # the 0-shot setting: evaluation straight after stage 2
-    zero_shot_bleu = evaluate_bleu(runs["zero_shot"], val, smooth=True)
+    zero_shot_bleu = evaluate_bleu(runs["zero_shot"], val)
     assert np.isfinite(zero_shot_bleu)
 
     provenances = [tuple(p["stage"] for p in runs[name].provenance)

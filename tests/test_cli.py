@@ -8,7 +8,7 @@ import pytest
 import tinymmt.cli as cli
 import tinymmt.training.sweep as sweep_module
 from tinymmt.cli import main
-from tinymmt.datapipe import read_instances
+from tinymmt.datapipe import read_instances, write_instances
 from tinymmt.model.vocab import SYS
 from tinymmt.training import evaluate_bleu, load_checkpoint, save_checkpoint, validation_loss
 
@@ -227,7 +227,7 @@ def assert_prepare_data_matches_a_per_record_reference(tmp_path, err, all_labels
 
     det_dir = tmp_path / detections if (tmp_path / detections).exists() else None
     for split in ("train", "valid", "test"):
-        records = parse_vg_tsv(tmp_path / f"hi_{split}.tsv", "hi", split).records
+        records = parse_vg_tsv(tmp_path / f"hi_{split}.tsv", "hi", split, strict=True).records
         untagged = 0
         for task in ("mmt", "text_only", "caption"):
             expected = []
@@ -530,7 +530,7 @@ def test_sweep_trains_the_config_stage3_as_train_does(fixture_tree, tmp_path, ca
     stage3 = load_checkpoint(run / "stage3.ckpt")
     val = read_instances(run / "instances" / "text_only.hi.valid.jsonl")
     assert cell["val_loss"] == validation_loss(stage3, val)
-    assert cell["bleu"] == evaluate_bleu(stage3, val, smooth=True)
+    assert cell["bleu"] == evaluate_bleu(stage3, val)
 
 
 @pytest.mark.parametrize("drop, path", [("stage3", "train.stages"), ("val", "train.val")])
@@ -567,6 +567,25 @@ def test_sweep_rejects_a_bad_grid_before_training(stage2_tree, monkeypatch, caps
     assert main(["sweep", "--config", str(stage2_tree / "config.json"),
                  "--checkpoint", "run/stage2.ckpt", *flags]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
+    assert trained == []
+    assert not (stage2_tree / "run" / "sweep.json").exists()
+
+
+def test_sweep_rejects_an_overlong_validation_reference_before_training(stage2_tree,
+                                                                       monkeypatch, capsys):
+    trained = []
+    monkeypatch.setattr(sweep_module, "run_stage", lambda *args, **kw: trained.append(args))
+    (inst,) = read_instances(stage2_tree / "run" / "instances" / "text_only.hi.valid.jsonl")[:1]
+    write_instances(stage2_tree / "long_val.jsonl",
+                    [dataclasses.replace(inst, response="\u0915" * 450, source_id="long-ref")])
+    raw = json.loads((stage2_tree / "config.json").read_text())
+    raw["train"]["val"] = ["long_val.jsonl"]
+    config = stage2_tree / "long_val_config.json"
+    config.write_text(json.dumps(raw))
+    assert main(["sweep", "--config", str(config), "--checkpoint", "run/stage2.ckpt",
+                 "--lrs", "1e-3", "--epochs", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "data error: sample 'long-ref': assembled sequence length" in err
     assert trained == []
     assert not (stage2_tree / "run" / "sweep.json").exists()
 
@@ -620,6 +639,30 @@ def test_raw_sentences_break_lines_where_evaluate_does(tmp_path, capsys):
     ref.write_text("लाल बिल्ली\nनीला कुत्ता\n", encoding="utf-8")
     assert main(["evaluate", "--hyp", str(hyp), "--ref", str(ref), "--lang", "hi"]) == 0
     assert json.loads(capsys.readouterr().out)["n_sentences"] == 2
+
+
+def test_raw_sentences_are_nfc_normalized_as_tsv_sentences_are(tmp_path, capsys):
+    # "café" composed (U+00E9) and decomposed (e + U+0301) is one sentence
+    ckpt = text_only_checkpoint(tmp_path / "m.ckpt", "\u00e9")
+    sentences = tmp_path / "s.txt"
+    sentences.write_text("red caf\u00e9\nred cafe\u0301\n", encoding="utf-8")
+    hyp = tmp_path / "h.txt"
+    assert main(["generate", "--checkpoint", str(ckpt), "--input", str(sentences),
+                 "--out", str(hyp), "--raw-sentences", "--lang", "hi",
+                 "--max-new-tokens", "4"]) == 0
+    composed, decomposed, end = hyp.read_text(encoding="utf-8").split("\n")
+    assert composed == decomposed and end == ""
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["tokens"] > 0
+
+
+def test_negative_decode_budget_is_a_config_error(tmp_path, capsys):
+    sentences = tmp_path / "s.txt"
+    sentences.write_text("red cat\n", encoding="utf-8")
+    assert main(["generate", "--checkpoint", str(text_only_checkpoint(tmp_path / "m.ckpt")),
+                 "--input", str(sentences), "--out", str(tmp_path / "h.txt"),
+                 "--raw-sentences", "--lang", "hi", "--max-new-tokens", "-1"]) == 2
+    assert "config error: --max-new-tokens must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "h.txt").exists()
 
 
 @pytest.mark.parametrize("target, code", [

@@ -41,7 +41,7 @@ def write_tsv(tmp_path, lines):
 class TestParseTsv:
     def test_good_file(self, tmp_path):
         path = write_tsv(tmp_path, [GOOD_LINE, "img2\t0\t0\t4\t4\ta dog\tकुत्ता"])
-        result = parse_vg_tsv(path, "hi", "train")
+        result = parse_vg_tsv(path, "hi", "train", strict=True)
         assert len(result.records) == 2
         rec = result.records[0]
         assert rec.image_id == "img1"
@@ -53,24 +53,24 @@ class TestParseTsv:
     def test_text_is_nfc_normalized(self, tmp_path):
         decomposed = "café"  # e + combining acute
         path = write_tsv(tmp_path, [f"img1\t0\t0\t4\t4\t{decomposed}\tकाफ़े"])
-        rec = parse_vg_tsv(path, "hi", "train").records[0]
+        rec = parse_vg_tsv(path, "hi", "train", strict=True).records[0]
         assert rec.english == unicodedata.normalize("NFC", decomposed)
         assert rec.english.endswith("café"[-1])
 
     def test_zero_width_box_rejected_with_line_number(self, tmp_path):
         path = write_tsv(tmp_path, [GOOD_LINE, "img2\t0\t0\t0\t4\tdog\tकुत्ता"])
         with pytest.raises(TsvParseError, match=":2:"):
-            parse_vg_tsv(path, "hi", "train")
+            parse_vg_tsv(path, "hi", "train", strict=True)
 
     def test_wrong_arity_reported(self, tmp_path):
         path = write_tsv(tmp_path, ["img1\t1\t2\t3\tcat"])
         with pytest.raises(TsvParseError, match="7 tab-separated"):
-            parse_vg_tsv(path, "hi", "train")
+            parse_vg_tsv(path, "hi", "train", strict=True)
 
     def test_non_numeric_box_field(self, tmp_path):
         path = write_tsv(tmp_path, ["img1\t5\tten\t20\t30\tcat\tबिल्ली"])
         with pytest.raises(TsvParseError, match="not an integer"):
-            parse_vg_tsv(path, "hi", "train")
+            parse_vg_tsv(path, "hi", "train", strict=True)
 
     def test_lenient_mode_skips_and_reports(self, tmp_path):
         path = write_tsv(tmp_path, [GOOD_LINE,
@@ -85,7 +85,7 @@ class TestParseTsv:
         # load_detections joins the id onto detections_dir
         path = write_tsv(tmp_path, [GOOD_LINE, f"{image_id}\t1\t1\t2\t2\tsun\tसूरज"])
         with pytest.raises(TsvParseError, match=":2: image_id must be a single path component"):
-            parse_vg_tsv(path, "hi", "train")
+            parse_vg_tsv(path, "hi", "train", strict=True)
         result = parse_vg_tsv(path, "hi", "train", strict=False)
         assert [rec.image_id for rec in result.records] == ["img1"]
         assert [(i.line_no, i.reason) for i in result.issues] == [
@@ -94,9 +94,9 @@ class TestParseTsv:
     def test_unknown_lang_or_split_rejected(self, tmp_path):
         path = write_tsv(tmp_path, [GOOD_LINE])
         with pytest.raises(DataError):
-            parse_vg_tsv(path, "fr", "train")
+            parse_vg_tsv(path, "fr", "train", strict=True)
         with pytest.raises(DataError):
-            parse_vg_tsv(path, "hi", "dev")
+            parse_vg_tsv(path, "hi", "dev", strict=True)
 
 
 # ----------------------------------------------------------------------

@@ -7,20 +7,20 @@ import pytest
 
 from conftest import tape_sum
 from tinymmt.model import lora_attach
-from tinymmt.numerics import Tensor, grad_check, grad_check_params, no_grad
+from tinymmt.numerics import Tensor, grad_check_params, no_grad
 from tinymmt.numerics.gradcheck import _rel_error
 from tinymmt.numerics.tensor import _accumulate, _make, concat
 
 
 def test_quadratic_is_tight():
     rng = np.random.default_rng(0)
-    x = Tensor(rng.normal(size=(3, 4)))
-    assert grad_check(lambda t: tape_sum(t * t), x, h=1e-4) < 1e-6
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    assert grad_check_params(lambda: tape_sum(x * x), [x]) < 1e-6
 
 
 def test_constant_function_near_zero_error():
-    x = Tensor(np.ones((2, 2)))
-    err = grad_check(lambda t: Tensor(np.float64(5.0), requires_grad=True) * 1.0, x, h=1e-4)
+    x = Tensor(np.ones((2, 2)), requires_grad=True)
+    err = grad_check_params(lambda: Tensor(np.float64(5.0), requires_grad=True) * 1.0, [x])
     assert err < 1e-12
 
 
@@ -34,7 +34,8 @@ def test_zero_exact_gradient_at_loss_near_four_passes():
     for x0 in np.linspace(0.1, 0.9, 9):
         f_plus, f_minus = float(f(Tensor([x0 + h])).data), float(f(Tensor([x0 - h])).data)
         numerics.append(abs(f_plus - f_minus) / (2 * h))
-        assert grad_check(f, Tensor([x0]), h=h) < 1e-3
+        x = Tensor([x0], requires_grad=True)
+        assert grad_check_params(lambda: f(x), [x], h=h) < 1e-3
     assert max(numerics) / 1e-8 > 1e-3  # the relative error alone would fail
 
 
@@ -61,10 +62,10 @@ def _square_with_grad_scaled(scale):
 
 
 def test_one_percent_wrong_backward_fails():
-    x = Tensor([[1.0, -0.5], [1.5, -0.5]])
+    x = Tensor([[1.0, -0.5], [1.5, -0.5]], requires_grad=True)
     assert 3.0 < float(_square_with_grad_scaled(1.0)(x).data) < 5.0
-    assert grad_check(_square_with_grad_scaled(1.0), x) < 1e-6
-    assert grad_check(_square_with_grad_scaled(1.01), x) > 1e-3
+    assert grad_check_params(lambda: _square_with_grad_scaled(1.0)(x), [x]) < 1e-6
+    assert grad_check_params(lambda: _square_with_grad_scaled(1.01)(x), [x]) > 1e-3
 
 
 def test_full_model_loss_gradients(tiny_mm_setup):

@@ -70,6 +70,13 @@ class TestBleu:
         smoothed = bleu(hyp, ref, smooth=True)
         assert smoothed > 0.0
 
+    def test_four_orders_hand_example(self):
+        # the last token differs: p1..p4 = 4/5, 3/4, 2/3, 1/2 and BP = 1, so
+        # BLEU-4 is 100 * 0.2^(1/4); BLEU-3 would be higher, BLEU-5 zero
+        hyp = [["a", "b", "c", "d", "e"]]
+        ref = [["a", "b", "c", "d", "f"]]
+        assert bleu(hyp, ref) == pytest.approx(100.0 * 0.2 ** 0.25, abs=1e-9)
+
     def test_clipped_unigram_precision_value(self):
         from tinymmt.metrics import ngram_counts
         hyp = ["the", "the", "the", "the"]

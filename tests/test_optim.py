@@ -34,6 +34,22 @@ def test_single_scalar_first_step_matches_hand_adam():
     assert abs(float(store["w"].data) - (-0.1)) < 1e-6
 
 
+def test_two_steps_match_hand_adam():
+    # beta1 0.9, beta2 0.999, eps 1e-8. Bias correction cancels both betas
+    # in the first step only, and gradients near 1e-8 put eps on the scale
+    # of sqrt(v) (the first step moves the second coordinate by lr / 2)
+    store = make_store({"w": [0.0, 0.0]})
+    state = AdamState(store, lr=0.1)
+    m = v = want = np.zeros(2)
+    for t, g in ((1, np.array([1.0, 1e-8])), (2, np.array([-0.5, 3e-8]))):
+        store["w"].grad = g.copy()
+        adam_step(store, state)
+        m = 0.9 * m + 0.1 * g
+        v = 0.999 * v + 0.001 * g * g
+        want = want - 0.1 * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
+    assert np.allclose(store["w"].data, want, rtol=1e-12, atol=0.0)
+
+
 def test_frozen_parameter_bit_identical_despite_gradient():
     store = make_store({"a.w": [1.0, -1.0], "b.w": [2.0, 3.0]}, trainable={"a.w"})
     state = AdamState(store, lr=0.5)

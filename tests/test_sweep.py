@@ -44,7 +44,7 @@ def test_single_cell_reduces_to_run_stage_plus_evaluate():
     manual = model.clone()
     run_stage(manual, train, StageConfig(stage=3, lr=1e-3, epochs=1, batch_size=2,
                                          seed=3, max_steps=2))
-    assert rows[0]["bleu"] == evaluate_bleu(manual, val, smooth=True)
+    assert rows[0]["bleu"] == evaluate_bleu(manual, val)
     assert rows[0]["error"] is None
 
 
@@ -80,6 +80,20 @@ def test_invalid_cell_rejected_before_any_cell_trains(monkeypatch, lrs, epochs, 
     monkeypatch.setattr(sweep, "run_stage", lambda *args, **kw: trained.append(args))
     with pytest.raises(ConfigError, match=bad):
         hyperparameter_sweep(model, train, val, STAGE, lrs=lrs, epochs_list=epochs)
+    assert trained == []
+
+
+def test_overlong_validation_reference_rejected_before_any_cell_trains(monkeypatch):
+    # the prompt fits, but prompt + reference + <eos> exceed c_total: every
+    # cell's validation loss would fail the same way
+    model, train, val = sweep_setup()
+    long = dataclasses.replace(val[0], response="\u0915" * 400, source_id="long-ref")
+    assert model.context_room(model.vocab.encode(long.prompt), has_image=False) >= 0
+    trained = []
+    monkeypatch.setattr(sweep, "run_stage", lambda *args, **kw: trained.append(args))
+    with pytest.raises(DataError, match="sample 'long-ref': assembled sequence length"):
+        hyperparameter_sweep(model, train, [val[1], long], STAGE, lrs=[1e-3, 1e-4],
+                             epochs_list=[1])
     assert trained == []
 
 

@@ -13,7 +13,6 @@ from tinymmt.numerics import (
     cross_entropy_masked,
     embedding,
     gelu,
-    grad_check,
     grad_check_params,
     layer_norm,
     linear,
@@ -181,7 +180,7 @@ class TestMiscOps:
     def test_concat_backward_splits(self):
         a = Tensor(np.ones((2, 3)), requires_grad=True)
         b = Tensor(np.ones((4, 3)), requires_grad=True)
-        out = concat([a, 2.0 * b], axis=0)
+        out = concat([a, 2.0 * b])
         backward(tape_sum(out))
         assert np.array_equal(a.grad, np.ones((2, 3)))
         assert np.array_equal(b.grad, 2 * np.ones((4, 3)))
@@ -249,8 +248,8 @@ def test_grad_check_per_op_ten_seeds(name):
     fn = GRAD_CASES[name]
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        x = Tensor(rng.normal(size=(4, 5)))
-        assert grad_check(fn, x, h=1e-4) < 1e-3
+        x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        assert grad_check_params(lambda: fn(x), [x]) < 1e-3
 
 
 def _qkv(rng, h, t, n, dh, dtype=np.float64, dv=None):
@@ -479,6 +478,10 @@ class TestLinear:
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
             linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+
+    def test_rows_must_be_a_matrix(self):
+        with pytest.raises(ShapeError, match=r"x \(n, d_in\).*\(2, 3, 4\)"):
+            linear(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((5, 4))))
 
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
