@@ -229,7 +229,7 @@ def cmd_generate(args) -> int:
             instances = [dataclasses.replace(inst, image_id=None) for inst in instances]
 
     decoded = decode_instances(model, instances, max_new_tokens=args.max_new_tokens)
-    hyps = [model.vocab.decode(ids, on_special="skip") for ids, _ in decoded]
+    hyps = [model.vocab.decode(ids) for ids, _ in decoded]
     if args.raw_sentences:  # a blank input line keeps its place as an empty hypothesis
         decoded_hyps = iter(hyps)
         hyps = [next(decoded_hyps) if line else "" for line in lines]

@@ -4,8 +4,9 @@ Sequence layout (token ids; <img> slots carry projected patch embeddings):
 
     <bos> [<img> x c_vis, image only] <hum> prompt <sys> response <eos>
 
-The loss mask is True exactly on the response tokens and the closing <eos>.
-Several sequences can run as one packed group (see MultimodalModel.loss).
+A sequence is its ids and its image's projected rows; the model derives its
+rows, positions and scored targets (the response and the closing <eos>).
+Sequences of one image, or of none, run as one packed group (see loss).
 """
 
 from __future__ import annotations
@@ -27,20 +28,15 @@ class Assembled:
     """One model-ready sequence."""
 
     ids: np.ndarray         # (T,) token ids, <img> at visual slots
-    embeds: Tensor          # (T, d_model)
-    loss_mask: np.ndarray   # (T,) bool
-    positions: np.ndarray   # (T,) contiguous position ids
+    visual: Tensor | None   # (c_vis, d_model) rows for positions 1..c_vis, or no image
 
 
 def _shared_rows(members, cap: int) -> int:
-    """How many leading rows, at most cap, every member has equal to the first's
-    in id, position and embedding."""
-    head = members[0]
+    """How many leading ids, at most cap, every member has equal to the first's."""
+    head = members[0].ids
     shared = cap
     for asm in members[1:]:
-        same = ((asm.ids[:shared] == head.ids[:shared])
-                & (asm.positions[:shared] == head.positions[:shared])
-                & (asm.embeds.data[:shared] == head.embeds.data[:shared]).all(axis=1))
+        same = asm.ids[:shared] == head[:shared]
         if not same.all():
             shared = int(np.argmin(same))
     return shared
@@ -78,59 +74,34 @@ class MultimodalModel:
     def _assemble(self, prompt_ids, visual_tokens, response_ids, append_eos: bool) -> Assembled:
         cfg = self.config
         prompt_ids = np.asarray(prompt_ids, dtype=np.int64)
-        response_ids = (
-            np.zeros(0, dtype=np.int64) if response_ids is None
-            else np.asarray(response_ids, dtype=np.int64)
-        )
+        response_ids = np.asarray([] if response_ids is None else response_ids, dtype=np.int64)
         has_image = visual_tokens is not None
         if has_image and visual_tokens.shape != (cfg.c_vis, cfg.d_model):
             raise ShapeError(
                 f"visual tokens must have shape ({cfg.c_vis}, {cfg.d_model}), "
                 f"got {visual_tokens.shape}"
             )
-        n_vis = cfg.c_vis if has_image else 0
-        total = 1 + n_vis + 1 + len(prompt_ids) + 1 + len(response_ids) + (1 if append_eos else 0)
-        if total > cfg.c_total:
-            raise BudgetError(
-                f"assembled sequence length {total} exceeds context budget c_total={cfg.c_total}"
-            )
-
         ids = np.concatenate([
             [BOS],
-            np.full(n_vis, IMG, dtype=np.int64),
+            np.full(cfg.c_vis if has_image else 0, IMG, dtype=np.int64),
             [HUM],
             prompt_ids,
             [SYS],
             response_ids,
             [EOS] if append_eos else np.zeros(0, dtype=np.int64),
         ]).astype(np.int64)
-
-        head = self.llm.embed_tokens(ids[: 1])
-        tail = self.llm.embed_tokens(ids[1 + n_vis:])
-        if has_image:
-            embeds = concat([head, visual_tokens, tail])
-        else:
-            embeds = concat([head, tail])
-
-        loss_mask = np.zeros(total, dtype=bool)
-        if append_eos:
-            resp_start = 1 + n_vis + 1 + len(prompt_ids) + 1
-            loss_mask[resp_start: resp_start + len(response_ids) + 1] = True
-
-        return Assembled(
-            ids=ids,
-            embeds=embeds,
-            loss_mask=loss_mask,
-            positions=np.arange(total, dtype=np.int64),
-        )
+        if len(ids) > cfg.c_total:
+            raise BudgetError(f"assembled sequence length {len(ids)} exceeds context budget "
+                              f"c_total={cfg.c_total}")
+        return Assembled(ids, visual_tokens)
 
     def assemble_sequence(self, prompt_ids, visual_tokens: Tensor | None = None,
                           response_ids=None) -> Assembled:
         """Merge prompt, optional visual tokens, and optional response.
 
-        With a response present, a closing <eos> is appended and the loss mask
-        covers the response plus that <eos> (so it sums to |response| + 1).
-        Overflowing c_total raises; nothing is ever silently truncated.
+        With a response present, a closing <eos> is appended, and the loss
+        scores the response plus that <eos>. Overflowing c_total raises;
+        nothing is ever silently truncated.
         """
         return self._assemble(prompt_ids, visual_tokens, response_ids,
                               append_eos=response_ids is not None)
@@ -143,51 +114,66 @@ class MultimodalModel:
         With `last`, only the last `last` rows of logits, (last, vocab_size).
         With a Segments table instead, `assembled` packs the table's
         sequences and only the rows its queries select get logits.
+
+        Positions 1..c_vis take the visual rows when the sequence has an
+        image and is fed from position 0; every other row is its id's token
+        row, an <img> id included. Feeding a grounded sequence from a
+        position inside 1..c_vis raises ShapeError.
         """
+        ids, visual = assembled.ids, assembled.visual
         if last is not None and not isinstance(last, Segments):
-            last = Segments((len(assembled.ids),), queries=(last,))
-        return self.llm.forward_embedded(assembled.embeds, assembled.positions, cache, last)
+            last = Segments((len(ids),), queries=(last,))
+        start = 0 if cache is None else cache[0].filled
+        positions = start + (np.arange(len(ids)) if last is None else last.positions())
+        n_vis = self.config.c_vis
+        if visual is None or start > n_vis:
+            rows = self.llm.embed_tokens(ids)
+        elif start == 0 and len(ids) > n_vis:
+            rows = concat([self.llm.embed_tokens(ids[:1]), visual,
+                           self.llm.embed_tokens(ids[1 + n_vis:])])
+        else:
+            raise ShapeError(f"a grounded sequence is fed from 0 through its image slots or "
+                             f"from past them, got rows [{start}, {start + len(ids)})")
+        return self.llm.forward_embedded(rows, positions, cache, last)
 
     def loss(self, *members: Assembled) -> tuple[Tensor, int]:
-        """Next-token loss over the masked positions of one or more sequences,
-        pooled. Returns (scalar mean, n_masked).
+        """Next-token loss over the response and closing <eos> of one or more
+        sequences, pooled. Returns (scalar mean, n_scored).
 
-        The sequences run as one packed group. The longest prefix of rows
-        they all share (ids, positions and embeddings), up to the first row
-        any of them scores, runs once; each sequence then runs only its own
-        rows, which attend over the prefix's keys and values, and the
-        prefix's nodes receive every sequence's gradient. Rows equal in
-        value must be the same function of the parameters, as token rows
-        and the visual rows of one projected image are. Logits are computed
-        from each sequence's first scored row on; the rows before it are
-        scored by no target. One sequence is a group with no shared prefix.
+        Every sequence must end in <eos>; the targets after its <sys> are
+        scored. The sequences share one visual (the same projected image, or
+        none) and run as one packed group: the longest prefix of ids they
+        all share, up to the first row any of them scores, is embedded and
+        run once; each sequence then runs only its own rows, which attend
+        over the prefix's keys and values, and the prefix's nodes receive
+        every sequence's gradient. Logits are computed from each sequence's
+        <sys> row on. One sequence is a group with no shared prefix.
         """
+        head, rest = members[0], members[1:]
+        if any(asm.visual is not head.visual for asm in rest):
+            raise ValueError("loss: the sequences of one group must share one visual, "
+                             "the same projected image or none")
         firsts = []
         for asm in members:
-            shifted = asm.loss_mask[1:]
-            if not shifted.any():
-                raise ValueError("loss: a sequence's mask selects no positions; "
-                                 "the mean is undefined")
-            firsts.append(int(np.argmax(shifted)))
-        head, rest = members[0], members[1:]
+            sys_at = np.flatnonzero(asm.ids == SYS)
+            if asm.ids[-1] != EOS or not sys_at.size:
+                raise ValueError("loss: a sequence without a response and <eos> "
+                                 "scores no positions; the mean is undefined")
+            firsts.append(int(sys_at[0]))
         prefix = _shared_rows(members, min(firsts)) if rest else 0
-        packed = head if not rest else Assembled(
-            ids=np.concatenate([head.ids] + [a.ids[prefix:] for a in rest]),
-            embeds=concat([head.embeds] + [a.embeds[prefix:] for a in rest]),
-            loss_mask=np.concatenate([head.loss_mask] + [a.loss_mask[prefix:] for a in rest]),
-            positions=np.concatenate([head.positions] + [a.positions[prefix:] for a in rest]),
-        )
+        packed = Assembled(np.concatenate([head.ids] + [a.ids[prefix:] for a in rest]),
+                           head.visual)
         lengths = [len(a.ids) for a in members]
         ends = np.cumsum([lengths[0]] + [n - prefix for n in lengths[1:]])
-        table = Segments(ends, prefix, [n - first for n, first in zip(lengths, firsts)])
-        logits = self.forward(packed, None, table)
+        queries = [n - first for n, first in zip(lengths, firsts)]
+        logits = self.forward(packed, None, Segments(ends, prefix, queries))
         # each sequence's last row predicts nothing: a masked placeholder target
         targets = np.concatenate([np.append(a.ids[first + 1:], 0)
                                   for a, first in zip(members, firsts)])
-        mask = np.concatenate([np.append(a.loss_mask[first + 1:], False)
-                               for a, first in zip(members, firsts)])
+        mask = np.ones(len(targets), dtype=bool)
+        mask[np.cumsum(queries) - 1] = False
         ce = cross_entropy_masked(logits, targets, mask)
-        return ce, int(mask.sum())
+        return ce, len(targets) - len(members)
 
     # ------------------------------------------------------------------
     # inference
@@ -196,13 +182,6 @@ class MultimodalModel:
         """Positions left in c_total after the prompt's prefix; negative if it overflows."""
         n_vis = self.config.c_vis if has_image else 0
         return self.config.c_total - (3 + n_vis + len(prompt_ids))
-
-    def _next_step(self, token: int, position: int) -> Assembled:
-        """The one-position sequence that feeds a generated token back in."""
-        ids = np.array([token], dtype=np.int64)
-        return Assembled(ids=ids, embeds=self.llm.embed_tokens(ids),
-                         loss_mask=np.zeros(1, dtype=bool),
-                         positions=np.array([position], dtype=np.int64))
 
     def generate(self, prompt_ids, image: np.ndarray | None,
                  max_new_tokens: int) -> np.ndarray:
@@ -236,8 +215,7 @@ class MultimodalModel:
                 generated.append(next_id)
                 if len(generated) == max_new_tokens:
                     break
-                step = self._next_step(next_id, n_prefix + len(generated) - 1)
-                logits = self.forward(step, cache)
+                logits = self.forward(Assembled(np.array([next_id]), None), cache)
         return np.array(generated, dtype=np.int64)
 
     # ------------------------------------------------------------------

@@ -14,9 +14,8 @@ import numpy as np
 
 from tinymmt.errors import VocabularyError
 
-PAD, BOS, EOS, IMG, HUM, SYS = range(6)
-SPECIAL_NAMES = ("<pad>", "<bos>", "<eos>", "<img>", "<hum>", "<sys>")
-N_SPECIALS = len(SPECIAL_NAMES)
+N_SPECIALS = 6
+PAD, BOS, EOS, IMG, HUM, SYS = range(N_SPECIALS)  # <pad> <bos> <eos> <img> <hum> <sys>
 
 
 class Vocabulary:
@@ -52,19 +51,16 @@ class Vocabulary:
             )
         return np.array([self._to_id[ch] for ch in text], dtype=np.int64)
 
-    def decode(self, ids, on_special: str = "error") -> str:
-        """Inverse of encode. on_special: 'error' rejects control ids,
-        'skip' drops them (useful on raw generated sequences)."""
+    def decode(self, ids) -> str:
+        """Inverse of encode; control ids, as a raw generated sequence may
+        hold, are dropped."""
         out: list[str] = []
         for i in np.asarray(ids, dtype=np.int64):
             i = int(i)
             if i < 0 or i >= len(self):
                 raise VocabularyError(f"token id {i} out of range [0, {len(self)})")
-            if i < N_SPECIALS:
-                if on_special == "skip":
-                    continue
-                raise VocabularyError(f"cannot decode control token {SPECIAL_NAMES[i]}")
-            out.append(self.symbols[i - N_SPECIALS])
+            if i >= N_SPECIALS:
+                out.append(self.symbols[i - N_SPECIALS])
         return "".join(out)
 
     def to_dict(self) -> dict:

@@ -224,7 +224,7 @@ def embedding(table: Tensor, ids) -> Tensor:
         if table.requires_grad:
             if table.grad is None:
                 table.grad = np.zeros_like(table.data)
-            if np.unique(ids).size == ids.size:
+            if _selects_once(ids):
                 table.grad[ids] += g  # each row gathered once, e.g. positions
             else:
                 np.add.at(table.grad, ids, g)
@@ -407,6 +407,13 @@ class Segments:
         else:
             self.index = np.concatenate([np.arange(end - t, end)
                                          for end, t in zip(ends, queries)])
+
+    def positions(self) -> np.ndarray:
+        """Each packed row's position in its own sequence: a later sequence's
+        own rows go on from the shared prefix."""
+        return np.concatenate([np.arange(self.ends[0])] + [
+            np.arange(self.prefix, self.prefix + end - start)
+            for start, end in zip(self.ends, self.ends[1:])])
 
     def select(self, x: Tensor) -> Tensor:
         """The rows of the packed x that query, in order."""

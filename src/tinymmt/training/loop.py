@@ -24,9 +24,10 @@ import numpy as np
 from tinymmt.atomic import atomic_write
 from tinymmt.datapipe.images import make_synth_loader
 from tinymmt.datapipe.records import PromptInstance
-from tinymmt.errors import BudgetError, ConfigError, DataError, TinymmtError
+from tinymmt.errors import BudgetError, ConfigError, DataError, TinymmtError, VocabularyError
 from tinymmt.model.lora import lora_attach
 from tinymmt.model.multimodal import MultimodalModel
+from tinymmt.model.vocab import Vocabulary
 from tinymmt.numerics.optim import AdamState, adam_step
 from tinymmt.numerics.tensor import Tensor, backward, no_grad
 from tinymmt.training.stages import StageConfig, freeze_plan
@@ -65,6 +66,15 @@ class _Sample:
     source_id: str
 
 
+def encode_text(vocab: Vocabulary, text: str, source_id: str) -> np.ndarray:
+    """The ids of one instance's text; a character outside the vocabulary
+    raises VocabularyError naming the instance."""
+    try:
+        return vocab.encode(text)
+    except VocabularyError as exc:
+        raise VocabularyError(f"instance {source_id!r}: {exc}") from exc
+
+
 def _prepare_samples(model: MultimodalModel, dataset: Sequence[PromptInstance]) -> list[_Sample]:
     """Encode each instance, running the vision encoder once per distinct image.
 
@@ -81,8 +91,8 @@ def _prepare_samples(model: MultimodalModel, dataset: Sequence[PromptInstance]) 
             with no_grad():
                 encoded[inst.image_id] = model.encode_image(load_image(inst.image_id))
         samples.append(_Sample(
-            prompt_ids=model.vocab.encode(inst.prompt),
-            response_ids=model.vocab.encode(inst.response),
+            prompt_ids=encode_text(model.vocab, inst.prompt, inst.source_id),
+            response_ids=encode_text(model.vocab, inst.response, inst.source_id),
             image_id=inst.image_id,
             image=None if inst.image_id is None else encoded[inst.image_id],
             source_id=inst.source_id,
@@ -91,7 +101,7 @@ def _prepare_samples(model: MultimodalModel, dataset: Sequence[PromptInstance]) 
 
 
 def _batch_loss(model: MultimodalModel, batch: Sequence[_Sample]) -> tuple[Tensor, int]:
-    """Summed NLL over all masked positions in the batch, and their count.
+    """Summed NLL over all scored positions in the batch, and their count.
 
     Samples are grouped by image id, in order of first appearance; a group
     projects its image once and runs as one packed loss call.

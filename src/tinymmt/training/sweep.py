@@ -13,7 +13,7 @@ from tinymmt.errors import DataError
 from tinymmt.metrics.bleu import bleu
 from tinymmt.metrics.tokenizer import tokenize
 from tinymmt.model.multimodal import MultimodalModel
-from tinymmt.training.loop import run_stage, validation_loss
+from tinymmt.training.loop import encode_text, run_stage, validation_loss
 from tinymmt.training.stages import StageConfig
 
 
@@ -30,7 +30,7 @@ def decode_instances(model: MultimodalModel, dataset: Sequence[PromptInstance],
     load_image = make_synth_loader(model.config.image_size)
     out: list[tuple[np.ndarray, int | None]] = []
     for inst in dataset:
-        prompt = model.vocab.encode(inst.prompt)
+        prompt = encode_text(model.vocab, inst.prompt, inst.source_id)
         budget = model.context_room(prompt, inst.image_id is not None)
         if budget < 0:
             out.append((np.zeros(0, dtype=np.int64), None))
@@ -44,8 +44,7 @@ def decode_instances(model: MultimodalModel, dataset: Sequence[PromptInstance],
 
 def generate_hypotheses(model: MultimodalModel, dataset: Sequence[PromptInstance]) -> list[str]:
     """Greedy hypotheses for each instance's prompt, decoded to text."""
-    return [model.vocab.decode(ids, on_special="skip")
-            for ids, _ in decode_instances(model, dataset)]
+    return [model.vocab.decode(ids) for ids, _ in decode_instances(model, dataset)]
 
 
 def evaluate_bleu(model: MultimodalModel, dataset: Sequence[PromptInstance]) -> float:
@@ -63,10 +62,11 @@ def _scorable(model: MultimodalModel, dataset: Sequence[PromptInstance]) -> list
     c_total = model.config.c_total
     fits = []
     for inst in dataset:
-        room = model.context_room(model.vocab.encode(inst.prompt), inst.image_id is not None)
+        prompt = encode_text(model.vocab, inst.prompt, inst.source_id)
+        room = model.context_room(prompt, inst.image_id is not None)
         if room < 0:
             continue
-        need = len(model.vocab.encode(inst.response)) + 1  # the reference and <eos>
+        need = len(encode_text(model.vocab, inst.response, inst.source_id)) + 1  # and <eos>
         if need > room:
             raise DataError(f"sample {inst.source_id!r}: assembled sequence length "
                             f"{c_total - room + need} exceeds context budget c_total={c_total}")

@@ -1,6 +1,13 @@
-import unicodedata
+import os
 
-import numpy as np
+# one BLAS thread, set before numpy loads: the time-bound tests then measure
+# the code, not contention between BLAS threads and whatever else is running
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import unicodedata  # noqa: E402
+
+import numpy as np  # noqa: E402
 import pytest
 
 from tinymmt.datapipe import BoundingBox, VgRecord, render_prompt

@@ -655,6 +655,27 @@ def test_raw_sentences_are_nfc_normalized_as_tsv_sentences_are(tmp_path, capsys)
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["tokens"] > 0
 
 
+@pytest.mark.parametrize("raw", [True, False], ids=["raw-sentences", "jsonl"])
+def test_generate_oov_error_names_the_instance(tmp_path, capsys, raw):
+    ckpt = text_only_checkpoint(tmp_path / "m.ckpt")
+    if raw:
+        source = tmp_path / "s.txt"
+        source.write_text("red cat\nred \u03a9 cat\n", encoding="utf-8")
+        named, flags = "'stdin/1'", ["--raw-sentences", "--lang", "hi"]
+    else:
+        instances = make_instances(make_records(2, seed=1), "text_only")
+        instances[1] = dataclasses.replace(instances[1], prompt=instances[1].prompt + "\u03a9")
+        source = tmp_path / "s.jsonl"
+        write_instances(source, instances)
+        named, flags = repr(instances[1].source_id), []
+    hyp = tmp_path / "h.txt"
+    assert main(["generate", "--checkpoint", str(ckpt), "--input", str(source),
+                 "--out", str(hyp), "--max-new-tokens", "2", *flags]) == 3
+    err = capsys.readouterr().err
+    assert named in err and "'\u03a9'" in err
+    assert not hyp.exists()
+
+
 def test_negative_decode_budget_is_a_config_error(tmp_path, capsys):
     sentences = tmp_path / "s.txt"
     sentences.write_text("red cat\n", encoding="utf-8")

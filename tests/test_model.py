@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,7 @@ from tinymmt.model import (
 )
 from tinymmt.model.components import DecoderLM
 from tinymmt.model.vocab import BOS, EOS, HUM, IMG, SYS
-from tinymmt.numerics import Tensor, no_grad
+from tinymmt.numerics import no_grad
 from tinymmt.numerics.tensor import ATTN_BLOCK, _CAUSAL_MASKS, backward, cross_entropy_masked
 
 from conftest import build_model, make_instances, make_records
@@ -130,8 +128,7 @@ class TestAssemble:
         assert asm.ids[1 + c_vis] == HUM
         assert asm.ids[1 + c_vis + 1 + 5] == SYS
         assert asm.ids[-1] == EOS
-        assert asm.embeds.shape == (len(asm.ids), 64)
-        assert np.array_equal(asm.positions, np.arange(len(asm.ids)))
+        assert asm.visual is vis
 
     def test_layout_without_image(self):
         model = small_model()
@@ -146,15 +143,23 @@ class TestAssemble:
         model = small_model()
         resp = model.vocab.encode("world")
         asm = model.assemble_sequence(model.vocab.encode("hello"), None, resp)
-        assert asm.loss_mask.sum() == len(resp) + 1
-        assert asm.loss_mask[-1]  # closing <eos>
-        assert not asm.loss_mask[: -(len(resp) + 1)].any()
+        with no_grad():
+            loss, count = model.loss(asm)
+            logits = model.forward(asm).data
+        assert count == len(resp) + 1
+        # the rows from <sys> on predict the response and the closing <eos>
+        rows = logits[-(len(resp) + 2):-1]
+        log_z = np.log(np.exp(rows - rows.max(axis=1, keepdims=True)).sum(axis=1)) \
+            + rows.max(axis=1)
+        nll = log_z - rows[np.arange(len(resp) + 1), np.append(resp, EOS)]
+        assert float(loss.data) == pytest.approx(nll.mean(), rel=1e-12)
 
     def test_prompt_only_has_no_mask_and_no_eos(self):
         model = small_model()
         asm = model.assemble_sequence(model.vocab.encode("hello"))
-        assert asm.loss_mask.sum() == 0
         assert asm.ids[-1] == SYS
+        with pytest.raises(ValueError, match="no positions"):
+            model.loss(asm)
 
     def test_overflow_is_an_error_not_a_truncation(self):
         model = small_model(c_total=32)
@@ -198,9 +203,9 @@ class TestForward:
         # per block: 2 layer norms, 6 linear nodes, 1 attention (heads split
         # and merged inside it), 1 gelu, 2 residual adds; the last block
         # adds 2 row slices (the query rows and the residual rows); around
-        # the LM: 2 token embeddings, concat, position embedding and its
-        # add, ln_f, the tied head and the cross-entropy (the last row's
-        # logits stay in it under a masked target, so no logits slice)
+        # the LM: the token embedding, position embedding and its add,
+        # ln_f, the tied head and the cross-entropy (the last row's logits
+        # stay in it under a masked target, so no logits slice)
         def recorded_ops(loss):
             seen, stack, ops = {id(loss)}, [loss], 0
             while stack:
@@ -216,11 +221,13 @@ class TestForward:
         cfg = model.config
         prompt, response = model.vocab.encode("hello"), model.vocab.encode("world")
         text_only = recorded_ops(model.loss(model.assemble_sequence(prompt, None, response))[0])
-        assert text_only == 10 + 12 * cfg.n_layers_lm
-        # vision: patch projection, position add, its blocks and ln_f; mlp2 adapter: 3
+        assert text_only == 8 + 12 * cfg.n_layers_lm
+        # the token rows around the visual rows: one more embedding and a
+        # concat; vision: patch projection, position add, its blocks and
+        # ln_f; mlp2 adapter: 3
         vis = model.visual_tokens(synth_image("n", 12))
         grounded = recorded_ops(model.loss(model.assemble_sequence(prompt, vis, response))[0])
-        assert grounded == text_only + 3 + 12 * cfg.n_layers_vis + 3
+        assert grounded == text_only + 2 + 3 + 12 * cfg.n_layers_vis + 3
 
     def test_shape_and_determinism(self):
         model = small_model()
@@ -335,9 +342,10 @@ class TestCachedDecoding:
             assert np.array_equal(cached, model.forward(prefix).data)
         assert all(layer.filled == len(prefix.ids) for layer in cache)
 
-    @pytest.mark.parametrize("split", [1, 5, 13])
+    @pytest.mark.parametrize("split", [10, 11, 13])
     def test_chunked_feed_matches_one_forward(self, split):
-        # rows fed after the first chunk stay causal among themselves
+        # rows fed after the first chunk stay causal among themselves; the
+        # first chunk holds <bos> and the c_vis = 9 image slots
         model = small_model()
         full = model.assemble_sequence(model.vocab.encode("hello abc"),
                                        model.visual_tokens(synth_image("c", 12)),
@@ -345,11 +353,43 @@ class TestCachedDecoding:
         with no_grad():
             expected = model.forward(full).data
             cache = model.llm.new_cache(len(full.ids))
-            parts = [model.forward(Assembled(full.ids[rows], Tensor(full.embeds.data[rows]),
-                                             full.loss_mask[rows], full.positions[rows]),
-                                   cache).data
+            parts = [model.forward(Assembled(full.ids[rows], full.visual), cache).data
                      for rows in (slice(0, split), slice(split, None))]
         np.testing.assert_allclose(np.concatenate(parts), expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("split", [1, 5, 9])
+    def test_feeding_from_inside_the_image_slots_is_rejected(self, split):
+        # a chunk that stops short of the last image slot, or one that starts
+        # inside them after a text-only first chunk
+        model = small_model()
+        full = model.assemble_sequence(model.vocab.encode("hello abc"),
+                                       model.visual_tokens(synth_image("c", 12)))
+        with no_grad():
+            with pytest.raises(ShapeError, match="image slots"):
+                model.forward(Assembled(full.ids[:split], full.visual))
+            cache = model.llm.new_cache(len(full.ids))
+            model.forward(Assembled(full.ids[:split], None), cache)
+            with pytest.raises(ShapeError, match="image slots"):
+                model.forward(Assembled(full.ids[split:], full.visual), cache)
+
+    @pytest.mark.parametrize("dtype, tol", [("float64", 1e-12), ("float32", 1e-6)])
+    def test_a_generated_img_id_is_a_token_row(self, dtype, tol):
+        # the <img> slots are positions 1..c_vis; an <img> id an untrained
+        # model emits after the prompt embeds as its token row, fed whole or
+        # step by step
+        model = small_model(dtype=dtype)
+        prompt = model.vocab.encode("hello")
+        ids = np.array([IMG, model.vocab.encode("a")[0], IMG, IMG])
+        with no_grad():
+            visual = model.visual_tokens(synth_image("i", 12))
+            prefix = model._assemble(prompt, visual, None, append_eos=False)
+            n = len(prefix.ids)
+            whole = model.forward(model._assemble(prompt, visual, ids, append_eos=False)).data
+            cache = model.llm.new_cache(n + len(ids))
+            steps = [model.forward(prefix, cache, last=1).data]
+            steps += [model.forward(Assembled(ids[i:i + 1], None), cache).data
+                      for i in range(len(ids))]
+        np.testing.assert_allclose(np.concatenate(steps), whole[n - 1:], rtol=0, atol=tol)
 
     def test_zero_budget_runs_no_forward(self, monkeypatch):
         model = small_model()
@@ -394,26 +434,26 @@ class TestCachedDecoding:
 # ----------------------------------------------------------------------
 # logits of the last rows only
 
-def _grounded(model, with_image=True):
+def _grounded(model, with_image=True, response="xyz abc"):
     image = model.visual_tokens(synth_image("rows", 12)) if with_image else None
     return model.assemble_sequence(model.vocab.encode("hello world abc"), image,
-                                   model.vocab.encode("xyz abc"))
+                                   model.vocab.encode(response))
 
 
 def _full_rows_loss(model, asm):
-    """Reference: logits for every row, cross-entropy over all but the last."""
+    """Reference: logits for every row, cross-entropy over the targets after <sys>."""
     t = len(asm.ids)
-    return cross_entropy_masked(model.forward(asm)[: t - 1], asm.ids[1:], asm.loss_mask[1:])
+    scored = np.arange(1, t) > np.flatnonzero(asm.ids == SYS)[0]
+    return cross_entropy_masked(model.forward(asm)[: t - 1], asm.ids[1:], scored)
 
 
-def _loss_and_grads(model, loss_fn, loss_mask):
+def _loss_and_grads(model, loss_fn, response):
     names = model.params.names()
     model.params.set_trainable(frozenset(names))
     for name in names:
         model.params[name].grad = None
-    asm = _grounded(model)  # a fresh graph: backward accumulates into its nodes
-    if loss_mask is not None:
-        asm = dataclasses.replace(asm, loss_mask=loss_mask)
+    # a fresh graph: backward accumulates into its nodes
+    asm = _grounded(model, response=response)
     loss = loss_fn(model, asm)
     backward(loss)
     return float(loss.data), {n: model.params[n].grad for n in names}
@@ -441,16 +481,11 @@ class TestLastRows:
         with pytest.raises(ShapeError, match="last"):
             model.forward(_grounded(model), last=last)
 
-    @pytest.mark.parametrize("mask", ["response", "gap"])
-    def test_loss_and_gradients_equal_the_full_rows_reference(self, mask):
+    @pytest.mark.parametrize("response", ["xyz abc", ""], ids=["response", "eos_only"])
+    def test_loss_and_gradients_equal_the_full_rows_reference(self, response):
         model = small_model(seed=4)
-        loss_mask = None
-        if mask == "gap":
-            # scored targets from mid-prompt on, with unscored rows between them
-            loss_mask = np.zeros(len(_grounded(model).ids), dtype=bool)
-            loss_mask[[14, 15, 19, len(loss_mask) - 3]] = True
-        loss, grads = _loss_and_grads(model, lambda m, a: m.loss(a)[0], loss_mask)
-        ref_loss, ref_grads = _loss_and_grads(model, _full_rows_loss, loss_mask)
+        loss, grads = _loss_and_grads(model, lambda m, a: m.loss(a)[0], response)
+        ref_loss, ref_grads = _loss_and_grads(model, _full_rows_loss, response)
         assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
         assert grads.keys() == ref_grads.keys()
         largest = max(np.abs(g).max() for g in ref_grads.values())
@@ -459,10 +494,12 @@ class TestLastRows:
                                        err_msg=name)
 
     def test_empty_mask_still_raises(self):
+        # a response without its closing <eos> scores nothing
         model = small_model()
-        asm = _grounded(model)
+        asm = model._assemble(model.vocab.encode("hello"), None, model.vocab.encode("abc"),
+                              append_eos=False)
         with pytest.raises(ValueError, match="no positions"):
-            model.loss(dataclasses.replace(asm, loss_mask=np.zeros_like(asm.loss_mask)))
+            model.loss(asm)
 
     @pytest.mark.parametrize("dtype, tol", [("float64", 1e-12), ("float32", 1e-6)])
     def test_one_row_prefill_equals_the_last_row_and_caches_every_row(self, dtype, tol):

@@ -15,6 +15,7 @@ from tinymmt.errors import DataError
 from tinymmt.model import MultimodalModel, lora_attach
 from tinymmt.model.components import DecoderLM
 from tinymmt.model.config import ModelConfig
+from tinymmt.model.vocab import SYS
 from tinymmt.numerics import backward, cross_entropy_masked, no_grad
 from tinymmt.training import StageConfig, run_stage, validation_loss
 from tinymmt.training.loop import _batch_loss, _prepare_samples
@@ -24,14 +25,16 @@ from conftest import build_model, make_instances, make_records
 
 def _reference_loss(model, samples):
     """Each sample projected, assembled and forwarded alone, logits on every
-    row, the per-sample losses pooled by their counts."""
+    row, each scoring the targets after its <sys>, the per-sample losses
+    pooled by their counts."""
     weighted, total = None, 0
     for s in samples:
         visual = model.project(s.image) if s.image is not None else None
         asm = model.assemble_sequence(s.prompt_ids, visual, s.response_ids)
         t = len(asm.ids)
-        ce = cross_entropy_masked(model.forward(asm)[: t - 1], asm.ids[1:], asm.loss_mask[1:])
-        count = int(asm.loss_mask[1:].sum())
+        scored = np.arange(1, t) > np.flatnonzero(asm.ids == SYS)[0]
+        ce = cross_entropy_masked(model.forward(asm)[: t - 1], asm.ids[1:], scored)
+        count = int(scored.sum())
         term = ce * float(count)
         weighted = term if weighted is None else weighted + term
         total += count
@@ -192,24 +195,18 @@ class TestHardEdges:
                                                     batch_size=3))
         assert "context budget" in str(info.value)
 
-    def test_members_with_different_visual_rows_share_only_bos(self, monkeypatch):
-        # equal ids are not enough: <img> rows of two images differ in value
+    def test_members_with_different_visuals_raise(self):
+        # equal ids are not enough: the <img> rows of two images differ
         instances = make_instances(make_records(2, seed=11), "mmt")
         model = build_model(instances, seed=6, c_total=512)
         samples = _prepare_samples(model, instances)
-        fed = []
-        forward = MultimodalModel.forward
-
-        def spy(self, asm, cache=None, last=None):
-            fed.append(len(asm.ids))
-            return forward(self, asm, cache, last)
-
-        monkeypatch.setattr(MultimodalModel, "forward", spy)
         with no_grad():
-            asms = [model.assemble_sequence(s.prompt_ids, model.project(s.image), s.response_ids)
-                    for s in samples]
-            grouped, count = model.loss(*asms)
-            singles = [model.loss(a) for a in asms]
-        assert fed[0] == len(asms[0].ids) + len(asms[1].ids) - 1
-        pooled = sum(float(ce.data) * n for ce, n in singles) / count
-        assert float(grouped.data) == pytest.approx(pooled, rel=1e-12, abs=0)
+            projected = [model.project(s.image) for s in samples]
+            twin = model.project(samples[0].image)  # equal rows, another object
+            asms = [model.assemble_sequence(s.prompt_ids, v, s.response_ids)
+                    for s, v in zip(samples, projected)]
+            text = model.assemble_sequence(samples[0].prompt_ids, None, samples[0].response_ids)
+            for pair in ([asms[0], asms[1]], [asms[0], text], [text, asms[1]],
+                         [asms[0], dataclasses.replace(asms[1], visual=twin)]):
+                with pytest.raises(ValueError, match="share one visual"):
+                    model.loss(*pair)

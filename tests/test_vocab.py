@@ -40,11 +40,10 @@ def test_oov_error_lists_missing_characters():
     assert "'a'" not in message
 
 
-def test_decode_rejects_specials_by_default():
+def test_decode_drops_specials():
     vocab = Vocabulary.from_texts(["ab"])
-    with pytest.raises(VocabularyError, match="<eos>"):
-        vocab.decode([EOS])
-    assert vocab.decode([6, EOS, 7], on_special="skip") == "ab"
+    assert vocab.decode([EOS]) == ""
+    assert vocab.decode([BOS, 6, EOS, IMG, 7, SYS]) == "ab"
 
 
 def test_decode_range_check():
