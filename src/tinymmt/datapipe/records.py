@@ -215,22 +215,39 @@ def write_instances(path, instances: Iterable[PromptInstance]) -> None:
     atomic_write(path, "".join(line + "\n" for line in lines))
 
 
+# instance field -> the JSON types its value may take; an absent image_id reads as null
+_INSTANCE_FIELDS = {"task": str, "prompt": str, "response": str, "lang": str, "source_id": str,
+                    "image_id": (str, type(None))}
+
+
 def read_instances(path) -> list[PromptInstance]:
+    """Read a JSON-lines instance file; a record that is not an object, or
+    whose field is missing, of the wrong type or holds a lone surrogate,
+    raises DataError naming path:line and the field."""
     out = []
     for line_no, line in enumerate(read_text(path).split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
+        where = f"{path}:{line_no}"
         try:
             d = json.loads(line)
-            out.append(PromptInstance(
-                task=d["task"],
-                prompt=d["prompt"],
-                response=d["response"],
-                lang=d["lang"],
-                source_id=d["source_id"],
-                image_id=d.get("image_id"),
-            ))
-        except (json.JSONDecodeError, KeyError, DataError) as exc:
-            raise DataError(f"{path}:{line_no}: bad instance record: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{where}: bad instance record: {exc}") from exc
+        if not isinstance(d, dict):
+            raise DataError(f"{where}: an instance record must be a JSON object")
+        for key, types in _INSTANCE_FIELDS.items():
+            value = d.get(key)
+            if not isinstance(value, types):
+                raise DataError(f"{where}: instance field {key!r} is missing or has the wrong type")
+            if value is None:
+                continue
+            try:
+                value.encode("utf-8")  # a JSON escape can spell half a surrogate pair
+            except UnicodeEncodeError:
+                raise DataError(f"{where}: instance field {key!r} holds a lone surrogate") from None
+        try:
+            out.append(PromptInstance(**{key: d.get(key) for key in _INSTANCE_FIELDS}))
+        except DataError as exc:
+            raise DataError(f"{where}: bad instance record: {exc}") from exc
     return out

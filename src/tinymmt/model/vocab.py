@@ -39,9 +39,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return N_SPECIALS + len(self.symbols)
 
-    def __contains__(self, ch: str) -> bool:
-        return ch in self._to_id
-
     def encode(self, text: str) -> np.ndarray:
         missing = sorted({ch for ch in text if ch not in self._to_id})
         if missing:

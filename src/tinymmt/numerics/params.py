@@ -41,9 +41,6 @@ class ParameterStore:
     def __contains__(self, name: str) -> bool:
         return name in self._entries
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def names(self) -> list[str]:
         return sorted(self._entries)
 

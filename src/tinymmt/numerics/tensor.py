@@ -57,53 +57,26 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; the actual math lives in the module-level functions
+    # + and * only, each with a Tensor of the same shape or a scalar constant
+    # on either side; a difference is a sum with a product by -1.0
     def __add__(self, other):
         return add(self, other)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        return add(self, -_coerce(other, self.data.dtype))
-
-    def __rsub__(self, other):
-        return add(_coerce(other, self.data.dtype), -self)
 
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not supported; multiply by a reciprocal")
-        return mul(self, 1.0 / float(other))
-
     def __getitem__(self, idx):
-        out_data = self.data[idx].copy()
         src = self
-        once = _selects_once(idx)
 
         def fn(g: np.ndarray) -> None:
             if src.requires_grad:
-                if src.grad is None:
-                    src.grad = np.zeros_like(src.data)
-                if once:
-                    src.grad[idx] += g  # each element selected at most once
-                else:
-                    np.add.at(src.grad, idx, g)
+                _scatter_add(src, idx, g)
 
-        return _make(out_data, (self,), fn)
+        return _make(self.data[idx].copy(), (self,), fn)
 
 
 def _selects_once(idx) -> bool:
@@ -118,10 +91,16 @@ def _selects_once(idx) -> bool:
     )
 
 
-def _coerce(x, dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
+def _scatter_add(t: Tensor, idx, g: np.ndarray) -> None:
+    """Add g into t.grad[idx], from zeros on the first contribution: in place
+    where idx selects each element at most once, else with np.add.at, which
+    sums a repeated element's shares."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    if _selects_once(idx):
+        t.grad[idx] += g
+    else:
+        np.add.at(t.grad, idx, g)
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
@@ -148,40 +127,42 @@ def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
         t.grad += g
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum g down to `shape`, undoing numpy broadcasting."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
+def _operand(op: str, a: Tensor, b) -> Tensor:
+    """b as the second operand of an elementwise op on a: a Tensor of a's
+    shape, or a scalar constant made a Tensor in a's dtype."""
+    if isinstance(b, Tensor):
+        if b.data.shape != a.data.shape:
+            raise ShapeError(f"{op} needs operands of one shape, got {a.data.shape} "
+                             f"and {b.data.shape}")
+        return b
+    data = np.asarray(b, dtype=a.data.dtype)
+    if data.ndim:
+        raise ShapeError(f"{op} takes a Tensor or a scalar constant, got shape {data.shape}")
+    return Tensor(data)
 
 
-def add(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = _coerce(b, a.data.dtype)
+def add(a: Tensor, b) -> Tensor:
+    b = _operand("add", a, b)
     out_data = a.data + b.data
 
     def fn(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
+            _accumulate(a, g)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.data.shape))
+            _accumulate(b, g)
 
     return _make(out_data, (a, b), fn)
 
 
-def mul(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = _coerce(b, a.data.dtype)
+def mul(a: Tensor, b) -> Tensor:
+    b = _operand("mul", a, b)
     out_data = a.data * b.data
 
     def fn(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+            _accumulate(a, g * b.data)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+            _accumulate(b, g * a.data)
 
     return _make(out_data, (a, b), fn)
 
@@ -222,12 +203,7 @@ def embedding(table: Tensor, ids) -> Tensor:
 
     def fn(g: np.ndarray) -> None:
         if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            if _selects_once(ids):
-                table.grad[ids] += g  # each row gathered once, e.g. positions
-            else:
-                np.add.at(table.grad, ids, g)
+            _scatter_add(table, ids, g)
 
     return _make(out_data, (table,), fn)
 

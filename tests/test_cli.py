@@ -676,6 +676,27 @@ def test_generate_oov_error_names_the_instance(tmp_path, capsys, raw):
     assert not hyp.exists()
 
 
+@pytest.mark.parametrize("mutate, named", [
+    (lambda d: [1, 2], "a JSON object"),
+    (lambda d: {**d, "prompt": 5}, "'prompt'"),
+    (lambda d: {**d, "image_id": 7}, "'image_id'"),
+    (lambda d: {**d, "image_id": "\ud800x"}, "'image_id'"),
+    (lambda d: {**d, "source_id": [1]}, "'source_id'"),
+    (lambda d: {**d, "lang": None}, "'lang'"),
+], ids=["array", "int-prompt", "int-image-id", "lone-surrogate", "list-source-id", "null-lang"])
+def test_generate_rejects_a_malformed_instance_record(tmp_path, capsys, mutate, named):
+    record = dataclasses.asdict(make_instances(make_records(1, seed=1), "text_only")[0])
+    source = tmp_path / "s.jsonl"
+    source.write_text(json.dumps(record) + "\n" + json.dumps(mutate(record)) + "\n",
+                      encoding="utf-8")
+    hyp = tmp_path / "h.txt"
+    assert main(["generate", "--checkpoint", str(text_only_checkpoint(tmp_path / "m.ckpt")),
+                 "--input", str(source), "--out", str(hyp), "--max-new-tokens", "2"]) == 3
+    err = capsys.readouterr().err
+    assert f"data error: {source}:2: " in err and named in err
+    assert not hyp.exists()
+
+
 def test_negative_decode_budget_is_a_config_error(tmp_path, capsys):
     sentences = tmp_path / "s.txt"
     sentences.write_text("red cat\n", encoding="utf-8")

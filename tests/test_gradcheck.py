@@ -23,11 +23,11 @@ def test_constant_function_near_zero_error():
 
 
 def test_zero_exact_gradient_at_loss_near_four_passes():
-    # (t + 4) - t has an exact gradient of 0, and the tape gives exactly 0;
+    # (t + 4) + t * -1 has an exact gradient of 0, and the tape gives exactly 0;
     # but f(x+h) and f(x-h) round differently, so at some points the central
     # difference is an ulp of the loss over 2h, far above the 1e-8 floor
     h = 1e-6
-    f = lambda t: tape_sum((t + 4.0) - t)
+    f = lambda t: tape_sum((t + 4.0) + t * -1.0)
     numerics = []
     for x0 in np.linspace(0.1, 0.9, 9):
         f_plus, f_minus = float(f(Tensor([x0 + h])).data), float(f(Tensor([x0 - h])).data)

@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,6 +155,37 @@ class TestBackward:
         assert y._parents == ()
 
 
+class TestAddMulOperands:
+    """add and mul take two Tensors of one shape, or a Tensor and a scalar constant."""
+
+    @pytest.mark.parametrize("op", [operator.add, operator.mul], ids=["add", "mul"])
+    @pytest.mark.parametrize("shapes", [((4, 5), (5,)), ((4, 5), (4, 1)), ((3,), ())],
+                             ids=["row", "column", "0-d"])
+    def test_tensors_of_different_shapes_rejected(self, op, shapes):
+        a, b = (Tensor(np.ones(shape), requires_grad=True) for shape in shapes)
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ShapeError, match="one shape"):
+                op(x, y)
+
+    def test_an_array_constant_rejected(self):
+        with pytest.raises(ShapeError, match="scalar constant"):
+            Tensor(np.ones((3, 4))) * np.ones((3, 4))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("op", [operator.add, operator.mul], ids=["add", "mul"])
+    @pytest.mark.parametrize("c", [2.5, -1.0, 3], ids=["float", "minus-one", "int"])
+    def test_scalar_constant_on_either_side(self, op, dtype, c):
+        xd = np.random.default_rng(17).normal(size=(3, 4)).astype(dtype)
+        x = Tensor(xd, requires_grad=True)
+        left, right = op(c, x), op(x, c)
+        want = op(xd, dtype(c))
+        for out in (left, right):
+            assert out.data.dtype == dtype and out.data.tobytes() == want.tobytes()
+        backward(tape_sum(left + right))
+        assert x.grad.dtype == dtype
+        assert np.array_equal(x.grad, np.full(xd.shape, 2.0 if op is operator.add else 2.0 * c))
+
+
 class TestMiscOps:
     def test_getitem_backward(self):
         x = Tensor(np.arange(12, dtype=float).reshape(3, 4), requires_grad=True)
@@ -226,7 +259,8 @@ def _attention_case(causal):
 GRAD_CASES = {
     "matmul": lambda x: tape_sum(linear(x, x)),
     "mul": lambda x: tape_sum(x * x * 0.5),
-    "add_broadcast": lambda x: tape_sum(x + Tensor(np.ones(x.shape[-1]), requires_grad=False)),
+    "add": lambda x: _squared_sum(x + gelu(x)),
+    "add_scalar": lambda x: _squared_sum(x + 0.3),
     "gelu": lambda x: tape_sum(gelu(x)),
     "attention": _attention_case(causal=False),
     "attention_causal": _attention_case(causal=True),
