@@ -221,9 +221,10 @@ _INSTANCE_FIELDS = {"task": str, "prompt": str, "response": str, "lang": str, "s
 
 
 def read_instances(path) -> list[PromptInstance]:
-    """Read a JSON-lines instance file; a record that is not an object, or
-    whose field is missing, of the wrong type or holds a lone surrogate,
-    raises DataError naming path:line and the field."""
+    """Read a JSON-lines instance file; a record that is not an object, that
+    has a key outside the instance fields, or whose field is missing, of the
+    wrong type or holds a lone surrogate, raises DataError naming path:line
+    and the key."""
     out = []
     for line_no, line in enumerate(read_text(path).split("\n"), start=1):
         line = line.strip()
@@ -236,6 +237,9 @@ def read_instances(path) -> list[PromptInstance]:
             raise DataError(f"{where}: bad instance record: {exc}") from exc
         if not isinstance(d, dict):
             raise DataError(f"{where}: an instance record must be a JSON object")
+        unknown = sorted(d.keys() - _INSTANCE_FIELDS.keys())
+        if unknown:
+            raise DataError(f"{where}: unknown instance field(s) {', '.join(map(repr, unknown))}")
         for key, types in _INSTANCE_FIELDS.items():
             value = d.get(key)
             if not isinstance(value, types):

@@ -41,13 +41,22 @@ def bleu(hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]],
     for hyp, ref in zip(hyps, refs):
         hyp_len += len(hyp)
         ref_len += len(ref)
+        hg, rg = hyp, ref
         for n in range(1, MAX_N + 1):
-            hyp_counts = ngram_counts(hyp, n)
-            if not hyp_counts:
-                continue
-            ref_counts = ngram_counts(ref, n)
-            totals[n] += sum(hyp_counts.values())
-            matches[n] += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+            if n > 1:
+                # order n's grams are order n-1's, each zipped with its next token
+                hg = list(zip(hg, hyp[n - 1:]))
+                rg = list(zip(rg, ref[n - 1:]))
+            if not hg:
+                break
+            totals[n] += len(hg)
+            distinct = set(hg)
+            if len(distinct) == len(hg):
+                # each hypothesis n-gram occurs once, so its clipped count
+                # min(1, ref count) is 1 exactly when the reference holds it
+                matches[n] += len(distinct.intersection(rg))
+            else:
+                matches[n] += sum((ngram_counts(hyp, n) & ngram_counts(ref, n)).values())
 
     orders = [n for n in range(1, MAX_N + 1) if totals[n] > 0]
     if not orders or hyp_len == 0:

@@ -22,7 +22,6 @@ The corpus score is the plain mean over sentences.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Sequence
 
 from tinymmt.errors import DataError
@@ -33,33 +32,24 @@ BETA = 0.10
 
 def align_words(hyp: Sequence[str], ref: Sequence[str]) -> list[tuple[int, int]]:
     """One-to-one (hyp index, ref index) pairs, sorted by hyp index."""
-    hyp = list(hyp)
-    ref = list(ref)
-    hyp_counts = Counter(hyp)
-    ref_counts = Counter(ref)
-    ref_positions = {tok: i for i, tok in enumerate(ref)}
-
-    ref_bigrams = Counter(zip(ref, ref[1:]))
-    bigram_pos = {}
-    for i, bg in enumerate(zip(ref, ref[1:])):
-        if ref_bigrams[bg] == 1:
-            bigram_pos[bg] = i
+    # sentences are a few tokens long, so list scans beat building counters
+    ref_bigrams = list(zip(ref, ref[1:]))
 
     pairs: list[tuple[int, int]] = []
     used: set[int] = set()
     for i, tok in enumerate(hyp):
         candidates: list[int] = []
-        if hyp_counts[tok] == 1 and ref_counts[tok] == 1:
-            candidates.append(ref_positions[tok])
+        if hyp.count(tok) == 1 and ref.count(tok) == 1:
+            candidates.append(ref.index(tok))
         else:
             if i > 0:
-                left = (hyp[i - 1], hyp[i])
-                if left in bigram_pos:
-                    candidates.append(bigram_pos[left] + 1)
+                left = (hyp[i - 1], tok)
+                if ref_bigrams.count(left) == 1:
+                    candidates.append(ref_bigrams.index(left) + 1)
             if i + 1 < len(hyp):
-                right = (hyp[i], hyp[i + 1])
-                if right in bigram_pos:
-                    candidates.append(bigram_pos[right])
+                right = (tok, hyp[i + 1])
+                if ref_bigrams.count(right) == 1:
+                    candidates.append(ref_bigrams.index(right))
         for j in candidates:
             if j not in used:
                 pairs.append((i, j))

@@ -683,7 +683,10 @@ def test_generate_oov_error_names_the_instance(tmp_path, capsys, raw):
     (lambda d: {**d, "image_id": "\ud800x"}, "'image_id'"),
     (lambda d: {**d, "source_id": [1]}, "'source_id'"),
     (lambda d: {**d, "lang": None}, "'lang'"),
-], ids=["array", "int-prompt", "int-image-id", "lone-surrogate", "list-source-id", "null-lang"])
+    (lambda d: {**{k: v for k, v in d.items() if k != "image_id"}, "imageid": "img1"},
+     "unknown instance field(s) 'imageid'"),
+], ids=["array", "int-prompt", "int-image-id", "lone-surrogate", "list-source-id", "null-lang",
+        "misspelt-key"])
 def test_generate_rejects_a_malformed_instance_record(tmp_path, capsys, mutate, named):
     record = dataclasses.asdict(make_instances(make_records(1, seed=1), "text_only")[0])
     source = tmp_path / "s.jsonl"

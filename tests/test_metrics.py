@@ -1,5 +1,8 @@
 import itertools
 import math
+import string
+import unicodedata
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from tinymmt.errors import DataError
 from tinymmt.metrics import (
+    PUNCTUATION,
     MetricReport,
     align_words,
     bleu,
@@ -258,3 +262,104 @@ class TestLeaderboard:
         report = evaluate_files(hyp, hyp, "hi", split="challenge")
         table = format_leaderboard([report])
         assert "100.0" in table and "1.000" in table
+
+
+# ----------------------------------------------------------------------
+# the scoring functions against plain reference implementations of the same
+# rules: one loop per character, per n-gram order and per counter
+
+def _reference_tokenize(text):
+    text = unicodedata.normalize("NFC", text)
+    text = text.translate({ord(c): ord(c) + 32 for c in string.ascii_uppercase})
+    return "".join(f" {ch} " if ch in PUNCTUATION else ch for ch in text).split()
+
+
+def _reference_ngram_counts(tokens, n):
+    return Counter(tuple(tokens[i: i + n]) for i in range(len(tokens) - n + 1))
+
+
+def _reference_bleu(hyps, refs, smooth):
+    matches, totals = [0] * 5, [0] * 5
+    hyp_len = sum(len(h) for h in hyps)
+    ref_len = sum(len(r) for r in refs)
+    for hyp, ref in zip(hyps, refs):
+        for n in range(1, 5):
+            hyp_counts = _reference_ngram_counts(hyp, n)
+            if not hyp_counts:
+                continue
+            ref_counts = _reference_ngram_counts(ref, n)
+            totals[n] += sum(hyp_counts.values())
+            matches[n] += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+    orders = [n for n in range(1, 5) if totals[n] > 0]
+    if not orders or hyp_len == 0:
+        return 0.0
+    log_sum = 0.0
+    for n in orders:
+        p = matches[n] / totals[n]
+        if p == 0.0:
+            if not smooth:
+                return 0.0
+            p = 1e-9
+        log_sum += math.log(p)
+    bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return 100.0 * bp * math.exp(log_sum / len(orders))
+
+
+def _reference_align_words(hyp, ref):
+    hyp_counts, ref_counts = Counter(hyp), Counter(ref)
+    ref_positions = {tok: i for i, tok in enumerate(ref)}
+    ref_bigrams = Counter(zip(ref, ref[1:]))
+    bigram_pos = {bg: i for i, bg in enumerate(zip(ref, ref[1:])) if ref_bigrams[bg] == 1}
+    pairs, used = [], set()
+    for i, tok in enumerate(hyp):
+        candidates = []
+        if hyp_counts[tok] == 1 and ref_counts[tok] == 1:
+            candidates.append(ref_positions[tok])
+        else:
+            if i > 0 and (hyp[i - 1], tok) in bigram_pos:
+                candidates.append(bigram_pos[(hyp[i - 1], tok)] + 1)
+            if i + 1 < len(hyp) and (tok, hyp[i + 1]) in bigram_pos:
+                candidates.append(bigram_pos[(tok, hyp[i + 1])])
+        for j in candidates:
+            if j not in used:
+                pairs.append((i, j))
+                used.add(j)
+                break
+    return pairs
+
+
+# ASCII capitals, every punctuation mark, Devanagari with combining marks,
+# a decomposed é and Unicode whitespace
+_MIXED_PIECES = (list(string.ascii_uppercase) + sorted(PUNCTUATION)
+                 + ["a", "z", "क", "\u093f", "\u094d", "\u0902", "\u093c", "नमस्ते",
+                    "e\u0301", "E\u0301", "\u0301",
+                    " ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "\u2028", "\x1c"])
+# three letters, so n-grams repeat inside a sentence and clipping matters
+_SMALL_ALPHABET = st.lists(st.sampled_from("abc"), max_size=9)
+
+
+class TestMatchesReferenceImplementations:
+    @given(st.lists(st.sampled_from(_MIXED_PIECES), max_size=24).map("".join))
+    @settings(max_examples=200, deadline=None)
+    def test_tokenize(self, text):
+        assert tokenize(text) == _reference_tokenize(text)
+
+    @given(st.lists(st.tuples(_SMALL_ALPHABET, _SMALL_ALPHABET), min_size=1, max_size=5),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_bleu(self, pairs, smooth):
+        hyps, refs = [h for h, _ in pairs], [r for _, r in pairs]
+        assert bleu(hyps, refs, smooth=smooth) == _reference_bleu(hyps, refs, smooth)
+
+    @given(_SMALL_ALPHABET, _SMALL_ALPHABET)
+    @settings(max_examples=200, deadline=None)
+    def test_align_words_and_sentence_ribes(self, hyp, ref):
+        expected = _reference_align_words(hyp, ref)
+        assert align_words(hyp, ref) == expected
+        if len(expected) >= 2:
+            ranks = [j for _, j in expected]
+            expected_score = ((kendall_tau(ranks) + 1.0) / 2.0 * (len(expected) / len(hyp)) ** 0.25
+                              * min(1.0, math.exp(1.0 - len(ref) / len(hyp))) ** 0.10)
+        else:
+            expected_score = 0.0
+        assert sentence_ribes(hyp, ref) == expected_score

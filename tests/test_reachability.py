@@ -3,11 +3,12 @@
 One small pipeline runs through `main` under `sys.setprofile`: criterion
 10's commands, `generate` on each task's test file and with `--no-image`, a
 LoRA stage 3, a stage with `mix_cap`, `sweep`, `report`, and `evaluate` on
-multi-word hypotheses. Every function defined under src/tinymmt, nested
-backward closures included, must be called on the way. The only exceptions
-are the functions an acceptance criterion alone calls, each listed below
-with its criterion; such a function must exist and must stay unreached by
-the pipeline, so the list cannot go stale.
+multi-word hypotheses, one file of them capitalised and punctuated. Every
+function defined under src/tinymmt, nested backward closures included, must
+be called on the way. The only exceptions are the functions an acceptance
+criterion alone calls, each listed below with its criterion; such a function
+must exist and must stay unreached by the pipeline, so the list cannot go
+stale.
 """
 
 import ast
@@ -70,6 +71,10 @@ def _commands(root: Path) -> list[list[str]]:
     ckpt = str(run / "stage3.ckpt")
     ref = root / "ref.txt"
     ref.write_text("लाल बिल्ली\nनीला कुत्ता\n", encoding="utf-8")
+    # capitals and punctuation reach the tokenizer's rewrite, a repeated
+    # n-gram reaches BLEU's clipped count
+    cased = root / "cased.txt"
+    cased.write_text("Red cat, red cat.\nनीला कुत्ता।\n", encoding="utf-8")
     return [
         ["prepare-data", "--config", config],
         ["train", "--config", config],
@@ -84,6 +89,8 @@ def _commands(root: Path) -> list[list[str]]:
          "--lang", "hi", "--smooth", "--out", str(run / "report.json")],
         ["evaluate", "--hyp", str(ref), "--ref", str(ref), "--lang", "hi",
          "--out", str(run / "self.json")],
+        ["evaluate", "--hyp", str(cased), "--ref", str(ref), "--lang", "hi",
+         "--out", str(run / "cased.json")],
         ["report", str(run / "report.json"), str(run / "self.json")],
         ["sweep", "--config", config, "--checkpoint", "run/stage2.ckpt",
          "--lrs", "1e-3", "--epochs", "1"],
