@@ -18,6 +18,9 @@ from tinymmt.atomic import atomic_write, read_lines
 from tinymmt.config import RunConfig, load_config
 from tinymmt.datapipe import (
     LANG_NAMES,
+    LANGS,
+    SPLITS,
+    TASKS,
     DetectedObject,
     PromptInstance,
     VgRecord,
@@ -35,7 +38,7 @@ from tinymmt.errors import ConfigError, DataError, TinymmtError
 from tinymmt.metrics import evaluate_files, format_leaderboard, read_report, tokenize, write_report
 from tinymmt.model import ModelConfig, MultimodalModel, Vocabulary
 from tinymmt.training import hyperparameter_sweep, load_checkpoint, run_pipeline
-from tinymmt.training.stages import SWEEP_EPOCHS, SWEEP_LRS
+from tinymmt.training.stages import STAGE_MODES, SWEEP_EPOCHS, SWEEP_LRS
 from tinymmt.training.sweep import decode_instances
 
 
@@ -206,7 +209,7 @@ def cmd_generate(args) -> int:
     if args.raw_sentences:
         if args.lang is None:
             raise ConfigError("--lang is required with --raw-sentences")
-        if args.lang not in LANG_NAMES:
+        if args.lang not in LANGS:
             raise ConfigError(f"unknown language {args.lang!r}")
         lines = read_lines(input_path)
         instances = [
@@ -311,14 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prepare-data", help="parse TSVs and render instruction instances")
     config_flags(p)
-    p.add_argument("--task", choices=("mmt", "text_only", "caption"), default=None,
+    p.add_argument("--task", choices=TASKS, default=None,
                    help="render only this task")
 
     p = sub.add_parser("train", help="run the staged training pipeline")
     config_flags(p)
     p.add_argument("--stages", default=None,
                    help="comma-separated subset of configured stages, e.g. 1,3")
-    p.add_argument("--stage3-mode", choices=("full", "lora"), default=None,
+    p.add_argument("--stage3-mode", choices=STAGE_MODES, default=None,
                    help="override stage-3 finetuning mode")
 
     p = sub.add_parser("generate", help="greedy decoding from a checkpoint")
@@ -326,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True,
                    help="instance JSONL, or a plain sentence file with --raw-sentences")
     p.add_argument("--out", required=True)
-    p.add_argument("--task", choices=("mmt", "text_only", "caption"), default=None,
+    p.add_argument("--task", choices=TASKS, default=None,
                    help="keep only instances of this task")
     p.add_argument("--lang", default=None)
     p.add_argument("--raw-sentences", action="store_true",
@@ -338,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a hypothesis file against a reference file")
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
-    p.add_argument("--lang", required=True)
-    p.add_argument("--split", default="test")
+    p.add_argument("--lang", choices=LANGS, required=True)
+    p.add_argument("--split", choices=SPLITS, default="test")
     p.add_argument("--smooth", action="store_true", help="epsilon-smooth zero precisions")
     p.add_argument("--out", default=None, help="write the report JSON here")
 

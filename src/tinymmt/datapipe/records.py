@@ -222,9 +222,9 @@ _INSTANCE_FIELDS = {"task": str, "prompt": str, "response": str, "lang": str, "s
 
 def read_instances(path) -> list[PromptInstance]:
     """Read a JSON-lines instance file; a record that is not an object, that
-    has a key outside the instance fields, or whose field is missing, of the
-    wrong type or holds a lone surrogate, raises DataError naming path:line
-    and the key."""
+    has a key outside the instance fields, whose field is missing, of the
+    wrong type or holds a lone surrogate, or of a grounded task without an
+    image_id, raises DataError naming path:line and the key or task."""
     out = []
     for line_no, line in enumerate(read_text(path).split("\n"), start=1):
         line = line.strip()
@@ -251,7 +251,10 @@ def read_instances(path) -> list[PromptInstance]:
             except UnicodeEncodeError:
                 raise DataError(f"{where}: instance field {key!r} holds a lone surrogate") from None
         try:
-            out.append(PromptInstance(**{key: d.get(key) for key in _INSTANCE_FIELDS}))
+            inst = PromptInstance(**{key: d.get(key) for key in _INSTANCE_FIELDS})
         except DataError as exc:
             raise DataError(f"{where}: bad instance record: {exc}") from exc
+        if inst.image_id is None and inst.task != "text_only":
+            raise DataError(f"{where}: a {inst.task!r} instance needs an 'image_id'")
+        out.append(inst)
     return out

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from tinymmt.atomic import atomic_write, read_lines, read_text
+from tinymmt.datapipe.records import LANGS, SPLITS
 from tinymmt.errors import DataError
 from tinymmt.metrics.bleu import bleu
 from tinymmt.metrics.ribes import ribes
@@ -87,7 +88,8 @@ _REPORT_FIELDS = {"lang": str, "split": str, "bleu": (int, float), "ribes": (int
 
 
 def read_report(path) -> MetricReport:
-    """Read a report JSON; a missing, malformed or incomplete one raises DataError."""
+    """Read a report JSON; a missing, malformed or incomplete one, or one for
+    a language or split outside LANGS and SPLITS, raises DataError."""
     try:
         d = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
@@ -101,6 +103,9 @@ def read_report(path) -> MetricReport:
             raise DataError(f"{path}: report field {key!r} is missing or has the wrong type")
         if isinstance(value, float) and not math.isfinite(value):
             raise DataError(f"{path}: report field {key!r} is not a finite number: {value}")
+    for key, allowed in (("lang", LANGS), ("split", SPLITS)):
+        if d[key] not in allowed:
+            raise DataError(f"{path}: report {key} {d[key]!r} is not one of {allowed}")
     return MetricReport(**{key: d[key] for key in _REPORT_FIELDS})
 
 

@@ -2,12 +2,12 @@ from tinymmt.model.config import ModelConfig
 from tinymmt.model.vocab import BOS, EOS, HUM, IMG, PAD, SYS, Vocabulary
 from tinymmt.model.multimodal import Assembled, MultimodalModel
 from tinymmt.model.lora import (
-    LORA_DEFAULT_ALPHA,
-    LORA_DEFAULT_R,
-    LoraAdapter,
+    LORA_ALPHA,
+    LORA_R,
     default_lora_targets,
     lora_attach,
     lora_merge,
+    lora_targets,
 )
 
 __all__ = [
@@ -16,9 +16,8 @@ __all__ = [
     "EOS",
     "HUM",
     "IMG",
-    "LORA_DEFAULT_ALPHA",
-    "LORA_DEFAULT_R",
-    "LoraAdapter",
+    "LORA_ALPHA",
+    "LORA_R",
     "ModelConfig",
     "MultimodalModel",
     "PAD",
@@ -27,4 +26,5 @@ __all__ = [
     "default_lora_targets",
     "lora_attach",
     "lora_merge",
+    "lora_targets",
 ]

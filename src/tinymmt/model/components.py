@@ -13,6 +13,7 @@ import numpy as np
 
 from tinymmt.errors import ShapeError
 from tinymmt.model.config import ModelConfig
+from tinymmt.model.lora import LORA_SCALE
 from tinymmt.numerics.params import ParameterStore
 from tinymmt.numerics.tensor import (
     Segments,
@@ -35,13 +36,14 @@ class Linear:
             Tensor(rng.normal(0.0, INIT_STD, size=(d_out, d_in)).astype(dtype)),
         )
         self.bias = store.add(name + ".bias", Tensor(np.zeros(d_out, dtype=dtype)))
-        self.lora = None  # set by lora_attach
+        self.lora = None  # (A, B), set by lora_attach
         store.linears[name + ".weight"] = self
 
     def __call__(self, x: Tensor) -> Tensor:
         y = linear(x, self.weight, self.bias)
         if self.lora is not None:
-            y = y + self.lora.delta(x)
+            a, b = self.lora
+            y = y + linear(linear(x, a), b) * LORA_SCALE
         return y
 
 

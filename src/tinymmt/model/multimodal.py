@@ -11,6 +11,7 @@ Sequences of one image, or of none, run as one packed group (see loss).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,6 @@ class MultimodalModel:
         self.vision = VisionEncoder(self.params, config, rng)
         self.adapter = AdapterProjector(self.params, config, rng)
         self.llm = DecoderLM(self.params, config, rng)
-        self.lora_adapters: dict[str, "LoraAdapter"] = {}  # target weight name -> adapter
         self.provenance: list[dict] = []
 
     # ------------------------------------------------------------------
@@ -222,16 +222,6 @@ class MultimodalModel:
     # copying (used by the hyperparameter sweep)
 
     def clone(self) -> "MultimodalModel":
-        """Deep copy: same config/vocab, parameter values, adapters, provenance."""
-        from tinymmt.model.lora import lora_attach
-
-        other = MultimodalModel(self.config, self.vocab, seed=self.seed)
-        if self.lora_adapters:
-            first = next(iter(self.lora_adapters.values()))
-            lora_attach(other, targets=sorted(self.lora_adapters),
-                        r=first.r, alpha=first.alpha)
-        for name, tensor in self.params.items():
-            other.params[name].data = tensor.data.copy()
-        other.params.set_trainable(self.params.trainable)
-        other.provenance = [dict(p) for p in self.provenance]
-        return other
+        """Deep copy: same config/vocab, parameter values, adapters, trainable
+        set and provenance, sharing no state with this model."""
+        return copy.deepcopy(self)

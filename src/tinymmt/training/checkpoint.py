@@ -31,7 +31,7 @@ import numpy as np
 from tinymmt.atomic import atomic_write
 from tinymmt.errors import CheckpointError, TinymmtError
 from tinymmt.model.config import ModelConfig
-from tinymmt.model.lora import lora_attach
+from tinymmt.model.lora import LORA_ALPHA, LORA_R, lora_attach, lora_targets
 from tinymmt.model.multimodal import MultimodalModel
 from tinymmt.model.vocab import Vocabulary
 
@@ -42,10 +42,8 @@ _CODE_DTYPES = {code: dt for dt, code in _DTYPE_CODES.items()}
 
 
 def _header(model: MultimodalModel) -> dict:
-    lora = None
-    if model.lora_adapters:
-        first = next(iter(model.lora_adapters.values()))
-        lora = {"targets": sorted(model.lora_adapters), "r": first.r, "alpha": first.alpha}
+    targets = lora_targets(model)
+    lora = {"targets": targets, "r": LORA_R, "alpha": LORA_ALPHA} if targets else None
     return {
         "config": model.config.to_dict(),
         "vocab": model.vocab.to_dict(),
@@ -121,8 +119,10 @@ def load_checkpoint(path) -> MultimodalModel:
                                 seed=int(header["seed"]))
         lora_meta = header.get("lora")
         if lora_meta:
-            lora_attach(model, targets=list(lora_meta["targets"]),
-                        r=lora_meta["r"], alpha=float(lora_meta["alpha"]))
+            if (lora_meta["r"], lora_meta["alpha"]) != (LORA_R, LORA_ALPHA):
+                raise ValueError(f"lora r={lora_meta['r']!r}, alpha={lora_meta['alpha']!r}; "
+                                 f"this build has r={LORA_R}, alpha={LORA_ALPHA}")
+            lora_attach(model, targets=list(lora_meta["targets"]))
         model.provenance = list(header["provenance"])
     except (TinymmtError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: invalid header: {type(exc).__name__}: {exc}") from exc

@@ -25,7 +25,7 @@ from tinymmt.atomic import atomic_write
 from tinymmt.datapipe.images import make_synth_loader
 from tinymmt.datapipe.records import PromptInstance
 from tinymmt.errors import BudgetError, ConfigError, DataError, TinymmtError, VocabularyError
-from tinymmt.model.lora import lora_attach
+from tinymmt.model.lora import lora_attach, lora_targets
 from tinymmt.model.multimodal import MultimodalModel
 from tinymmt.model.vocab import Vocabulary
 from tinymmt.numerics.optim import AdamState, adam_step
@@ -170,7 +170,7 @@ def _train_stage(model: MultimodalModel, dataset: Sequence[PromptInstance],
     if not dataset:
         raise DataError("run_stage: dataset is empty")
 
-    if cfg.mode == "lora" and not model.lora_adapters:
+    if cfg.mode == "lora" and not lora_targets(model):
         lora_attach(model, seed=cfg.seed)
 
     plan = freeze_plan(model, cfg)

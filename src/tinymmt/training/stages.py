@@ -16,8 +16,10 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from tinymmt.errors import ConfigError
+from tinymmt.model.lora import lora_targets
 
 STAGE_COMPONENTS = {1: ("adapter",), 2: ("adapter", "llm"), 3: ("adapter", "llm")}
+STAGE_MODES = ("full", "lora")
 
 # stage 3 default is the grid winner (lr 1e-4, one epoch); stages 1-2 are
 # desk-scale choices, not established values
@@ -55,8 +57,9 @@ class StageConfig:
         self.lr = float(DEFAULT_STAGE_LRS[self.stage] if self.lr is None else self.lr)
         if self.epochs is None:
             self.epochs = DEFAULT_STAGE_EPOCHS[self.stage]
-        if self.mode not in ("full", "lora"):
-            raise ConfigError(f"mode must be 'full' or 'lora', got {self.mode!r}")
+        if self.mode not in STAGE_MODES:
+            raise ConfigError(f"mode must be {' or '.join(map(repr, STAGE_MODES))}, "
+                              f"got {self.mode!r}")
         if self.mode == "lora" and self.stage != 3:
             raise ConfigError("lora mode is only valid for stage 3")
         if self.lr <= 0:
@@ -80,7 +83,7 @@ def freeze_plan(model, cfg: StageConfig) -> frozenset[str]:
     matrices ("lora") standing in for the base LM ("llm") in lora mode."""
     components = STAGE_COMPONENTS[cfg.stage]
     if cfg.mode == "lora":
-        if not model.lora_adapters:
+        if not lora_targets(model):
             raise ConfigError("stage 3 lora mode requires adapters to be attached")
         components = tuple("lora" if c == "llm" else c for c in components)
     prefixes = tuple(c + "." for c in components)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tinymmt.errors import CheckpointError
-from tinymmt.model import ModelConfig, MultimodalModel, Vocabulary, lora_attach
+from tinymmt.model import ModelConfig, MultimodalModel, Vocabulary, lora_attach, lora_targets
 from tinymmt.numerics.tensor import _CAUSAL_MASKS
 from tinymmt.training import (
     FORMAT_VERSION,
@@ -116,15 +116,13 @@ def test_lora_model_round_trips(tmp_path):
     records = make_records(3, seed=9)
     instances = make_instances(records, "mmt")
     model = build_model(instances, seed=9, c_total=512)
-    lora_attach(model, r=2, alpha=8.0)
+    lora_attach(model)
     run_stage(model, instances, StageConfig(stage=3, mode="lora", seed=1, max_steps=2,
                                             batch_size=2))
     path = tmp_path / "lora.ckpt"
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
-    assert sorted(loaded.lora_adapters) == sorted(model.lora_adapters)
-    first = next(iter(loaded.lora_adapters.values()))
-    assert (first.r, first.alpha) == (2, 8.0)
+    assert lora_targets(loaded) == lora_targets(model)
     for name in model.params.names():
         assert np.array_equal(loaded.params[name].data, model.params[name].data)
 
@@ -166,7 +164,7 @@ def join_blob(blob: bytes, header: dict, tensors: bytes) -> bytes:
 def lora_checkpoint(tmp_path):
     records = make_records(3, seed=9)
     model = build_model(make_instances(records, "text_only"), seed=9, c_total=256)
-    lora_attach(model, r=2, alpha=8.0)
+    lora_attach(model)
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path)
     return path
@@ -196,8 +194,9 @@ def test_duplicate_tensor_rejected(lora_checkpoint):
     lambda lora: lora.pop("targets"),
     lambda lora: lora.update(r="two"),
     lambda lora: lora.update(r=2.5),
+    lambda lora: lora.update(alpha=8.0),
     lambda lora: lora.update(targets=["llm.nope.weight"]),
-], ids=["no-targets", "r-string", "r-float", "unknown-target"])
+], ids=["no-targets", "r-string", "r-float", "alpha", "unknown-target"])
 def test_bad_lora_header_rejected(lora_checkpoint, edit):
     blob = lora_checkpoint.read_bytes()
     header, tensors = split_blob(blob)
@@ -246,7 +245,7 @@ def fuzz_checkpoint() -> tuple[bytes, dict[str, bytes], dict[str, range]]:
     config = ModelConfig(vocab_size=len(vocab), d_vis=8, d_model=8, n_layers_vis=1,
                          n_layers_lm=1, c_total=32)
     model = MultimodalModel(config, vocab, seed=3)
-    lora_attach(model, r=2, alpha=8.0)
+    lora_attach(model)
     model.provenance.append(StageConfig(stage=3, mode="lora", seed=3).summary())
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.ckpt"

@@ -429,14 +429,32 @@ def test_evaluate_input_errors_exit_3(tmp_path, capsys, which, content):
     '"hyp_tokens": 2, "ref_tokens": 2}',
     '{"lang": "hi", "split": "test", "bleu": 1.0, "ribes": Infinity, "n_sentences": 1, '
     '"hyp_tokens": 2, "ref_tokens": 2}',
+    # a cell no leaderboard column shows would print a row of '-'
+    '{"lang": "hindi", "split": "test", "bleu": 1.0, "ribes": 0.5, "n_sentences": 1, '
+    '"hyp_tokens": 2, "ref_tokens": 2}',
+    '{"lang": "hi", "split": "tset", "bleu": 1.0, "ribes": 0.5, "n_sentences": 1, '
+    '"hyp_tokens": 2, "ref_tokens": 2}',
 ], ids=["missing", "invalid-json", "not-an-object", "missing-keys", "wrong-type", "bool-count",
-        "bool-score", "nan-score", "inf-score"])
+        "bool-score", "nan-score", "inf-score", "unknown-lang", "unknown-split"])
 def test_report_input_errors_exit_3(tmp_path, capsys, content):
     path = tmp_path / "report.json"
     if content is not None:
         path.write_text(content, encoding="utf-8")
     assert main(["report", str(path)]) == 3
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--lang", "hindi"], ["--lang", "hi", "--split", "tset"]],
+                         ids=["lang", "split"])
+def test_evaluate_rejects_an_unknown_lang_or_split(tmp_path, capsys, flags):
+    ref = tmp_path / "ref.txt"
+    ref.write_text("red cat\n", encoding="utf-8")
+    out = tmp_path / "rep.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--hyp", str(ref), "--ref", str(ref), "--out", str(out), *flags])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evaluate_out_creates_its_directory(tmp_path):
@@ -685,8 +703,11 @@ def test_generate_oov_error_names_the_instance(tmp_path, capsys, raw):
     (lambda d: {**d, "lang": None}, "'lang'"),
     (lambda d: {**{k: v for k, v in d.items() if k != "image_id"}, "imageid": "img1"},
      "unknown instance field(s) 'imageid'"),
+    (lambda d: {**d, "task": "mmt", "image_id": None}, "'mmt' instance needs an 'image_id'"),
+    (lambda d: {k: v for k, v in d.items() if k != "image_id"} | {"task": "caption"},
+     "'caption' instance needs an 'image_id'"),
 ], ids=["array", "int-prompt", "int-image-id", "lone-surrogate", "list-source-id", "null-lang",
-        "misspelt-key"])
+        "misspelt-key", "mmt-without-image", "caption-without-image"])
 def test_generate_rejects_a_malformed_instance_record(tmp_path, capsys, mutate, named):
     record = dataclasses.asdict(make_instances(make_records(1, seed=1), "text_only")[0])
     source = tmp_path / "s.jsonl"
@@ -698,6 +719,16 @@ def test_generate_rejects_a_malformed_instance_record(tmp_path, capsys, mutate, 
     err = capsys.readouterr().err
     assert f"data error: {source}:2: " in err and named in err
     assert not hyp.exists()
+
+
+def test_raw_sentences_into_a_language_outside_langs_is_a_config_error(tmp_path, capsys):
+    sentences = tmp_path / "s.txt"
+    sentences.write_text("red cat\n", encoding="utf-8")
+    assert main(["generate", "--checkpoint", str(text_only_checkpoint(tmp_path / "m.ckpt")),
+                 "--input", str(sentences), "--out", str(tmp_path / "h.txt"),
+                 "--raw-sentences", "--lang", "en"]) == 2
+    assert "config error: unknown language 'en'" in capsys.readouterr().err
+    assert not (tmp_path / "h.txt").exists()
 
 
 def test_negative_decode_budget_is_a_config_error(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import tape_sum
-from tinymmt.model import lora_attach
+from tinymmt.model import lora_attach, lora_targets
 from tinymmt.numerics import Tensor, grad_check_params, no_grad
 from tinymmt.numerics.gradcheck import _rel_error
 from tinymmt.numerics.tensor import _accumulate, _make
@@ -115,10 +115,11 @@ def test_shared_prefix_group_loss_gradients(tiny_text_setup, mode):
     # run once, and their nodes take both samples' gradients
     model, instances = tiny_text_setup
     if mode == "lora":
-        lora_attach(model, r=2, alpha=8.0)
+        lora_attach(model)
         rng = np.random.default_rng(6)
-        for adapter in model.lora_adapters.values():
-            adapter.B.data[...] = rng.normal(0.0, 0.05, size=adapter.B.shape)
+        for target in lora_targets(model):
+            b = model.params[f"lora.{target}.B"]
+            b.data[...] = rng.normal(0.0, 0.05, size=b.shape)
     pair = [(model.vocab.encode(inst.prompt), model.vocab.encode(inst.response))
             for inst in instances[:2]]
     assert len(os.path.commonprefix([inst.prompt for inst in instances[:2]])) >= 88

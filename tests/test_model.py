@@ -4,7 +4,7 @@ import pytest
 from tinymmt.datapipe import synth_image
 from tinymmt.errors import BudgetError, ConfigError, ShapeError
 from tinymmt.model import (
-    Assembled, ModelConfig, MultimodalModel, Vocabulary, lora_attach, lora_merge,
+    Assembled, ModelConfig, MultimodalModel, Vocabulary, lora_attach, lora_merge, lora_targets,
 )
 from tinymmt.model.components import DecoderLM
 from tinymmt.model.vocab import BOS, EOS, HUM, IMG, SYS
@@ -306,10 +306,11 @@ def _decoding_model(dtype, lora):
     non-zero B, or "merged"."""
     model = small_model(seed=3, dtype=dtype)
     if lora != "none":
-        lora_attach(model, r=2, alpha=8.0)
+        lora_attach(model)
         rng = np.random.default_rng(5)
-        for adapter in model.lora_adapters.values():
-            adapter.B.data[...] = rng.normal(0.0, 0.05, size=adapter.B.shape)
+        for target in lora_targets(model):
+            b = model.params[f"lora.{target}.B"]
+            b.data[...] = rng.normal(0.0, 0.05, size=b.shape)
         if lora == "merged":
             lora_merge(model)
     model.params["llm.tok_emb"].data[EOS] *= 1.5

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from tinymmt.errors import DataError
-from tinymmt.model import MultimodalModel, lora_attach
+from tinymmt.model import MultimodalModel, lora_attach, lora_targets
 from tinymmt.model.components import DecoderLM
 from tinymmt.model.config import ModelConfig
 from tinymmt.model.vocab import SYS
@@ -127,10 +127,11 @@ class TestAgainstPerSample:
 
     def test_lora_with_non_zero_b(self):
         model, instances = _text_batch()
-        lora_attach(model, r=2, alpha=8.0)
+        lora_attach(model)
         rng = np.random.default_rng(9)
-        for adapter in model.lora_adapters.values():
-            adapter.B.data[...] = rng.normal(0.0, 0.05, size=adapter.B.shape)
+        for target in lora_targets(model):
+            b = model.params[f"lora.{target}.B"]
+            b.data[...] = rng.normal(0.0, 0.05, size=b.shape)
         assert_matches_per_sample(_all_trainable(model), instances, 1e-12)
 
     def test_float32(self):
