@@ -1,9 +1,12 @@
-"""The one way tinymmt writes an output file (whole, or not at all) and
-reads a text input (UTF-8, or a structured error)."""
+"""The one way tinymmt writes an output file (whole, or not at all), reads a
+text input (UTF-8, or a structured error) and reads a JSON input (one parse,
+one field-table check)."""
 
 from __future__ import annotations
 
 import itertools
+import json
+import math
 import os
 from pathlib import Path
 
@@ -54,3 +57,64 @@ def read_lines(path) -> list[str]:
     if lines[-1] == "":
         lines.pop()
     return lines
+
+
+def parse_json(text: str, where, error: type[Exception]):
+    """The JSON value `text` holds; invalid JSON raises `error` naming `where`."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{where}: invalid JSON: {exc}") from None
+
+
+NUMBER = (int, float)  # JSON true and false are not numbers, though bool subclasses int
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               float: "a number", bool: "a boolean", type(None): "null"}
+_WALKED = {str, float, list, dict}  # the types a _fault can hide in
+
+
+def _fault(value) -> tuple[tuple, str] | None:
+    """The keys down to, and the kind of, the first thing in a decoded JSON value that
+    JSON text cannot hold: half a surrogate pair (a \\u escape spells one) or NaN and
+    +-Infinity (not numbers in RFC 8259; json.loads reads them, and 1e400 as inf)."""
+    stack = [((), value)]
+    while stack:  # a stack, not recursion: a value may nest deeper than Python frames
+        keys, value = stack.pop()
+        kind = type(value)
+        if kind is str:
+            try:
+                value.isascii() or value.encode("utf-8")  # half a surrogate pair cannot encode
+            except UnicodeEncodeError:
+                return keys, "holds a lone surrogate"
+        elif kind is float:
+            if not math.isfinite(value):
+                return keys, f"is not a finite number: {value}"
+        elif kind is list:
+            stack += (((*keys, i), v) for i, v in enumerate(value) if type(v) in _WALKED)
+        elif kind is dict:
+            stack += (((*keys, k), k) for k in value if not k.isascii())
+            stack += (((*keys, k), v) for k, v in value.items() if type(v) in _WALKED)
+    return None
+
+
+def json_fields(obj, kinds: dict, where, error: type[Exception], required) -> dict:
+    """`obj`, checked against one format's field table (key -> the type or tuple of types
+    its value may take; the keys it leaves out are for the caller's defaults). A non-object,
+    an unknown or missing key, a wrong type or a _fault raises `error` naming `where` and the key."""
+    if type(obj) is not dict:
+        raise error(f"{where}: expected a JSON object, got {_JSON_TYPES[type(obj)]}")
+    for key, value in obj.items():
+        kind = kinds.get(key)
+        if kind is None:
+            raise error(f"{where}: unknown key {key!r} (allowed: {', '.join(kinds)})")
+        if not isinstance(value, kind) or (type(value) is bool and kind is not bool):
+            expected = " or ".join(map(_JSON_TYPES.get, kind if isinstance(kind, tuple) else (kind,)))
+            raise error(f"{where}: {key!r} must be {expected}, got {_JSON_TYPES[type(value)]}")
+        fault = _fault(value) if type(value) in _WALKED else None
+        if fault:
+            keys, problem = fault
+            raise error(f"{where}: {key!r}{''.join(f'[{k!r}]' for k in keys)} {problem}")
+    for key in required:
+        if key not in obj:
+            raise error(f"{where}: missing required key {key!r}")
+    return obj

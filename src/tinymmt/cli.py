@@ -35,7 +35,7 @@ from tinymmt.datapipe import (
 )
 from tinymmt.datapipe.prompts import TEXT_ONLY_TEMPLATE
 from tinymmt.errors import ConfigError, DataError, TinymmtError
-from tinymmt.metrics import evaluate_files, format_leaderboard, read_report, tokenize, write_report
+from tinymmt.metrics import evaluate_files, format_leaderboard, read_reports, tokenize, write_report
 from tinymmt.model import ModelConfig, MultimodalModel, Vocabulary
 from tinymmt.training import hyperparameter_sweep, load_checkpoint, run_pipeline
 from tinymmt.training.stages import STAGE_MODES, SWEEP_EPOCHS, SWEEP_LRS
@@ -264,7 +264,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    reports = [read_report(p) for p in args.reports]
+    reports = read_reports(args.reports)
     table = format_leaderboard(reports, label=args.label)
     if args.out:
         atomic_write(args.out, table)

@@ -7,11 +7,10 @@ same config and seed reproduces its outputs byte for byte.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from tinymmt.atomic import read_text
+from tinymmt.atomic import NUMBER, json_fields, parse_json, read_text
 from tinymmt.errors import ConfigError
 from tinymmt.datapipe.records import LANGS, SPLITS, TASKS
 from tinymmt.model.config import ModelConfig
@@ -21,25 +20,6 @@ from tinymmt.training.stages import StageConfig, derive_stage_seed
 def _expect(cond: bool, where: str, message: str) -> None:
     if not cond:
         raise ConfigError(f"{where}: {message}")
-
-
-def _check_keys(raw: dict, allowed, prefix: str) -> None:
-    """Reject any key outside `allowed`, naming its dotted path."""
-    for key in sorted(raw):
-        _expect(key in allowed, prefix + key, f"unknown key (allowed: {', '.join(allowed)})")
-
-
-def _typed(d: dict, key: str, types, where: str, default=..., allow_none: bool = False):
-    if key not in d:
-        _expect(default is not ..., where, f"missing required key {key!r}")
-        return default
-    value = d[key]
-    if value is None and allow_none:
-        return None
-    # JSON true/false are bools, not numbers, though bool subclasses int
-    _expect(isinstance(value, types) and (types is bool or not isinstance(value, bool)),
-            f"{where}.{key}", f"expected {types}, got {type(value).__name__}")
-    return value
 
 
 @dataclass
@@ -62,12 +42,17 @@ class StageSpec:
     mix_cap: int | None = None
 
 
-_TOP_KEYS = ("seed", "out_dir", "model", "data", "train")
-_TRAIN_KEYS = ("stages", "val")
-_DATA_KEYS = tuple(f.name for f in fields(DataSection))
-_STAGE_KEYS = ("data", "mix_cap", *(f.name for f in fields(StageConfig)))
+# each section's field table: key -> the JSON types its value may take
+_TOP_FIELDS = {"seed": int, "out_dir": str, "model": dict, "data": dict, "train": dict}
+_TRAIN_FIELDS = {"stages": list, "val": list}
+_DATA_FIELDS = {"tsv": dict, "detections_dir": (str, type(None)), "tasks": list,
+                "iou_threshold": NUMBER, "all_labels": bool, "strict": bool,
+                "instances_dir": str}
+_STAGE_FIELDS = {"stage": int, "data": list, "lr": (*NUMBER, type(None)), "batch_size": int,
+                 "mode": str, **dict.fromkeys(("mix_cap", "seed", "epochs", "max_steps"),
+                                              (int, type(None)))}
 # vocab_size is not settable: train derives it from the data
-_MODEL_KEYS = tuple(f.name for f in fields(ModelConfig) if f.name != "vocab_size")
+_MODEL_FIELDS = {f.name: type(f.default) for f in fields(ModelConfig) if f.name != "vocab_size"}
 
 
 @dataclass
@@ -89,90 +74,60 @@ class RunConfig:
         return self.resolve(self.out_dir)
 
 
-def _present(raw: dict, kinds: dict, where: str, nullable=()) -> dict:
-    """The keys of `kinds` that `raw` sets, type-checked; the dataclass
-    defaults fill in the rest."""
-    return {key: _typed(raw, key, kind, where, allow_none=key in nullable)
-            for key, kind in kinds.items() if key in raw}
-
-
 def _parse_data(raw: dict) -> DataSection:
-    where = "data"
-    _check_keys(raw, _DATA_KEYS, "data.")
-    data = DataSection(**_present(raw, {
-        "tsv": dict, "detections_dir": str, "tasks": list, "iou_threshold": (int, float),
-        "all_labels": bool, "strict": bool, "instances_dir": str,
-    }, where, nullable=("detections_dir",)))
-    for lang, splits in data.tsv.items():
-        _expect(lang in LANGS, f"{where}.tsv", f"unknown language {lang!r}")
-        _expect(isinstance(splits, dict), f"{where}.tsv.{lang}", "expected a split -> path map")
-        for split, path in splits.items():
-            _expect(split in SPLITS, f"{where}.tsv.{lang}", f"unknown split {split!r}")
-            _expect(isinstance(path, str), f"{where}.tsv.{lang}.{split}", "expected a path string")
+    data = DataSection(**json_fields(raw, _DATA_FIELDS, "data", ConfigError, ()))
+    for lang, splits in json_fields(data.tsv, dict.fromkeys(LANGS, dict), "data.tsv",
+                                    ConfigError, ()).items():
+        json_fields(splits, dict.fromkeys(SPLITS, str), f"data.tsv.{lang}", ConfigError, ())
     data.tasks = tuple(data.tasks)
     for task in data.tasks:
-        _expect(task in TASKS, f"{where}.tasks", f"unknown task {task!r}")
+        _expect(task in TASKS, "data.tasks", f"unknown task {task!r}")
     data.iou_threshold = float(data.iou_threshold)
-    _expect(0.0 <= data.iou_threshold <= 1.0, f"{where}.iou_threshold", "must be in [0, 1]")
+    _expect(0.0 <= data.iou_threshold <= 1.0, "data.iou_threshold", "must be in [0, 1]")
     return data
 
 
-def _parse_stage(raw: dict, index: int, master_seed: int) -> StageSpec:
+def _parse_stage(raw, index: int, master_seed: int) -> StageSpec:
     where = f"train.stages[{index}]"
-    _expect(isinstance(raw, dict), where, "expected an object")
-    _check_keys(raw, _STAGE_KEYS, where + ".")
-    stage = _typed(raw, "stage", int, where)
-    data = _typed(raw, "data", list, where)
+    settings = dict(json_fields(raw, _STAGE_FIELDS, where, ConfigError, ("stage", "data")))
+    data, mix_cap = settings.pop("data"), settings.pop("mix_cap", None)
     _expect(all(isinstance(p, str) for p in data), f"{where}.data", "expected path strings")
     _expect(len(data) > 0, f"{where}.data", "at least one instance file required")
-    settings = _present(raw, {
-        "seed": int, "lr": (int, float), "epochs": int, "batch_size": int, "mode": str,
-        "max_steps": int,
-    }, where, nullable=("seed", "lr", "epochs", "max_steps"))
     if settings.get("seed") is None:  # derived once the stage number is known to be good
         settings.pop("seed", None)
     try:
-        config = StageConfig(stage=stage, **settings)
+        config = StageConfig(**settings)
     except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from None
     if "seed" not in settings:
-        config.seed = derive_stage_seed(master_seed, stage)
-    return StageSpec(config=config, data=tuple(data),
-                     **_present(raw, {"mix_cap": int}, where, nullable=("mix_cap",)))
+        config.seed = derive_stage_seed(master_seed, config.stage)
+    return StageSpec(config=config, data=tuple(data), mix_cap=mix_cap)
 
 
 def load_config(path, seed: int | None = None) -> RunConfig:
     """Parse and check a run config; `seed` replaces its master seed, and
     stage seeds derive from the result."""
     path = Path(path)
-    try:
-        raw = json.loads(read_text(path, ConfigError))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    _expect(isinstance(raw, dict), str(path), "top level must be an object")
-    _check_keys(raw, _TOP_KEYS, "")
-    if seed is None:
-        seed = _typed(raw, "seed", int, "config", default=0)
+    raw = json_fields(parse_json(read_text(path, ConfigError), path, ConfigError),
+                      _TOP_FIELDS, path, ConfigError, ("out_dir",))
+    seed = raw.get("seed", 0) if seed is None else seed
     _expect(seed >= 0, "seed", f"must be >= 0, got {seed}")
-    model = _typed(raw, "model", dict, "config", default={})
-    _check_keys(model, _MODEL_KEYS, "model.")
+    model = json_fields(raw.get("model", {}), _MODEL_FIELDS, "model", ConfigError, ())
 
-    train_raw = _typed(raw, "train", dict, "config", default={})
-    _check_keys(train_raw, _TRAIN_KEYS, "train.")
-    stages_raw = _typed(train_raw, "stages", list, "train", default=[])
-    stages = [_parse_stage(s, i, seed) for i, s in enumerate(stages_raw)]
+    train = json_fields(raw.get("train", {}), _TRAIN_FIELDS, "train", ConfigError, ())
+    stages = [_parse_stage(s, i, seed) for i, s in enumerate(train.get("stages", []))]
     numbers = [s.config.stage for s in stages]
     _expect(all(b > a for a, b in zip(numbers, numbers[1:])), "train.stages",
             f"stage numbers must be strictly increasing, got {numbers}")
 
-    val_files = tuple(_typed(train_raw, "val", list, "train", default=[]))
+    val_files = tuple(train.get("val", ()))
     _expect(all(isinstance(p, str) for p in val_files), "train.val", "expected path strings")
 
     return RunConfig(
         seed=seed,
-        out_dir=_typed(raw, "out_dir", str, "config"),
+        out_dir=raw["out_dir"],
         model=model,
-        data=_parse_data(_typed(raw, "data", dict, "config", default={})),
+        data=_parse_data(raw.get("data", {})),
         stages=stages,
         val_files=val_files,
         base_dir=path.parent.resolve(),

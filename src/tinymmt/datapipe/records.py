@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from tinymmt.atomic import atomic_write, read_text
+from tinymmt.atomic import NUMBER, atomic_write, json_fields, parse_json, read_text
 from tinymmt.errors import DataError, TsvParseError
 
 LANGS = ("hi", "bn", "ml")
@@ -159,24 +159,23 @@ def _parse_line(line: str, line_no: int, lang: str, split: str) -> VgRecord:
 # ----------------------------------------------------------------------
 # detector output
 
+_DETECTION_FIELDS = {"label": str, "box": list, "confidence": NUMBER}
+
+
 def read_detection_file(path) -> list[DetectedObject]:
-    try:
-        raw = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON: {exc}") from exc
+    raw = parse_json(read_text(path), path, DataError)
     if not isinstance(raw, list):
         raise DataError(f"{path}: detector file must hold a JSON array")
     out = []
     for i, entry in enumerate(raw):
+        where = f"{path}: bad detection entry {i}"
+        d = json_fields(entry, _DETECTION_FIELDS, where, DataError, _DETECTION_FIELDS)
+        if list(map(type, d["box"])) != [int] * 4:
+            raise DataError(f"{where}: 'box' must be 4 integers [x, y, w, h]")
         try:
-            box = entry["box"]
-            out.append(DetectedObject(
-                label=str(entry["label"]),
-                box=BoundingBox(int(box[0]), int(box[1]), int(box[2]), int(box[3])),
-                confidence=float(entry["confidence"]),
-            ))
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: bad detection entry {i}: {exc}") from exc
+            out.append(DetectedObject(d["label"], BoundingBox(*d["box"]), d["confidence"]))
+        except DataError as exc:
+            raise DataError(f"{where}: {exc}") from None
     return out
 
 
@@ -215,46 +214,30 @@ def write_instances(path, instances: Iterable[PromptInstance]) -> None:
     atomic_write(path, "".join(line + "\n" for line in lines))
 
 
-# instance field -> the JSON types its value may take; an absent image_id reads as null
+# an instance's field table; an absent image_id reads as null
 _INSTANCE_FIELDS = {"task": str, "prompt": str, "response": str, "lang": str, "source_id": str,
                     "image_id": (str, type(None))}
+_INSTANCE_REQUIRED = ("task", "prompt", "response", "lang", "source_id")
 
 
 def read_instances(path) -> list[PromptInstance]:
-    """Read a JSON-lines instance file; a record that is not an object, that
-    has a key outside the instance fields, whose field is missing, of the
-    wrong type or holds a lone surrogate, or of a grounded task without an
-    image_id, raises DataError naming path:line and the key or task."""
+    """Read a JSON-lines instance file; a record that fails the field table,
+    or whose image_id does not match its task (text_only has none, every
+    other task one), raises DataError naming path:line and the key or task."""
     out = []
     for line_no, line in enumerate(read_text(path).split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
         where = f"{path}:{line_no}"
+        d = json_fields(parse_json(line, where, DataError), _INSTANCE_FIELDS, where, DataError,
+                        _INSTANCE_REQUIRED)
         try:
-            d = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{where}: bad instance record: {exc}") from exc
-        if not isinstance(d, dict):
-            raise DataError(f"{where}: an instance record must be a JSON object")
-        unknown = sorted(d.keys() - _INSTANCE_FIELDS.keys())
-        if unknown:
-            raise DataError(f"{where}: unknown instance field(s) {', '.join(map(repr, unknown))}")
-        for key, types in _INSTANCE_FIELDS.items():
-            value = d.get(key)
-            if not isinstance(value, types):
-                raise DataError(f"{where}: instance field {key!r} is missing or has the wrong type")
-            if value is None:
-                continue
-            try:
-                value.encode("utf-8")  # a JSON escape can spell half a surrogate pair
-            except UnicodeEncodeError:
-                raise DataError(f"{where}: instance field {key!r} holds a lone surrogate") from None
-        try:
-            inst = PromptInstance(**{key: d.get(key) for key in _INSTANCE_FIELDS})
+            inst = PromptInstance(**d)
         except DataError as exc:
             raise DataError(f"{where}: bad instance record: {exc}") from exc
-        if inst.image_id is None and inst.task != "text_only":
-            raise DataError(f"{where}: a {inst.task!r} instance needs an 'image_id'")
+        if (inst.image_id is None) != (inst.task == "text_only"):
+            need = "has no" if inst.task == "text_only" else "needs an"
+            raise DataError(f"{where}: a {inst.task!r} instance {need} 'image_id'")
         out.append(inst)
     return out

@@ -7,7 +7,7 @@ from tinymmt.metrics.report import (
     evaluate_files,
     evaluate_lines,
     format_leaderboard,
-    read_report,
+    read_reports,
     write_report,
 )
 
@@ -22,7 +22,7 @@ __all__ = [
     "format_leaderboard",
     "kendall_tau",
     "ngram_counts",
-    "read_report",
+    "read_reports",
     "ribes",
     "sentence_ribes",
     "tokenize",

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from tinymmt.atomic import atomic_write, read_lines, read_text
-from tinymmt.datapipe.records import LANGS, SPLITS
+from tinymmt.atomic import NUMBER, atomic_write, json_fields, parse_json, read_lines, read_text
 from tinymmt.errors import DataError
 from tinymmt.metrics.bleu import bleu
 from tinymmt.metrics.ribes import ribes
@@ -83,30 +81,25 @@ def write_report(report: MetricReport, path) -> None:
     atomic_write(path, json.dumps(report.to_dict(), ensure_ascii=False, sort_keys=True) + "\n")
 
 
-_REPORT_FIELDS = {"lang": str, "split": str, "bleu": (int, float), "ribes": (int, float),
+_REPORT_FIELDS = {"lang": str, "split": str, "bleu": NUMBER, "ribes": NUMBER,
                   "n_sentences": int, "hyp_tokens": int, "ref_tokens": int}
 
 
-def read_report(path) -> MetricReport:
-    """Read a report JSON; a missing, malformed or incomplete one, or one for
-    a language or split outside LANGS and SPLITS, raises DataError."""
-    try:
-        d = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(d, dict):
-        raise DataError(f"{path}: a report must be a JSON object")
-    for key, types in _REPORT_FIELDS.items():
-        value = d.get(key)
-        # JSON true/false are bools, not numbers, though bool subclasses int
-        if not isinstance(value, types) or isinstance(value, bool):
-            raise DataError(f"{path}: report field {key!r} is missing or has the wrong type")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise DataError(f"{path}: report field {key!r} is not a finite number: {value}")
-    for key, allowed in (("lang", LANGS), ("split", SPLITS)):
-        if d[key] not in allowed:
-            raise DataError(f"{path}: report {key} {d[key]!r} is not one of {allowed}")
-    return MetricReport(**{key: d[key] for key in _REPORT_FIELDS})
+def read_reports(paths: Sequence) -> list[MetricReport]:
+    """Read the reports of one leaderboard row; a malformed one, one for a cell
+    outside TABLE_COLUMNS or two for one cell raise DataError naming the files."""
+    reports, by_cell = [], {}
+    for path in paths:
+        d = json_fields(parse_json(read_text(path), path, DataError), _REPORT_FIELDS, path,
+                        DataError, _REPORT_FIELDS)
+        cell = (d["lang"], d["split"])
+        if cell not in {column[:2] for column in TABLE_COLUMNS}:
+            raise DataError(f"{path}: no leaderboard column for (lang, split) {cell}")
+        if cell in by_cell:
+            raise DataError(f"{by_cell[cell]} and {path} both report (lang, split) {cell}")
+        by_cell[cell] = path
+        reports.append(MetricReport(**d))
+    return reports
 
 
 def format_leaderboard(reports: Sequence[MetricReport], label: str = "ours") -> str:

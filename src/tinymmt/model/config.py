@@ -73,10 +73,7 @@ class ModelConfig:
     def from_dict(cls, d: dict) -> "ModelConfig":
         d = dict(d)
         c_vis = d.pop("c_vis", None)
-        try:
-            cfg = cls(**d)
-        except TypeError as exc:
-            raise ConfigError(f"bad model config: {exc}") from exc
+        cfg = cls(**d)  # an unknown or missing key raises TypeError
         if c_vis is not None and c_vis != cfg.c_vis:
             raise ConfigError(
                 f"c_vis={c_vis} inconsistent with (image_size/patch_size)^2={cfg.c_vis}"

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tinymmt.atomic import atomic_write
+from tinymmt.atomic import NUMBER, atomic_write, json_fields, parse_json
 from tinymmt.errors import CheckpointError, TinymmtError
 from tinymmt.model.config import ModelConfig
 from tinymmt.model.lora import LORA_ALPHA, LORA_R, lora_attach, lora_targets
@@ -39,6 +39,9 @@ MAGIC = b"CNVD"
 FORMAT_VERSION = 1
 _DTYPE_CODES = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
 _CODE_DTYPES = {code: dt for dt, code in _DTYPE_CODES.items()}
+_HEADER_FIELDS = {"config": dict, "vocab": dict, "provenance": list, "seed": int,
+                  "lora": (dict, type(None))}
+_LORA_FIELDS = {"targets": list, "r": int, "alpha": NUMBER}
 
 
 def _header(model: MultimodalModel) -> dict:
@@ -108,24 +111,28 @@ def load_checkpoint(path) -> MultimodalModel:
             f"(this build reads version {FORMAT_VERSION})"
         )
     (header_len,) = reader.unpack("<Q")
+    where = f"{path}: invalid header"
     try:
-        header = json.loads(reader.take(header_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
+        text = reader.take(header_len).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{where}: not UTF-8 text: {exc}") from exc
+    header = json_fields(parse_json(text, where, CheckpointError), _HEADER_FIELDS, where,
+                         CheckpointError, _HEADER_FIELDS)
+    lora = header["lora"]
+    if lora is not None:
+        json_fields(lora, _LORA_FIELDS, f"{where}: lora", CheckpointError, _LORA_FIELDS)
+        if (lora["r"], lora["alpha"]) != (LORA_R, LORA_ALPHA):
+            raise CheckpointError(f"{where}: lora r and alpha must be {LORA_R} and {LORA_ALPHA}")
 
     try:
         config = ModelConfig.from_dict(header["config"])
         model = MultimodalModel(config, Vocabulary.from_dict(header["vocab"]),
-                                seed=int(header["seed"]))
-        lora_meta = header.get("lora")
-        if lora_meta:
-            if (lora_meta["r"], lora_meta["alpha"]) != (LORA_R, LORA_ALPHA):
-                raise ValueError(f"lora r={lora_meta['r']!r}, alpha={lora_meta['alpha']!r}; "
-                                 f"this build has r={LORA_R}, alpha={LORA_ALPHA}")
-            lora_attach(model, targets=list(lora_meta["targets"]))
-        model.provenance = list(header["provenance"])
+                                seed=header["seed"])
+        if lora is not None:
+            lora_attach(model, targets=lora["targets"])
     except (TinymmtError, KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: invalid header: {type(exc).__name__}: {exc}") from exc
+        raise CheckpointError(f"{where}: {type(exc).__name__}: {exc}") from exc
+    model.provenance = header["provenance"]
 
     (n_tensors,) = reader.unpack("<I")
     expected = set(model.params.names())

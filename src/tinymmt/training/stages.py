@@ -62,8 +62,8 @@ class StageConfig:
                               f"got {self.mode!r}")
         if self.mode == "lora" and self.stage != 3:
             raise ConfigError("lora mode is only valid for stage 3")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < float("inf"):  # NaN fails every comparison
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:

@@ -574,10 +574,13 @@ def stage2_tree(tmp_path_factory):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--lrs=-1,0"], "lr must be positive, got -1.0"),
-    (["--lrs=1e-4,-1"], "lr must be positive, got -1.0"),
+    (["--lrs=-1,0"], "lr must be finite and positive, got -1.0"),
+    (["--lrs=1e-4,-1"], "lr must be finite and positive, got -1.0"),
+    # sweep.json would hold NaN or Infinity, which are not JSON
+    (["--lrs=1e-4,nan"], "lr must be finite and positive, got nan"),
+    (["--lrs=inf"], "lr must be finite and positive, got inf"),
     (["--epochs", "0"], "epochs must be >= 1, got 0"),
-], ids=["lrs-all-bad", "lrs-second-bad", "epochs-zero"])
+], ids=["lrs-all-bad", "lrs-second-bad", "lrs-nan", "lrs-inf", "epochs-zero"])
 def test_sweep_rejects_a_bad_grid_before_training(stage2_tree, monkeypatch, capsys, flags,
                                                   message):
     trained = []
@@ -702,12 +705,14 @@ def test_generate_oov_error_names_the_instance(tmp_path, capsys, raw):
     (lambda d: {**d, "source_id": [1]}, "'source_id'"),
     (lambda d: {**d, "lang": None}, "'lang'"),
     (lambda d: {**{k: v for k, v in d.items() if k != "image_id"}, "imageid": "img1"},
-     "unknown instance field(s) 'imageid'"),
+     "unknown key 'imageid'"),
     (lambda d: {**d, "task": "mmt", "image_id": None}, "'mmt' instance needs an 'image_id'"),
     (lambda d: {k: v for k, v in d.items() if k != "image_id"} | {"task": "caption"},
      "'caption' instance needs an 'image_id'"),
+    # training and decoding would feed the image with a prompt that names none
+    (lambda d: {**d, "image_id": "img1"}, "'text_only' instance has no 'image_id'"),
 ], ids=["array", "int-prompt", "int-image-id", "lone-surrogate", "list-source-id", "null-lang",
-        "misspelt-key", "mmt-without-image", "caption-without-image"])
+        "misspelt-key", "mmt-without-image", "caption-without-image", "text-only-with-image"])
 def test_generate_rejects_a_malformed_instance_record(tmp_path, capsys, mutate, named):
     record = dataclasses.asdict(make_instances(make_records(1, seed=1), "text_only")[0])
     source = tmp_path / "s.jsonl"

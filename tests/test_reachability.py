@@ -3,7 +3,9 @@
 One small pipeline runs through `main` under `sys.setprofile`: criterion
 10's commands, `generate` on each task's test file and with `--no-image`, a
 LoRA stage 3, a stage with `mix_cap`, `sweep`, `report`, and `evaluate` on
-multi-word hypotheses, one file of them capitalised and punctuated. Every
+multi-word hypotheses, one file of them capitalised and punctuated. Then
+one rejected input per JSON reader (config, detector file, instance line,
+report and checkpoint header) takes each reader's error path. Every
 function defined under src/tinymmt, nested backward closures included, must
 be called on the way. The only exceptions are the functions an acceptance
 criterion alone calls, each listed below with its criterion; such a function
@@ -13,6 +15,7 @@ stale.
 
 import ast
 import json
+import struct
 import sys
 from pathlib import Path
 
@@ -60,8 +63,9 @@ def _defined() -> dict[tuple[Path, int, str], tuple[str, str]]:
     return found
 
 
-def _commands(root: Path) -> list[list[str]]:
-    """The pipeline's command lines, over a fixture tree written into root."""
+def _commands(root: Path) -> list[tuple[list[str], int]]:
+    """The pipeline's command lines and the exit code each must give, over a
+    fixture tree written into root."""
     config = write_fixture_tree(root, n_train=4, n_eval=2, seed=4)
     raw = json.loads(config.read_text())
     raw["train"]["stages"][1]["mix_cap"] = 2
@@ -75,7 +79,32 @@ def _commands(root: Path) -> list[list[str]]:
     # n-gram reaches BLEU's clipped count
     cased = root / "cased.txt"
     cased.write_text("Red cat, red cat.\nनीला कुत्ता।\n", encoding="utf-8")
-    return [
+    bad = root / "bad"
+    (bad / "detections").mkdir(parents=True)
+    (bad / "detections" / "train0.json").write_text(
+        '[{"label": "cat", "box": "2 3 10 12", "confidence": 0.9}]')
+    (bad / "config.json").write_text(json.dumps(
+        {"out_dir": "run", "data": {"tsv": {"hi": {"train": "../hi_train.tsv"}},
+                                    "detections_dir": "detections"}}))
+    (bad / "nan.json").write_text('{"out_dir": "run", "train": {"stages": '
+                                  '[{"stage": 1, "data": ["a.jsonl"], "lr": NaN}]}}')
+    (bad / "s.jsonl").write_text('{"task": "text_only", "prompt": "a", "response": "b", '
+                                 '"lang": "hi", "source_id": "x", "image_id": "img1"}\n')
+    (bad / "report.json").write_text('{"lang": "hi", "split": "test", "bleu": 1.0, '
+                                     '"ribes": 0.5, "n_sentences": 1, "hyp_tokens": 2, '
+                                     '"ref_tokens": 2, "chrf": 0.5}')
+    header = b'{"seed": "7"}'
+    (bad / "m.ckpt").write_bytes(b"CNVD" + struct.pack("<IQ", 1, len(header)) + header)
+    rejected = [
+        (["prepare-data", "--config", str(bad / "nan.json")], 2),
+        (["prepare-data", "--config", str(bad / "config.json")], 3),
+        (["generate", "--checkpoint", ckpt, "--input", str(bad / "s.jsonl"),
+          "--out", str(bad / "hyp.txt")], 3),
+        (["report", str(bad / "report.json")], 3),
+        (["generate", "--checkpoint", str(bad / "m.ckpt"), "--input", str(bad / "s.jsonl"),
+          "--out", str(bad / "hyp.txt")], 4),
+    ]
+    return [(argv, 0) for argv in [
         ["prepare-data", "--config", config],
         ["train", "--config", config],
         ["train", "--config", config, "--stages", "1,3", "--stage3-mode", "lora",
@@ -88,13 +117,13 @@ def _commands(root: Path) -> list[list[str]]:
         ["evaluate", "--hyp", str(run / "text_only.hyp.txt"), "--ref", str(ref),
          "--lang", "hi", "--smooth", "--out", str(run / "report.json")],
         ["evaluate", "--hyp", str(ref), "--ref", str(ref), "--lang", "hi",
-         "--out", str(run / "self.json")],
+         "--split", "challenge", "--out", str(run / "self.json")],
         ["evaluate", "--hyp", str(cased), "--ref", str(ref), "--lang", "hi",
          "--out", str(run / "cased.json")],
         ["report", str(run / "report.json"), str(run / "self.json")],
         ["sweep", "--config", config, "--checkpoint", "run/stage2.ckpt",
          "--lrs", "1e-3", "--epochs", "1"],
-    ]
+    ]] + rejected
 
 
 def _reached(commands) -> set[tuple[Path, int, str]]:
@@ -108,8 +137,8 @@ def _reached(commands) -> set[tuple[Path, int, str]]:
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        for argv in commands:
-            assert main(argv) == 0, argv
+        for argv, code in commands:
+            assert main(argv) == code, argv
     finally:
         sys.setprofile(previous)
     return {(Path(c.co_filename).resolve(), c.co_firstlineno, c.co_name)
