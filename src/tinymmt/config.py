@@ -22,6 +22,11 @@ def _expect(cond: bool, where: str, message: str) -> None:
         raise ConfigError(f"{where}: {message}")
 
 
+def _expect_path(where: str, path: str | None) -> None:
+    # no file system path holds a NUL, and pathlib only fails on one when it opens it
+    _expect(path is None or "\0" not in path, where, "a path cannot hold a NUL character")
+
+
 @dataclass
 class DataSection:
     tsv: dict[str, dict[str, str]] = field(default_factory=dict)  # lang -> split -> path
@@ -78,7 +83,11 @@ def _parse_data(raw: dict) -> DataSection:
     data = DataSection(**json_fields(raw, _DATA_FIELDS, "data", ConfigError, ()))
     for lang, splits in json_fields(data.tsv, dict.fromkeys(LANGS, dict), "data.tsv",
                                     ConfigError, ()).items():
-        json_fields(splits, dict.fromkeys(SPLITS, str), f"data.tsv.{lang}", ConfigError, ())
+        for split, path in json_fields(splits, dict.fromkeys(SPLITS, str), f"data.tsv.{lang}",
+                                       ConfigError, ()).items():
+            _expect_path(f"data.tsv.{lang}.{split}", path)
+    _expect_path("data.detections_dir", data.detections_dir)
+    _expect_path("data.instances_dir", data.instances_dir)
     data.tasks = tuple(data.tasks)
     for task in data.tasks:
         _expect(task in TASKS, "data.tasks", f"unknown task {task!r}")
@@ -93,6 +102,8 @@ def _parse_stage(raw, index: int, master_seed: int) -> StageSpec:
     data, mix_cap = settings.pop("data"), settings.pop("mix_cap", None)
     _expect(all(isinstance(p, str) for p in data), f"{where}.data", "expected path strings")
     _expect(len(data) > 0, f"{where}.data", "at least one instance file required")
+    for data_file in data:
+        _expect_path(f"{where}.data", data_file)
     if settings.get("seed") is None:  # derived once the stage number is known to be good
         settings.pop("seed", None)
     try:
@@ -110,6 +121,7 @@ def load_config(path, seed: int | None = None) -> RunConfig:
     path = Path(path)
     raw = json_fields(parse_json(read_text(path, ConfigError), path, ConfigError),
                       _TOP_FIELDS, path, ConfigError, ("out_dir",))
+    _expect_path("out_dir", raw["out_dir"])
     seed = raw.get("seed", 0) if seed is None else seed
     _expect(seed >= 0, "seed", f"must be >= 0, got {seed}")
     model = json_fields(raw.get("model", {}), _MODEL_FIELDS, "model", ConfigError, ())
@@ -122,6 +134,8 @@ def load_config(path, seed: int | None = None) -> RunConfig:
 
     val_files = tuple(train.get("val", ()))
     _expect(all(isinstance(p, str) for p in val_files), "train.val", "expected path strings")
+    for val_file in val_files:
+        _expect_path("train.val", val_file)
 
     return RunConfig(
         seed=seed,

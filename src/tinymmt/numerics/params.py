@@ -1,9 +1,10 @@
 """Named parameter registry with a trainable subset and digest helpers.
 
 Parameter names are dotted paths; the first segment is the component
-("vision", "adapter", "llm", "lora"). Freezing is realized by the trainable
-set: the optimizer only ever touches trainable entries, and SHA-256 digests
-prove frozen components bit-identical across a training stage.
+("vision", "adapter", "llm", "lora"). A parameter trains exactly when its
+tensor's requires_grad flag is set: the optimizer only ever touches those
+entries, and SHA-256 digests prove frozen components bit-identical across
+a training stage.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from tinymmt.numerics.tensor import Tensor
 class ParameterStore:
     def __init__(self):
         self._entries: dict[str, Tensor] = {}
-        self._trainable: set[str] = set()
         # weight name -> the layer that applies it; each Linear adds itself
         self.linears: dict[str, object] = {}
 
@@ -27,13 +27,11 @@ class ParameterStore:
         if name in self._entries:
             raise ValueError(f"duplicate parameter name {name!r}")
         self._entries[name] = tensor
-        self._trainable.add(name)
         tensor.requires_grad = True
         return tensor
 
     def remove(self, name: str) -> None:
         del self._entries[name]
-        self._trainable.discard(name)
 
     def __getitem__(self, name: str) -> Tensor:
         return self._entries[name]
@@ -50,14 +48,13 @@ class ParameterStore:
 
     @property
     def trainable(self) -> frozenset[str]:
-        return frozenset(self._trainable)
+        return frozenset(name for name, tensor in self._entries.items() if tensor.requires_grad)
 
     def set_trainable(self, names: Iterable[str]) -> None:
         names = set(names)
         unknown = names - set(self._entries)
         if unknown:
             raise KeyError(f"unknown parameter names: {sorted(unknown)}")
-        self._trainable = names
         for name, tensor in self._entries.items():
             tensor.requires_grad = name in names
 
@@ -65,7 +62,6 @@ class ParameterStore:
         for name in names:
             if name not in self._entries:
                 raise KeyError(f"unknown parameter name {name!r}")
-            self._trainable.discard(name)
             self._entries[name].requires_grad = False
 
     def components(self) -> list[str]:

@@ -8,7 +8,7 @@ from tinymmt.training.stages import (
     derive_stage_seed,
     freeze_plan,
 )
-from tinymmt.training.loop import TrainLog, run_pipeline, run_stage, validation_loss
+from tinymmt.training.loop import TrainLog, run_pipeline, run_stage
 from tinymmt.training.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
@@ -36,5 +36,4 @@ __all__ = [
     "run_pipeline",
     "run_stage",
     "save_checkpoint",
-    "validation_loss",
 ]

@@ -101,7 +101,11 @@ def load_checkpoint(path) -> MultimodalModel:
     """Rebuild a model from a checkpoint; any corruption raises before a
     partially loaded model can escape."""
     path = Path(path)
-    reader = _Reader(path.read_bytes(), path)
+    try:
+        blob = path.read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    reader = _Reader(blob, path)
     if reader.take(4) != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
     (version,) = reader.unpack("<I")

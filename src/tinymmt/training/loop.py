@@ -24,7 +24,7 @@ import numpy as np
 from tinymmt.atomic import atomic_write
 from tinymmt.datapipe.images import make_synth_loader
 from tinymmt.datapipe.records import PromptInstance
-from tinymmt.errors import BudgetError, ConfigError, DataError, TinymmtError, VocabularyError
+from tinymmt.errors import ConfigError, DataError, TinymmtError, VocabularyError
 from tinymmt.model.lora import lora_attach, lora_targets
 from tinymmt.model.multimodal import MultimodalModel
 from tinymmt.model.vocab import Vocabulary
@@ -78,21 +78,31 @@ def encode_text(vocab: Vocabulary, text: str, source_id: str) -> np.ndarray:
 def _prepare_samples(model: MultimodalModel, dataset: Sequence[PromptInstance]) -> list[_Sample]:
     """Encode each instance, running the vision encoder once per distinct image.
 
-    The encoder output is a constant (c_vis, d_vis) Tensor per image id,
-    computed under no_grad and held for as long as the samples are, which
-    is c_vis × d_vis floats per image (2.3 KB at the desk config).
+    This is the one fit check: a sample whose prompt, response and <eos>
+    overflow c_total raises DataError naming it, before any step trains or
+    scores. The encoder output is a constant (c_vis, d_vis) Tensor per image
+    id, computed under no_grad and held for as long as the samples are,
+    which is c_vis × d_vis floats per image (2.3 KB at the desk config).
     """
+    c_total = model.config.c_total
     load_image = make_synth_loader(model.config.image_size)
     encoded: dict[str, Tensor] = {}
     samples = []
     for inst in dataset:
+        prompt_ids = encode_text(model.vocab, inst.prompt, inst.source_id)
+        response_ids = encode_text(model.vocab, inst.response, inst.source_id)
+        room = model.context_room(prompt_ids, inst.image_id is not None)
+        need = len(response_ids) + 1  # and <eos>
+        if need > room:
+            raise DataError(f"sample {inst.source_id!r}: assembled sequence length "
+                            f"{c_total - room + need} exceeds context budget c_total={c_total}")
         if inst.image_id is not None and inst.image_id not in encoded:
             # STAGE_COMPONENTS never trains vision, so its output is a constant
             with no_grad():
                 encoded[inst.image_id] = model.encode_image(load_image(inst.image_id))
         samples.append(_Sample(
-            prompt_ids=encode_text(model.vocab, inst.prompt, inst.source_id),
-            response_ids=encode_text(model.vocab, inst.response, inst.source_id),
+            prompt_ids=prompt_ids,
+            response_ids=response_ids,
             image_id=inst.image_id,
             image=None if inst.image_id is None else encoded[inst.image_id],
             source_id=inst.source_id,
@@ -114,14 +124,8 @@ def _batch_loss(model: MultimodalModel, batch: Sequence[_Sample]) -> tuple[Tenso
     for group in groups.values():
         image = group[0].image
         visual = model.project(image) if image is not None else None
-        assembled = []
-        for sample in group:
-            try:
-                assembled.append(
-                    model.assemble_sequence(sample.prompt_ids, visual, sample.response_ids))
-            except BudgetError as exc:
-                raise DataError(f"sample {sample.source_id!r}: {exc}") from exc
-        loss, count = model.loss(*assembled)
+        loss, count = model.loss(*(model.assemble_sequence(s.prompt_ids, visual, s.response_ids)
+                                   for s in group))
         term = loss * float(count)
         weighted = term if weighted is None else weighted + term
         total_count += count
@@ -144,20 +148,16 @@ def _pooled_loss(model: MultimodalModel, samples: Sequence[_Sample]) -> float:
     return weighted / total
 
 
-def validation_loss(model: MultimodalModel, dataset: Sequence[PromptInstance]) -> float:
-    """Pooled mean NLL over a dataset, no gradients."""
-    return _pooled_loss(model, _prepare_samples(model, dataset))
-
-
 def run_stage(model: MultimodalModel, dataset: Sequence[PromptInstance],
               cfg: StageConfig, val_dataset: Sequence[PromptInstance] | None = None) -> TrainLog:
     """Train one stage in place and return its log.
 
     Exactly the freeze-plan parameters may change; everything else is
     bit-identical afterwards (the log's digests prove it). lora mode attaches
-    default adapters when none are present. A NaN or inf in a batch's loss
-    or in a trainable gradient stops the stage before that update. Errors
-    name the stage.
+    default adapters when none are present. A training or validation sample
+    that overflows c_total stops the stage before its first update, and a
+    NaN or inf in a batch's loss or in a trainable gradient stops it before
+    that update. Errors name the stage.
     """
     try:
         return _train_stage(model, dataset, cfg, val_dataset)

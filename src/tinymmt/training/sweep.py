@@ -13,7 +13,7 @@ from tinymmt.errors import DataError
 from tinymmt.metrics.bleu import bleu
 from tinymmt.metrics.tokenizer import tokenize
 from tinymmt.model.multimodal import MultimodalModel
-from tinymmt.training.loop import encode_text, run_stage, validation_loss
+from tinymmt.training.loop import _pooled_loss, _prepare_samples, encode_text, run_stage
 from tinymmt.training.stages import StageConfig
 
 
@@ -54,28 +54,6 @@ def evaluate_bleu(model: MultimodalModel, dataset: Sequence[PromptInstance]) -> 
                 [tokenize(inst.response) for inst in dataset], smooth=True)
 
 
-def _scorable(model: MultimodalModel, dataset: Sequence[PromptInstance]) -> list[PromptInstance]:
-    """The instances whose prompt fits c_total, which have a validation loss;
-    an instance whose prompt overflows scores an empty hypothesis. One whose
-    prompt fits but whose prompt, reference and <eos> together do not
-    raises DataError, as its validation loss would in every cell."""
-    c_total = model.config.c_total
-    fits = []
-    for inst in dataset:
-        prompt = encode_text(model.vocab, inst.prompt, inst.source_id)
-        room = model.context_room(prompt, inst.image_id is not None)
-        if room < 0:
-            continue
-        need = len(encode_text(model.vocab, inst.response, inst.source_id)) + 1  # and <eos>
-        if need > room:
-            raise DataError(f"sample {inst.source_id!r}: assembled sequence length "
-                            f"{c_total - room + need} exceeds context budget c_total={c_total}")
-        fits.append(inst)
-    if not fits:
-        raise DataError("no validation prompt fits the context budget")
-    return fits
-
-
 def hyperparameter_sweep(
     base_model: MultimodalModel,
     train_dataset: Sequence[PromptInstance],
@@ -99,7 +77,14 @@ def hyperparameter_sweep(
         raise DataError("sweep grid is empty")
     cells = [dataclasses.replace(stage, lr=lr, epochs=epochs)
              for lr in lrs for epochs in epochs_list]
-    fits = _scorable(base_model, val_dataset)
+    # an instance whose prompt overflows decodes to an empty hypothesis and
+    # has no loss; every other reference must fit, checked once for all cells
+    fits = [inst for inst in val_dataset
+            if base_model.context_room(encode_text(base_model.vocab, inst.prompt, inst.source_id),
+                                       inst.image_id is not None) >= 0]
+    if not fits:
+        raise DataError("no validation prompt fits the context budget")
+    val_samples = _prepare_samples(base_model, fits)
 
     rows: list[dict] = []
     for cfg in cells:
@@ -108,7 +93,7 @@ def hyperparameter_sweep(
             model = base_model.clone()
             run_stage(model, train_dataset, cfg)
             row.update(bleu=evaluate_bleu(model, val_dataset),
-                       val_loss=validation_loss(model, fits),
+                       val_loss=_pooled_loss(model, val_samples),
                        prompt_overflow=len(val_dataset) - len(fits))
         except Exception as exc:  # propagate per-cell, keep sweeping
             row["error"] = f"{type(exc).__name__}: {exc}"

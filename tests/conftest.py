@@ -5,6 +5,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import re  # noqa: E402
 import unicodedata  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -22,6 +23,17 @@ HINDI = {
     "dog": "कुत्ता", "bird": "चिड़िया", "sun": "सूरज", "moon": "चाँद",
     "tree": "पेड़", "fish": "मछली", "hat": "टोपी", "cup": "प्याला",
 }
+
+
+# main's generic `except Exception` branch prints `error: <exception class>: ...`;
+# a structured error's message names no exception class anywhere
+_EXCEPTION_NAME = re.compile(r"\b[A-Z]\w*(Error|Exception)\b")
+
+
+def assert_structured(err: str) -> None:
+    """A failed command's stderr came from a structured error (exit 2, 3, or 4
+    from a TinymmtError), never from `main`'s generic branch."""
+    assert not _EXCEPTION_NAME.search(err), err
 
 
 def make_records(n, seed=0, split="train", lang="hi", words_per=2):

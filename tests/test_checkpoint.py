@@ -21,7 +21,7 @@ from tinymmt.training import (
     save_checkpoint,
 )
 
-from conftest import build_model, make_instances, make_records
+from conftest import assert_structured, build_model, make_instances, make_records
 
 
 def trained_model(seed=5):
@@ -234,7 +234,29 @@ def test_corrupt_checkpoint_is_exit_4_with_structured_message(lora_checkpoint, t
     assert main(["generate", "--checkpoint", str(lora_checkpoint), "--input", str(sentences),
                  "--out", str(tmp_path / "h.txt"), "--raw-sentences", "--lang", "hi"]) == 4
     err = capsys.readouterr().err
-    assert "not UTF-8" in err and "UnicodeDecodeError" not in err
+    assert "not UTF-8" in err
+    assert_structured(err)
+
+
+@pytest.mark.parametrize("command, target", [("generate", "missing.ckpt"),
+                                             ("sweep", "missing.ckpt"), ("generate", "")],
+                         ids=["generate-missing", "sweep-missing", "generate-directory"])
+def test_an_unreadable_checkpoint_is_exit_4_naming_its_path(tmp_path, capsys, command, target):
+    from tinymmt.cli import main
+
+    path = tmp_path / target
+    if command == "generate":
+        argv = ["generate", "--checkpoint", str(path), "--input", str(tmp_path / "s.txt"),
+                "--out", str(tmp_path / "h.txt"), "--raw-sentences", "--lang", "hi"]
+    else:  # a config whose stage 3 and validation files are never reached
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"out_dir": "run", "train": {
+            "stages": [{"stage": 3, "data": ["a.jsonl"]}], "val": ["v.jsonl"]}}))
+        argv = ["sweep", "--config", str(config), "--checkpoint", target]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert f"error: cannot read {path}: " in err
+    assert_structured(err)
 
 
 @functools.lru_cache(maxsize=1)

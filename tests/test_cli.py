@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 import tinymmt.cli as cli
+import tinymmt.training.loop as loop
 import tinymmt.training.sweep as sweep_module
 from tinymmt.cli import main
 from tinymmt.datapipe import read_instances, write_instances
 from tinymmt.model.vocab import SYS
-from tinymmt.training import evaluate_bleu, load_checkpoint, save_checkpoint, validation_loss
+from tinymmt.training import evaluate_bleu, load_checkpoint, save_checkpoint
 
-from conftest import HINDI, WORDS, build_model, make_instances, make_records
+from conftest import HINDI, WORDS, assert_structured, build_model, make_instances, make_records
 
 
 def write_fixture_tree(root: Path, n_train=6, n_eval=2, seed=0):
@@ -545,9 +546,11 @@ def test_sweep_trains_the_config_stage3_as_train_does(fixture_tree, tmp_path, ca
 
     # stage 3's own lr and epochs: the cell is train's stage 3, scored on train.val
     (cell,) = [r for r in rows if r["lr"] == 1e-4]
+    (logged,) = [rec["val_loss"] for rec in map(json.loads, (run / "stage3.log.jsonl").read_text(
+        encoding="utf-8").splitlines()) if rec["type"] == "val"]
+    assert cell["val_loss"] == logged
     stage3 = load_checkpoint(run / "stage3.ckpt")
     val = read_instances(run / "instances" / "text_only.hi.valid.jsonl")
-    assert cell["val_loss"] == validation_loss(stage3, val)
     assert cell["bleu"] == evaluate_bleu(stage3, val)
 
 
@@ -609,6 +612,34 @@ def test_sweep_rejects_an_overlong_validation_reference_before_training(stage2_t
     assert "data error: sample 'long-ref': assembled sequence length" in err
     assert trained == []
     assert not (stage2_tree / "run" / "sweep.json").exists()
+
+
+@pytest.mark.parametrize("where, stage", [("train", 3), ("val", 1)])
+def test_train_checks_every_sample_fits_before_the_first_step(fixture_tree, tmp_path,
+                                                               monkeypatch, capsys, where, stage):
+    config = str(fixture_tree)
+    assert main(["prepare-data", "--config", config]) == 0
+    run = tmp_path / "run"
+    (inst,) = read_instances(run / "instances" / "text_only.hi.valid.jsonl")[:1]
+    write_instances(tmp_path / "long.jsonl",
+                    [dataclasses.replace(inst, response="\u0915" * 600, source_id="long")])
+    raw = json.loads(fixture_tree.read_text())
+    if where == "train":
+        raw["train"]["stages"][2]["data"].append("long.jsonl")
+    else:
+        raw["train"]["val"] = ["long.jsonl"]
+    fixture_tree.write_text(json.dumps(raw))
+    updates = []
+    adam = loop.adam_step
+    monkeypatch.setattr(loop, "adam_step", lambda *args: (updates.append(1), adam(*args)))
+    capsys.readouterr()
+    assert main(["train", "--config", config, "--stages", str(stage)]) == 3
+    err = capsys.readouterr().err
+    assert f"data error: stage {stage}: sample 'long': assembled sequence length " in err
+    assert "exceeds context budget c_total=512" in err
+    assert_structured(err)
+    assert updates == []
+    assert not list(run.glob("stage*"))
 
 
 def test_train_stops_at_the_first_non_finite_gradient(fixture_tree, tmp_path, monkeypatch,

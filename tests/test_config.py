@@ -12,6 +12,8 @@ from tinymmt.errors import ConfigError
 from tinymmt.model import ModelConfig
 from tinymmt.training import StageConfig, derive_stage_seed
 
+from conftest import assert_structured
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 SRC = Path(tinymmt.__file__).resolve().parent
 
@@ -71,6 +73,24 @@ def test_bad_stage_value_fails_at_load_time(tmp_path, capsys, key, value):
     for command in (["prepare-data"], ["train"], ["sweep", "--checkpoint", "x.ckpt"]):
         assert main([*command, "--config", str(path)]) == 2
         assert "train.stages[1]: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, place", [
+    (lambda raw: raw.update(out_dir="a\0b"), "out_dir"),
+    (lambda raw: raw["data"]["tsv"]["hi"].update(train="hi_train.tsv\0"), "data.tsv.hi.train"),
+    (lambda raw: raw["data"].update(detections_dir="d\0"), "data.detections_dir"),
+    (lambda raw: raw["data"].update(instances_dir="i\0"), "data.instances_dir"),
+    (lambda raw: raw["train"]["stages"][1]["data"].append("c\0.jsonl"), "train.stages[1].data"),
+    (lambda raw: raw["train"]["val"].append("\0"), "train.val"),
+], ids=["out_dir", "tsv", "detections_dir", "instances_dir", "stage-data", "val"])
+def test_a_nul_in_a_config_path_is_a_config_error_naming_its_key(tmp_path, capsys, edit, place):
+    raw = base_config()
+    edit(raw)
+    path = write(tmp_path, raw)
+    assert main(["prepare-data", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {place}: a path cannot hold a NUL character" in err
+    assert_structured(err)
 
 
 def test_stage_seed_derives_from_the_final_master_seed(tmp_path):

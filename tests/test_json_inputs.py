@@ -9,7 +9,6 @@ emits NaN and Infinity as bare words and a lone surrogate as a \\u escape.
 """
 
 import json
-import re
 import struct
 import sys
 from pathlib import Path
@@ -22,10 +21,8 @@ from tinymmt.errors import DataError
 from tinymmt.model import lora_attach
 from tinymmt.training import save_checkpoint
 
-from conftest import build_model, make_instances, make_records
+from conftest import assert_structured, build_model, make_instances, make_records
 from test_cli import write_fixture_tree
-
-GENERIC = re.compile(r"^error: [A-Z]\w*(Error|Exception): ", re.M)
 
 INSTANCE = {"task": "text_only", "prompt": "a", "response": "b", "lang": "hi",
             "source_id": "x"}
@@ -158,7 +155,7 @@ def test_a_rejected_json_input_names_its_place_and_key(tree, capsys, name):
     assert main(argv) == code
     err = capsys.readouterr().err
     assert place in err and key in err, err
-    assert not GENERIC.search(err), err
+    assert_structured(err)
 
 
 def test_a_value_nested_deeper_than_python_frames_is_a_field_error():
@@ -178,4 +175,4 @@ def test_a_deeply_nested_detector_box_exits_3(tree, capsys, depth):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert place in err, err
-    assert not GENERIC.search(err), err
+    assert_structured(err)

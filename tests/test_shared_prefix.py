@@ -17,8 +17,8 @@ from tinymmt.model.components import DecoderLM
 from tinymmt.model.config import ModelConfig
 from tinymmt.model.vocab import SYS
 from tinymmt.numerics import backward, cross_entropy_masked, no_grad
-from tinymmt.training import StageConfig, run_stage, validation_loss
-from tinymmt.training.loop import _batch_loss, _prepare_samples
+from tinymmt.training import StageConfig, run_stage
+from tinymmt.training.loop import _batch_loss, _pooled_loss, _prepare_samples
 
 from conftest import build_model, make_instances, make_records
 
@@ -175,7 +175,7 @@ class TestRowsComputed:
         with no_grad():
             ref = float(_reference_loss(model, samples).data)
         groups = _loss_calls(monkeypatch)
-        value = validation_loss(model, instances)
+        value = _pooled_loss(model, _prepare_samples(model, instances))
         assert groups == [8, 2]
         assert value == pytest.approx(ref, rel=1e-12, abs=0)
 

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import tinymmt.training.loop as loop
 from tinymmt.datapipe import synth_image
 from tinymmt.errors import ConfigError, DataError, TinymmtError
 from tinymmt.model import MultimodalModel, lora_attach
@@ -128,6 +129,25 @@ class TestRunStage:
         small = MultimodalModel(cfg, model.vocab, seed=1)
         with pytest.raises(DataError, match=instances[0].source_id.split("/")[0]):
             run_stage(small, instances, StageConfig(stage=3, seed=1, max_steps=1))
+
+    @pytest.mark.parametrize("where", ["train", "val"])
+    def test_an_overflowing_sample_stops_the_stage_before_its_first_update(self, monkeypatch,
+                                                                           where):
+        instances = make_instances(make_records(12, seed=12), "text_only")
+        long = dataclasses.replace(instances[0], response=instances[0].response * 40,
+                                   source_id="hi/train/long")
+        model = build_model(instances + [long], seed=4, c_total=256)
+        length = 3 + len(long.prompt) + len(long.response) + 1  # <bos> <hum> <sys> ... <eos>
+        updates = []
+        adam = loop.adam_step
+        monkeypatch.setattr(loop, "adam_step", lambda *args: (updates.append(1), adam(*args)))
+        train = instances[:6] + [long] + instances[6:] if where == "train" else instances
+        val = [instances[0], long] if where == "val" else None
+        with pytest.raises(DataError) as raised:
+            run_stage(model, train, StageConfig(stage=3, seed=2, batch_size=2), val_dataset=val)
+        assert str(raised.value) == (f"stage 3: sample 'hi/train/long': assembled sequence "
+                                     f"length {length} exceeds context budget c_total=256")
+        assert updates == []
 
     def test_same_seed_bit_identical_checkpoints(self):
         losses = []
