@@ -220,9 +220,9 @@ def cmd_generate(args) -> int:
                                                  sentence=unicodedata.normalize("NFC", line)),
                 response="",
                 lang=args.lang,
-                source_id=f"stdin/{i}",
+                source_id=f"{input_path}:{line_no}",
             )
-            for i, line in enumerate(lines) if line
+            for line_no, line in enumerate(lines, start=1) if line
         ]
     else:
         instances = read_instances(input_path)

@@ -143,9 +143,14 @@ def _parse_line(line: str, line_no: int, lang: str, split: str) -> VgRecord:
             raise DataError(f"box field {name} is not an integer: {raw!r}") from None
     box = BoundingBox(*coords)
     image_id = image_id.strip()
-    # the id names a file inside detections_dir, so it must stay one path component
+    # the id names a file inside detections_dir, so it must stay one path
+    # component of printable characters (no NUL, BOM or line separator)
     if "/" in image_id or image_id in (".", ".."):
         raise DataError(f"image_id must be a single path component, got {image_id!r}")
+    if not image_id.isprintable():
+        code = next(ord(c) for c in image_id if not c.isprintable())
+        raise DataError(f"image_id holds U+{code:04X}, which cannot name a file, "
+                        f"got {image_id!r}")
     return VgRecord(
         image_id=image_id,
         box=box,

@@ -2,8 +2,10 @@
 
 Storage is numpy; float64 by default so finite-difference checks are
 meaningful. Each op records its parents and a backward closure; backward()
-walks the tape in reverse topological order and accumulates gradients
-additively. Nothing persists across steps: a fresh graph is recorded every
+walks the tape in reverse topological order, accumulates gradients
+additively, and releases each node's closure, parents and gradient once its
+closure has run, so a graph is back-propagated once and freed as the walk
+goes. Nothing persists across steps: a fresh graph is recorded every
 forward pass.
 """
 
@@ -80,10 +82,7 @@ class Tensor:
 
 
 def _selects_once(idx) -> bool:
-    """True for an int, a slice, a tuple of them, or a strictly increasing 1-D
-    integer array (rows picked in order): no element is selected twice."""
-    if isinstance(idx, np.ndarray):
-        return idx.ndim == 1 and idx.dtype.kind in "iu" and bool((idx[1:] > idx[:-1]).all())
+    """True for an int, a slice, or a tuple of them: no element is selected twice."""
     parts = idx if isinstance(idx, tuple) else (idx,)
     return all(
         isinstance(i, slice) or (isinstance(i, (int, np.integer)) and not isinstance(i, bool))
@@ -91,16 +90,36 @@ def _selects_once(idx) -> bool:
     )
 
 
+# an integer index array goes one strictly increasing run at a time when its
+# runs average at least this many ids: a run costs ~1.3-2.5 µs and np.add.at
+# ~0.55 µs a row (a packed group's position ids, 850 rows in 3 runs: 20 µs
+# against 457 µs), while token ids, runs of ~2, stay with np.add.at
+_SCATTER_RUN = 4
+
+
 def _scatter_add(t: Tensor, idx, g: np.ndarray) -> None:
-    """Add g into t.grad[idx], from zeros on the first contribution: in place
-    where idx selects each element at most once, else with np.add.at, which
-    sums a repeated element's shares."""
+    """Add g into t.grad[idx], from zeros on the first contribution.
+
+    A basic index, or a 1-D integer array of few strictly increasing runs (a
+    packed group's position ids: sequence 0's, then each later sequence's
+    own), adds in place, one run at a time in index order and as a slice
+    where a run is contiguous; any other index goes through np.add.at. Both
+    add a repeated element's shares in index order, so they agree bit for bit.
+    """
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
-    if _selects_once(idx):
+    if isinstance(idx, np.ndarray) and idx.ndim == 1 and idx.dtype.kind in "iu" and idx.size:
+        starts = (np.flatnonzero(idx[1:] <= idx[:-1]) + 1).tolist()
+        if (len(starts) + 1) * _SCATTER_RUN <= len(idx) or not starts:
+            for a, b in zip([0] + starts, starts + [len(idx)]):
+                lo, hi = int(idx[a]), int(idx[b - 1])
+                contiguous = lo >= 0 and hi - lo == b - a - 1
+                t.grad[slice(lo, hi + 1) if contiguous else idx[a:b]] += g[a:b]
+            return
+    elif _selects_once(idx):
         t.grad[idx] += g
-    else:
-        np.add.at(t.grad, idx, g)
+        return
+    np.add.at(t.grad, idx, g)
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
@@ -582,11 +601,20 @@ def cross_entropy_masked(logits: Tensor, targets, mask) -> Tensor:
     return _make(out_data, (logits,), fn)
 
 
-def backward(loss: Tensor) -> None:
-    """Populate grad for every requires_grad tensor reachable from `loss`.
+# the closure of a node that backward has released; reaching one raises
+_RELEASED = object()
 
-    Gradients accumulate additively across uses and across repeated calls;
-    clearing is the caller's job (adam_step does it after each update).
+
+def backward(loss: Tensor) -> None:
+    """Populate grad for every requires_grad leaf reachable from `loss`, and
+    release the graph as the walk goes.
+
+    Once a node's closure has run, the node drops its gradient, closure and
+    parents, so its inputs are freed as soon as no unwalked node refers to
+    them; leaves (parameters) keep their gradients. A second backward over
+    a released graph raises. Leaf gradients accumulate additively across
+    uses and across calls on fresh graphs; clearing is the caller's job
+    (adam_step does it after each update).
     """
     if loss.data.shape != ():
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -610,6 +638,16 @@ def backward(loss: Tensor) -> None:
                 stack.append((parent, False))
 
     _accumulate(loss, np.ones((), dtype=loss.data.dtype))
-    for node in reversed(order):
-        if node._backward_fn is not None and node.grad is not None:
-            node._backward_fn(node.grad)
+    while order:
+        node = order.pop()
+        fn = node._backward_fn
+        if fn is None:
+            continue
+        if fn is _RELEASED:
+            raise RuntimeError("backward: this graph was already back-propagated and "
+                               "released; record a fresh forward to back-propagate again")
+        if node.grad is not None:
+            fn(node.grad)
+        node.grad = None
+        node._parents = ()
+        node._backward_fn = _RELEASED

@@ -7,6 +7,10 @@ text-only prompts of one language, the instruction template) is computed
 once, and each sample adds only its own rows, which attend over the
 prefix's keys and values. No row is padding, and the pooled loss and
 gradients equal those of forwarding each sample alone up to rounding.
+A training step back-propagates each group as soon as its forward ends,
+scaled by the batch's scored-position count, and backward releases the
+group's graph as it walks, so one group's graph is alive at a time; the
+gradients are bitwise those of one backward over the batch's summed loss.
 Determinism: all shuffling flows from the stage seed, and component digests
 are recorded before and after each stage so freezing is bit-checkable.
 """
@@ -17,7 +21,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -110,26 +114,28 @@ def _prepare_samples(model: MultimodalModel, dataset: Sequence[PromptInstance]) 
     return samples
 
 
-def _batch_loss(model: MultimodalModel, batch: Sequence[_Sample]) -> tuple[Tensor, int]:
-    """Summed NLL over all scored positions in the batch, and their count.
+def _group_terms(model: MultimodalModel, batch: Sequence[_Sample]) -> Iterator[Tensor]:
+    """Each image group's summed NLL (its mean loss times its scored count),
+    one group at a time.
 
     Samples are grouped by image id, in order of first appearance; a group
-    projects its image once and runs as one packed loss call.
+    projects its image once and runs as one packed loss call. A training
+    step back-propagates each term before the next group's forward builds.
     """
     groups: dict[str | None, list[_Sample]] = {}
     for sample in batch:
         groups.setdefault(sample.image_id, []).append(sample)
-    weighted = None
-    total_count = 0
     for group in groups.values():
         image = group[0].image
         visual = model.project(image) if image is not None else None
         loss, count = model.loss(*(model.assemble_sequence(s.prompt_ids, visual, s.response_ids)
                                    for s in group))
-        term = loss * float(count)
-        weighted = term if weighted is None else weighted + term
-        total_count += count
-    return weighted, total_count
+        yield loss * float(count)
+
+
+def _scored_count(batch: Sequence[_Sample]) -> int:
+    """The batch's scored positions: each sample's response and its <eos>."""
+    return sum(len(s.response_ids) + 1 for s in batch)
 
 
 # samples per packed batch when scoring a validation set: a group's (rows, 4d)
@@ -142,9 +148,9 @@ def _pooled_loss(model: MultimodalModel, samples: Sequence[_Sample]) -> float:
     weighted, total = 0.0, 0
     with no_grad():
         for start in range(0, len(samples), _EVAL_BATCH):
-            summed, count = _batch_loss(model, samples[start: start + _EVAL_BATCH])
-            weighted += float(summed.data)
-            total += count
+            batch = samples[start: start + _EVAL_BATCH]
+            weighted += sum(float(t.data) for t in _group_terms(model, batch))
+            total += _scored_count(batch)
     return weighted / total
 
 
@@ -191,11 +197,14 @@ def _train_stage(model: MultimodalModel, dataset: Sequence[PromptInstance],
         order = rng.permutation(len(samples))
         for start in range(0, len(samples), cfg.batch_size):
             batch = [samples[i] for i in order[start: start + cfg.batch_size]]
+            count = _scored_count(batch)
+            summed = 0.0
             # a diverging step is reported by the non-finite check below
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                summed, count = _batch_loss(model, batch)
-                backward(summed * (1.0 / count))
-            loss_value = float(summed.data) / count
+                for term in _group_terms(model, batch):
+                    backward(term * (1.0 / count))
+                    summed += float(term.data)
+            loss_value = summed / count
             step += 1
             non_finite = None
             for name in trainable:

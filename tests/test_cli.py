@@ -317,6 +317,22 @@ def test_a_shared_malformed_detector_file_exits_3_before_writing(fixture_tree, t
     assert not (tmp_path / "run" / "instances" / "mmt.hi.train.jsonl").exists()
 
 
+@pytest.mark.parametrize("image_id, code", [("\ufefftrain0", "U+FEFF"), ("tr\x00ain0", "U+0000")],
+                         ids=["byte-order-mark", "nul"])
+def test_an_image_id_that_cannot_name_a_file_exits_3(fixture_tree, tmp_path, capsys,
+                                                      image_id, code):
+    # a UTF-8 BOM at the start of a TSV lands in its first id; accepted,
+    # either id would exit 0 and lose its record's labels clause
+    tsv = tmp_path / "hi_train.tsv"
+    text = tsv.read_text(encoding="utf-8")
+    assert text.startswith("train0\t")
+    tsv.write_text(image_id + text[len("train0"):], encoding="utf-8")
+    assert main(["prepare-data", "--config", str(fixture_tree)]) == 3
+    err = capsys.readouterr().err
+    assert f"hi_train.tsv:1: image_id holds {code}, which cannot name a file" in err
+    assert_structured(err)
+
+
 def test_empty_input_file_gives_empty_output(fixture_tree, tmp_path):
     config = str(fixture_tree)
     assert main(["prepare-data", "--config", config]) == 0
@@ -507,7 +523,7 @@ def test_generate_overlong_prompt_gets_an_empty_line(fixture_tree, tmp_path, cap
     out, err = capsys.readouterr()
     lines = (tmp_path / "h.txt").read_text(encoding="utf-8").split("\n")
     assert len(lines) == 4 and lines[1] == "" and lines[3] == ""  # one line per input line
-    assert "stdin/1" in err and "stdin/0" not in err and "stdin/2" not in err
+    assert f"{sentences}:2" in err and f"{sentences}:1" not in err and f"{sentences}:3" not in err
     assert json.loads(out.splitlines()[-1]) == {
         "sentences": 3, "tokens": 6, "stop_eos": 0, "stop_budget": 2, "prompt_overflow": 1,
         "blank": 0}
@@ -713,7 +729,7 @@ def test_generate_oov_error_names_the_instance(tmp_path, capsys, raw):
     if raw:
         source = tmp_path / "s.txt"
         source.write_text("red cat\nred \u03a9 cat\n", encoding="utf-8")
-        named, flags = "'stdin/1'", ["--raw-sentences", "--lang", "hi"]
+        named, flags = repr(f"{source}:2"), ["--raw-sentences", "--lang", "hi"]
     else:
         instances = make_instances(make_records(2, seed=1), "text_only")
         instances[1] = dataclasses.replace(instances[1], prompt=instances[1].prompt + "\u03a9")

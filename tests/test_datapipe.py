@@ -1,4 +1,6 @@
+import codecs
 import json
+import re
 import unicodedata
 
 import numpy as np
@@ -90,6 +92,25 @@ class TestParseTsv:
         assert [rec.image_id for rec in result.records] == ["img1"]
         assert [(i.line_no, i.reason) for i in result.issues] == [
             (2, f"image_id must be a single path component, got {image_id!r}")]
+
+    @pytest.mark.parametrize("image_id, code", [("tr\x00ain0", "U+0000"),
+                                                ("img\u2028x", "U+2028")],
+                             ids=["nul", "line-separator"])
+    def test_image_id_must_be_printable(self, tmp_path, image_id, code):
+        # such an id names no detector file: accepted, its record would lose
+        # its labels clause under a warning that blames the IoU threshold
+        path = write_tsv(tmp_path, [GOOD_LINE, f"{image_id}\t1\t1\t2\t2\tsun\tसूरज"])
+        with pytest.raises(TsvParseError, match=f":2: image_id holds {re.escape(code)}, which"):
+            parse_vg_tsv(path, "hi", "train", strict=True)
+        result = parse_vg_tsv(path, "hi", "train", strict=False)
+        assert [rec.image_id for rec in result.records] == ["img1"]
+        assert [i.line_no for i in result.issues] == [2]
+
+    def test_a_leading_byte_order_mark_is_rejected_on_line_1(self, tmp_path):
+        path = tmp_path / "split.tsv"
+        path.write_bytes(codecs.BOM_UTF8 + (GOOD_LINE + "\n").encode("utf-8"))
+        with pytest.raises(TsvParseError, match=r"split\.tsv:1: image_id holds U\+FEFF"):
+            parse_vg_tsv(path, "hi", "train", strict=True)
 
     def test_unknown_lang_or_split_rejected(self, tmp_path):
         path = write_tsv(tmp_path, [GOOD_LINE])

@@ -1,7 +1,7 @@
 """A batch's shared prompt prefix runs once per group of samples.
 
 Oracles: the pooled loss and every trainable gradient of the grouped path
-(`_batch_loss`, which groups by image and calls `MultimodalModel.loss` once
+(`_group_terms`, which groups by image and calls `MultimodalModel.loss` once
 per group) against forwarding each sample alone over every row.
 """
 
@@ -18,7 +18,7 @@ from tinymmt.model.config import ModelConfig
 from tinymmt.model.vocab import SYS
 from tinymmt.numerics import backward, cross_entropy_masked, no_grad
 from tinymmt.training import StageConfig, run_stage
-from tinymmt.training.loop import _batch_loss, _pooled_loss, _prepare_samples
+from tinymmt.training.loop import _group_terms, _pooled_loss, _prepare_samples, _scored_count
 
 from conftest import build_model, make_instances, make_records
 
@@ -42,8 +42,8 @@ def _reference_loss(model, samples):
 
 
 def _grouped_loss(model, samples):
-    summed, count = _batch_loss(model, samples)
-    return summed * (1.0 / count)
+    terms = list(_group_terms(model, samples))
+    return sum(terms[1:], terms[0]) * (1.0 / _scored_count(samples))
 
 
 def _loss_and_grads(model, samples, loss_fn):
@@ -157,7 +157,7 @@ class TestRowsComputed:
             return forward_embedded(self, embeds, positions, cache, segments)
 
         monkeypatch.setattr(DecoderLM, "forward_embedded", counting)
-        _batch_loss(model, samples)
+        list(_group_terms(model, samples))
         assert fed == [prefix + sum(n - prefix for n in lengths)]
 
     def test_one_loss_call_per_image_group(self, monkeypatch):
@@ -166,7 +166,7 @@ class TestRowsComputed:
         instances += make_instances(make_records(2, seed=9), "text_only")
         model = build_model(instances, seed=2, c_total=512)
         groups = _loss_calls(monkeypatch)
-        _batch_loss(model, _prepare_samples(model, instances))
+        list(_group_terms(model, _prepare_samples(model, instances)))
         assert groups == [2, 2, 1, 2]  # a, b, c, then the text-only samples
 
     def test_validation_loss_runs_grouped_and_matches_per_sample(self, monkeypatch):

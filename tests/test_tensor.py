@@ -154,6 +154,32 @@ class TestBackward:
         assert not y.requires_grad
         assert y._parents == ()
 
+    def test_backward_releases_the_graph_and_keeps_leaf_gradients(self):
+        x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        w = Tensor([0.5, 0.25, 2.0], requires_grad=True)
+        y = x * w
+        sq = gelu(y) * y
+        loss = tape_sum(sq)
+        backward(loss)
+        for node in (y, sq, loss):
+            assert node._parents == () and node.grad is None
+            assert not callable(node._backward_fn)
+        assert sq.data.shape == (3,)  # an output stays readable
+        gx, gw = x.grad.copy(), w.grad.copy()
+        assert np.all(gx != 0) and np.all(gw != 0)
+        # a second walk over the released graph, or over a new graph that
+        # reaches it, raises instead of adding nothing
+        for again in (loss, tape_sum(sq * 2.0)):
+            with pytest.raises(RuntimeError, match="released"):
+                backward(again)
+        assert x.grad.tobytes() == gx.tobytes() and w.grad.tobytes() == gw.tobytes()
+
+    def test_leaf_gradients_accumulate_across_fresh_graphs(self):
+        x = Tensor([1.5, -0.5], requires_grad=True)
+        backward(tape_sum(x * x))
+        backward(tape_sum(x * 3.0))
+        assert np.array_equal(x.grad, 2 * x.data + 3.0)
+
 
 class TestAddMulOperands:
     """add and mul take two Tensors of one shape, or a Tensor and a scalar constant."""
@@ -244,6 +270,31 @@ class TestMiscOps:
         np.add.at(expected, ids, w)
         assert table.grad.tobytes() == expected.tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_scatter_by_runs_bitwise_equal_to_add_at(self, data):
+        # ids as strictly increasing runs, each contiguous (position ids) or
+        # gapped, with repeats across runs; few long runs go in place run by
+        # run, many short ones through np.add.at, onto a gradient already
+        # accumulated, and both must match np.add.at bit for bit
+        n = 12
+        ids = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            if data.draw(st.booleans()):
+                lo = data.draw(st.integers(0, n - 1))
+                ids += range(lo, data.draw(st.integers(lo + 1, n)))
+            else:
+                ids += sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        dtype = data.draw(st.sampled_from([np.float64, np.float32]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        table = Tensor(rng.normal(size=(n, 3)).astype(dtype), requires_grad=True)
+        w = rng.normal(size=(len(ids), 3)).astype(dtype)
+        table.grad = rng.normal(size=(n, 3)).astype(dtype)
+        expected = table.grad.copy()
+        backward(tape_sum(embedding(table, ids) * Tensor(w)))
+        np.add.at(expected, ids, w)
+        assert table.grad.tobytes() == expected.tobytes()
+
 
 def _squared_sum(y: Tensor) -> Tensor:
     return tape_sum(y * y)
@@ -271,6 +322,10 @@ GRAD_CASES = {
     "getitem": lambda x: tape_sum(x[1:] * x[1:]),
     "embedding_unique": lambda x: _squared_sum(embedding(x, [3, 0, 2])),
     "embedding_repeated": lambda x: _squared_sum(embedding(x, [1, 3, 1, 1])),
+    # a packed group's position ids: sequence 0's rows, then the rows after
+    # the shared prefix of 2, as two strictly increasing runs
+    "embedding_packed_positions": lambda x: _squared_sum(
+        embedding(concat([x, x * 0.5]), Segments((8, 14), 2).positions())),
     "cross_entropy": lambda x: cross_entropy_masked(
         x, np.arange(x.shape[0]) % x.shape[1], np.ones(x.shape[0], dtype=bool)
     ),

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from tinymmt.datapipe import synth_image
 from tinymmt.errors import ConfigError, DataError, TinymmtError
 from tinymmt.model import MultimodalModel, lora_attach
 from tinymmt.model.vocab import SYS
-from tinymmt.numerics import no_grad
+from tinymmt.numerics import backward, no_grad
 from tinymmt.training import (
     STAGE_COMPONENTS,
     StageConfig,
@@ -18,7 +19,7 @@ from tinymmt.training import (
     run_pipeline,
     run_stage,
 )
-from tinymmt.training.loop import _prepare_samples
+from tinymmt.training.loop import _prepare_samples, _scored_count
 
 from conftest import build_model, make_instances, make_records
 
@@ -236,6 +237,91 @@ class TestFrozenVisionOncePerImage:
         assert not any(x.requires_grad or x._parents for x in a)
         expected = model.encode_image(synth_image("imgC", model.config.image_size))
         assert np.array_equal(a[3].data, expected.data)
+
+
+def _one_walk(model, batch):
+    """A step's loss and gradients as one backward over the summed loss of
+    every image group: the arithmetic before groups back-propagated one at
+    a time. Returns the loss value and the summed counts of the loss calls."""
+    groups = {}
+    for sample in batch:
+        groups.setdefault(sample.image_id, []).append(sample)
+    summed, total = None, 0
+    for group in groups.values():
+        image = group[0].image
+        visual = model.project(image) if image is not None else None
+        loss, count = model.loss(*(model.assemble_sequence(s.prompt_ids, visual, s.response_ids)
+                                   for s in group))
+        term = loss * float(count)
+        summed = term if summed is None else summed + term
+        total += count
+    backward(summed * (1.0 / total))
+    return float(summed.data) / total, total
+
+
+class TestPerGroupBackward:
+    @pytest.mark.parametrize("mode", ["full", "lora"])
+    def test_gradients_and_loss_bitwise_equal_one_walk(self, monkeypatch, mode):
+        # mmt groups of 3, 2 and 1 samples and a text-only group of 2
+        records = make_records(6, seed=12)
+        mmt = [dataclasses.replace(inst, image_id=image_id) for inst, image_id in
+               zip(make_instances(records, "mmt"), ["A", "B", "A", "C", "B", "A"])]
+        text = make_instances(make_records(2, seed=13), "text_only")
+        instances = mmt[:2] + text[:1] + mmt[2:5] + text[1:] + mmt[5:]
+        model = build_model(instances, seed=9, c_total=512)
+        if mode == "lora":
+            lora_attach(model)
+            rng = np.random.default_rng(14)
+            for name in model.params.names():
+                if name.endswith(".B"):
+                    b = model.params[name]
+                    b.data[...] = rng.normal(0.0, 0.05, size=b.shape)
+        reference = model.clone()
+        batches, grads = [], {}
+        group_terms, adam_step = loop._group_terms, loop.adam_step
+
+        def recording(m, batch):
+            batches.append(list(batch))
+            return group_terms(m, batch)
+
+        def before_update(params, state):
+            grads.update((name, params[name].grad.copy()) for name in params.trainable)
+            adam_step(params, state)
+
+        monkeypatch.setattr(loop, "_group_terms", recording)
+        monkeypatch.setattr(loop, "adam_step", before_update)
+        cfg = StageConfig(stage=2 if mode == "full" else 3, mode=mode, seed=1,
+                          batch_size=len(instances), max_steps=1)
+        log = run_stage(model, instances, cfg)
+        (batch,) = batches
+        assert len({s.image_id for s in batch}) == 4
+
+        reference.params.set_trainable(freeze_plan(reference, cfg))
+        loss_value, count = _one_walk(reference, batch)
+        assert count == _scored_count(batch)
+        assert log.steps[0]["loss"] == loss_value
+        assert grads.keys() == set(reference.params.trainable)
+        assert any(name.startswith("lora.") for name in grads) == (mode == "lora")
+        for name, grad in grads.items():
+            assert grad.tobytes() == reference.params[name].grad.tobytes(), name
+
+    def test_a_step_holds_one_group_graph_at_a_time(self):
+        # four single-sample image groups against one; with one backward over
+        # the summed loss, every group's graph lives to the end of the step
+        # and the ratio is ~3.2
+        instances = make_instances(make_records(4, seed=21), "mmt")
+
+        def peak(n):
+            model = build_model(instances, seed=3, c_total=512)
+            tracemalloc.start()
+            try:
+                run_stage(model, instances[:n], StageConfig(stage=2, seed=1, batch_size=n,
+                                                            max_steps=1))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4) < 2 * peak(1)
 
 
 class TestPipeline:
