@@ -175,15 +175,15 @@ def cmd_train(cfg: RunConfig, stages_filter: list[int] | None,
     if not stage_cfgs:
         raise ConfigError(f"--stages {stages_filter} selects none of the configured stages")
     if stage3_mode is not None:
+        if all(c.stage != 3 for c in stage_cfgs):
+            raise ConfigError("--stage3-mode: the selected stages hold no stage 3")
         stage_cfgs = [dataclasses.replace(c, mode=stage3_mode) if c.stage == 3 else c
                       for c in stage_cfgs]
 
     datasets, val = _load_stage_datasets(cfg)
     model = _build_model(cfg, datasets, val)
 
-    val_datasets = {c.stage: val for c in stage_cfgs} if val else None
-    model, logs = run_pipeline(model, stage_cfgs, datasets, cfg.out_path,
-                               val_datasets=val_datasets)
+    model, logs = run_pipeline(model, stage_cfgs, datasets, cfg.out_path, val)
     for log in logs:
         for comp in sorted(log.digests_pre):
             status = "changed" if log.digests_pre[comp] != log.digests_post[comp] else "frozen"
@@ -201,16 +201,24 @@ def cmd_train(cfg: RunConfig, stages_filter: list[int] | None,
 def cmd_generate(args) -> int:
     if args.max_new_tokens is not None and args.max_new_tokens < 0:
         raise ConfigError(f"--max-new-tokens must be >= 0, got {args.max_new_tokens}")
+    # each kind of input reads its own flags, and a flag it would ignore is an error
+    if args.raw_sentences:
+        if args.lang is None:
+            raise ConfigError("--lang is required with --raw-sentences")
+        if args.lang not in LANGS:
+            raise ConfigError(f"unknown language {args.lang!r}")
+        for flag, value in (("--task", args.task), ("--no-image", args.no_image)):
+            if value:
+                raise ConfigError(f"{flag} does not apply to --raw-sentences input")
+    elif args.lang is not None:
+        raise ConfigError("--lang applies only to --raw-sentences input; "
+                          "instance files carry their own language")
     model = load_checkpoint(args.checkpoint)
     input_path = Path(args.input)
     if not input_path.exists():
         raise DataError(f"input file not found: {input_path}")
 
     if args.raw_sentences:
-        if args.lang is None:
-            raise ConfigError("--lang is required with --raw-sentences")
-        if args.lang not in LANGS:
-            raise ConfigError(f"unknown language {args.lang!r}")
         lines = read_lines(input_path)
         instances = [
             PromptInstance(

@@ -30,12 +30,10 @@ INIT_STD = 0.02
 
 class Linear:
     def __init__(self, store: ParameterStore, name: str, d_in: int, d_out: int,
-                 rng: np.random.Generator, dtype):
-        self.weight = store.add(
-            name + ".weight",
-            Tensor(rng.normal(0.0, INIT_STD, size=(d_out, d_in)).astype(dtype)),
-        )
-        self.bias = store.add(name + ".bias", Tensor(np.zeros(d_out, dtype=dtype)))
+                 rng: np.random.Generator):
+        self.weight = store.add(name + ".weight",
+                                Tensor(rng.normal(0.0, INIT_STD, size=(d_out, d_in))))
+        self.bias = store.add(name + ".bias", Tensor(np.zeros(d_out)))
         self.lora = None  # (A, B), set by lora_attach
         store.linears[name + ".weight"] = self
 
@@ -48,9 +46,9 @@ class Linear:
 
 
 class LayerNorm:
-    def __init__(self, store: ParameterStore, name: str, d: int, dtype):
-        self.gamma = store.add(name + ".gamma", Tensor(np.ones(d, dtype=dtype)))
-        self.beta = store.add(name + ".beta", Tensor(np.zeros(d, dtype=dtype)))
+    def __init__(self, store: ParameterStore, name: str, d: int):
+        self.gamma = store.add(name + ".gamma", Tensor(np.ones(d)))
+        self.beta = store.add(name + ".beta", Tensor(np.zeros(d)))
 
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gamma, self.beta)
@@ -65,9 +63,9 @@ class KVCache:
     reads the cached keys and values as constants.
     """
 
-    def __init__(self, n: int, d: int, dtype):
-        self.k = np.empty((n, d), dtype=dtype)
-        self.v = np.empty((n, d), dtype=dtype)
+    def __init__(self, n: int, d: int):
+        self.k = np.empty((n, d))
+        self.v = np.empty((n, d))
         self.filled = 0
 
 
@@ -84,14 +82,14 @@ class SelfAttention:
     """
 
     def __init__(self, store: ParameterStore, name: str, d: int, n_heads: int,
-                 rng: np.random.Generator, dtype, causal: bool = False):
+                 rng: np.random.Generator, causal: bool = False):
         self.n_heads = n_heads
         self.scale = 1.0 / np.sqrt(d // n_heads)
         self.causal = causal
-        self.wq = Linear(store, name + ".wq", d, d, rng, dtype)
-        self.wk = Linear(store, name + ".wk", d, d, rng, dtype)
-        self.wv = Linear(store, name + ".wv", d, d, rng, dtype)
-        self.wo = Linear(store, name + ".wo", d, d, rng, dtype)
+        self.wq = Linear(store, name + ".wq", d, d, rng)
+        self.wk = Linear(store, name + ".wk", d, d, rng)
+        self.wv = Linear(store, name + ".wv", d, d, rng)
+        self.wo = Linear(store, name + ".wo", d, d, rng)
 
     def __call__(self, x: Tensor, cache: KVCache | None = None,
                  segments: Segments | None = None) -> Tensor:
@@ -114,12 +112,12 @@ class Block:
     """
 
     def __init__(self, store: ParameterStore, name: str, d: int, n_heads: int,
-                 rng: np.random.Generator, dtype, causal: bool = False):
-        self.ln1 = LayerNorm(store, name + ".ln1", d, dtype)
-        self.attn = SelfAttention(store, name + ".attn", d, n_heads, rng, dtype, causal)
-        self.ln2 = LayerNorm(store, name + ".ln2", d, dtype)
-        self.fc1 = Linear(store, name + ".mlp.fc1", d, 4 * d, rng, dtype)
-        self.fc2 = Linear(store, name + ".mlp.fc2", 4 * d, d, rng, dtype)
+                 rng: np.random.Generator, causal: bool = False):
+        self.ln1 = LayerNorm(store, name + ".ln1", d)
+        self.attn = SelfAttention(store, name + ".attn", d, n_heads, rng, causal)
+        self.ln2 = LayerNorm(store, name + ".ln2", d)
+        self.fc1 = Linear(store, name + ".mlp.fc1", d, 4 * d, rng)
+        self.fc2 = Linear(store, name + ".mlp.fc2", 4 * d, d, rng)
 
     def __call__(self, x: Tensor, cache: KVCache | None = None,
                  segments: Segments | None = None) -> Tensor:
@@ -133,19 +131,13 @@ class VisionEncoder:
     """Patch embedding + bidirectional transformer; (S, S) image -> (c_vis, d_vis)."""
 
     def __init__(self, store: ParameterStore, cfg: ModelConfig, rng: np.random.Generator):
-        dtype = cfg.np_dtype
         self.cfg = cfg
-        self.patch_proj = Linear(store, "vision.patch_emb",
-                                 cfg.patch_size ** 2, cfg.d_vis, rng, dtype)
+        self.patch_proj = Linear(store, "vision.patch_emb", cfg.patch_size ** 2, cfg.d_vis, rng)
         self.pos_emb = store.add(
-            "vision.pos_emb",
-            Tensor(rng.normal(0.0, INIT_STD, size=(cfg.c_vis, cfg.d_vis)).astype(dtype)),
-        )
-        self.blocks = [
-            Block(store, f"vision.blocks.{i}", cfg.d_vis, cfg.n_heads, rng, dtype)
-            for i in range(cfg.n_layers_vis)
-        ]
-        self.ln_f = LayerNorm(store, "vision.ln_f", cfg.d_vis, dtype)
+            "vision.pos_emb", Tensor(rng.normal(0.0, INIT_STD, size=(cfg.c_vis, cfg.d_vis))))
+        self.blocks = [Block(store, f"vision.blocks.{i}", cfg.d_vis, cfg.n_heads, rng)
+                       for i in range(cfg.n_layers_vis)]
+        self.ln_f = LayerNorm(store, "vision.ln_f", cfg.d_vis)
 
     def patchify(self, image: np.ndarray) -> np.ndarray:
         s, p = self.cfg.image_size, self.cfg.patch_size
@@ -155,7 +147,7 @@ class VisionEncoder:
         )
 
     def __call__(self, image: np.ndarray) -> Tensor:
-        image = np.asarray(image, dtype=self.cfg.np_dtype)
+        image = np.asarray(image, dtype=np.float64)
         s = self.cfg.image_size
         if image.shape != (s, s):
             raise ShapeError(f"expected a ({s}, {s}) image, got {image.shape}")
@@ -167,28 +159,22 @@ class VisionEncoder:
 
 
 class AdapterProjector:
-    """Maps vision embeddings into the LM embedding space.
+    """Maps vision embeddings into the LM embedding space: fc2(gelu(fc1(x))).
 
-    linear: one affine map. mlp2: two layers with a nonlinearity between.
+    The two-layer GELU projector of LLaVA-1.5; a checkpoint header records it
+    as adapter_mode "mlp2".
     """
 
     def __init__(self, store: ParameterStore, cfg: ModelConfig, rng: np.random.Generator):
-        dtype = cfg.np_dtype
         self.cfg = cfg
-        self.mode = cfg.adapter_mode
-        if self.mode == "linear":
-            self.proj = Linear(store, "adapter.proj", cfg.d_vis, cfg.d_model, rng, dtype)
-        else:
-            self.fc1 = Linear(store, "adapter.fc1", cfg.d_vis, cfg.d_model, rng, dtype)
-            self.fc2 = Linear(store, "adapter.fc2", cfg.d_model, cfg.d_model, rng, dtype)
+        self.fc1 = Linear(store, "adapter.fc1", cfg.d_vis, cfg.d_model, rng)
+        self.fc2 = Linear(store, "adapter.fc2", cfg.d_model, cfg.d_model, rng)
 
     def __call__(self, vis: Tensor) -> Tensor:
         if vis.ndim != 2 or vis.shape[1] != self.cfg.d_vis:
             raise ShapeError(
                 f"adapter expects (n, {self.cfg.d_vis}) vision embeddings, got {vis.shape}"
             )
-        if self.mode == "linear":
-            return self.proj(vis)
         return self.fc2(gelu(self.fc1(vis)))
 
 
@@ -196,28 +182,21 @@ class DecoderLM:
     """Causal decoder over merged visual + text embeddings, tied output head."""
 
     def __init__(self, store: ParameterStore, cfg: ModelConfig, rng: np.random.Generator):
-        dtype = cfg.np_dtype
         self.cfg = cfg
         self.tok_emb = store.add(
-            "llm.tok_emb",
-            Tensor(rng.normal(0.0, INIT_STD, size=(cfg.vocab_size, cfg.d_model)).astype(dtype)),
-        )
+            "llm.tok_emb", Tensor(rng.normal(0.0, INIT_STD, size=(cfg.vocab_size, cfg.d_model))))
         self.pos_emb = store.add(
-            "llm.pos_emb",
-            Tensor(rng.normal(0.0, INIT_STD, size=(cfg.c_total, cfg.d_model)).astype(dtype)),
-        )
-        self.blocks = [
-            Block(store, f"llm.blocks.{i}", cfg.d_model, cfg.n_heads, rng, dtype, causal=True)
-            for i in range(cfg.n_layers_lm)
-        ]
-        self.ln_f = LayerNorm(store, "llm.ln_f", cfg.d_model, dtype)
+            "llm.pos_emb", Tensor(rng.normal(0.0, INIT_STD, size=(cfg.c_total, cfg.d_model))))
+        self.blocks = [Block(store, f"llm.blocks.{i}", cfg.d_model, cfg.n_heads, rng, causal=True)
+                       for i in range(cfg.n_layers_lm)]
+        self.ln_f = LayerNorm(store, "llm.ln_f", cfg.d_model)
 
     def embed_tokens(self, ids: np.ndarray) -> Tensor:
         return embedding(self.tok_emb, ids)
 
     def new_cache(self, n: int) -> list[KVCache]:
         """One empty KVCache per block, each room for n positions."""
-        return [KVCache(n, self.cfg.d_model, self.cfg.np_dtype) for _ in self.blocks]
+        return [KVCache(n, self.cfg.d_model) for _ in self.blocks]
 
     def forward_embedded(self, embeds: Tensor, positions: np.ndarray,
                          cache: list[KVCache] | None = None,

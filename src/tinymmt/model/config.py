@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from tinymmt.errors import ConfigError
 
-ADAPTER_MODES = ("linear", "mlp2")
-DTYPES = {"float64": np.float64, "float32": np.float32}
+# the one adapter (LLaVA-1.5's two-layer GELU projector) and the one float type;
+# a checkpoint header records both so that a reader can check them
+FIXED_SHAPE = {"adapter_mode": "mlp2", "dtype": "float64"}
 
 
 @dataclass(frozen=True)
@@ -29,8 +28,6 @@ class ModelConfig:
     c_total: int = 256
     image_size: int = 12
     patch_size: int = 4
-    adapter_mode: str = "mlp2"
-    dtype: str = "float64"
 
     def __post_init__(self):
         for field in ("vocab_size", "d_vis", "d_model", "n_layers_vis",
@@ -51,27 +48,21 @@ class ModelConfig:
             raise ConfigError(
                 f"visual token budget c_vis={self.c_vis} must be below c_total={self.c_total}"
             )
-        if self.adapter_mode not in ADAPTER_MODES:
-            raise ConfigError(f"adapter_mode must be one of {ADAPTER_MODES}, got {self.adapter_mode!r}")
-        if self.dtype not in DTYPES:
-            raise ConfigError(f"dtype must be one of {sorted(DTYPES)}, got {self.dtype!r}")
 
     @property
     def c_vis(self) -> int:
         return (self.image_size // self.patch_size) ** 2
 
-    @property
-    def np_dtype(self):
-        return DTYPES[self.dtype]
-
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["c_vis"] = self.c_vis
-        return d
+        return {**asdict(self), **FIXED_SHAPE, "c_vis": self.c_vis}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         d = dict(d)
+        for key, value in FIXED_SHAPE.items():
+            got = d.pop(key, value)
+            if got != value:
+                raise ConfigError(f"{key}={got!r}: every model has {key}={value!r}")
         c_vis = d.pop("c_vis", None)
         cfg = cls(**d)  # an unknown or missing key raises TypeError
         if c_vis is not None and c_vis != cfg.c_vis:

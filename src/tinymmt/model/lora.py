@@ -34,32 +34,21 @@ def lora_targets(model) -> list[str]:
                   if layer.lora is not None)
 
 
-def lora_attach(model, targets: list[str] | None = None, seed: int = 0) -> None:
-    """Attach adapters to the named linear weights and freeze those base weights.
+def lora_attach(model, seed: int = 0) -> None:
+    """Attach an adapter to every default_lora_targets weight and freeze that weight.
 
     A is small random, B is zero, so the model's behavior is unchanged until
     the adapters train.
     """
-    if targets is None:
-        targets = default_lora_targets(model)
-    if not targets:
-        raise ValueError("no lora targets given")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x10AA]))
-    for target in targets:
-        if target not in model.params:
-            raise KeyError(f"unknown lora target parameter {target!r}")
-        if target not in model.params.linears:
-            raise ValueError(f"lora target {target!r} is not a linear weight")
-        layer = model.params.linears[target]
-        if layer.lora is not None:
-            raise ValueError(f"lora already attached to {target!r}")
+    for target in default_lora_targets(model):
+        layer = model.params.linears[target]  # a second attach meets a duplicate name
         d_out, d_in = layer.weight.data.shape
-        dtype = layer.weight.data.dtype
-        a = Tensor(rng.normal(0.0, LORA_INIT_STD, size=(LORA_R, d_in)).astype(dtype))
-        b = Tensor(np.zeros((d_out, LORA_R), dtype=dtype))
+        a = Tensor(rng.normal(0.0, LORA_INIT_STD, size=(LORA_R, d_in)))
+        b = Tensor(np.zeros((d_out, LORA_R)))
         layer.lora = (model.params.add(f"lora.{target}.A", a),
                       model.params.add(f"lora.{target}.B", b))
-        model.params.freeze([target])
+        layer.weight.requires_grad = False
 
 
 def lora_merge(model) -> None:

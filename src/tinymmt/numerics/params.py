@@ -36,9 +36,6 @@ class ParameterStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._entries[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
     def names(self) -> list[str]:
         return sorted(self._entries)
 
@@ -57,12 +54,6 @@ class ParameterStore:
             raise KeyError(f"unknown parameter names: {sorted(unknown)}")
         for name, tensor in self._entries.items():
             tensor.requires_grad = name in names
-
-    def freeze(self, names: Iterable[str]) -> None:
-        for name in names:
-            if name not in self._entries:
-                raise KeyError(f"unknown parameter name {name!r}")
-            self._entries[name].requires_grad = False
 
     def components(self) -> list[str]:
         return sorted({name.split(".", 1)[0] for name in self._entries})

@@ -8,14 +8,17 @@ Layout (all integers little-endian):
     n_tensors  u32
     per tensor:
         name_len u32, name (UTF-8)
-        dtype    u8   (0 = float64, 1 = float32)
+        dtype    u8   0 = float64, the one type a model holds
         ndim     u8
         dims     u32 * ndim
         nbytes   u64, raw row-major data
 
 The header carries config, vocabulary, stage provenance, the init seed, and
-any attached low-rank adapter metadata. Tensors are written sorted by name
-and floats round-trip exactly, so save -> load -> save is byte-identical.
+any attached low-rank adapter metadata. The config records the fixed adapter
+("mlp2") and dtype ("float64"), the adapter metadata the fixed rank, scale
+and sorted targets, and the loader refuses any other value. Tensors are
+written sorted by name and floats round-trip exactly, so save -> load -> save
+is byte-identical.
 """
 
 from __future__ import annotations
@@ -31,14 +34,13 @@ import numpy as np
 from tinymmt.atomic import NUMBER, atomic_write, json_fields, parse_json
 from tinymmt.errors import CheckpointError, TinymmtError
 from tinymmt.model.config import ModelConfig
-from tinymmt.model.lora import LORA_ALPHA, LORA_R, lora_attach, lora_targets
+from tinymmt.model.lora import LORA_ALPHA, LORA_R, default_lora_targets, lora_attach, lora_targets
 from tinymmt.model.multimodal import MultimodalModel
 from tinymmt.model.vocab import Vocabulary
 
 MAGIC = b"CNVD"
 FORMAT_VERSION = 1
-_DTYPE_CODES = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
-_CODE_DTYPES = {code: dt for dt, code in _DTYPE_CODES.items()}
+FLOAT64 = 0  # the tensor dtype code
 _HEADER_FIELDS = {"config": dict, "vocab": dict, "provenance": list, "seed": int,
                   "lora": (dict, type(None))}
 _LORA_FIELDS = {"targets": list, "r": int, "alpha": NUMBER}
@@ -66,13 +68,11 @@ def save_checkpoint(model: MultimodalModel, path) -> None:
     names = model.params.names()
     buf.write(struct.pack("<I", len(names)))
     for name in names:
-        data = np.ascontiguousarray(model.params[name].data)
-        if data.dtype not in _DTYPE_CODES:
-            raise CheckpointError(f"parameter {name!r} has unsupported dtype {data.dtype}")
+        data = np.ascontiguousarray(model.params[name].data, dtype=np.float64)
         encoded = name.encode("utf-8")
         buf.write(struct.pack("<I", len(encoded)))
         buf.write(encoded)
-        buf.write(struct.pack("<BB", _DTYPE_CODES[data.dtype], data.ndim))
+        buf.write(struct.pack("<BB", FLOAT64, data.ndim))
         buf.write(struct.pack(f"<{data.ndim}I", *data.shape))
         raw = data.tobytes()
         buf.write(struct.pack("<Q", len(raw)))
@@ -132,10 +132,14 @@ def load_checkpoint(path) -> MultimodalModel:
         config = ModelConfig.from_dict(header["config"])
         model = MultimodalModel(config, Vocabulary.from_dict(header["vocab"]),
                                 seed=header["seed"])
-        if lora is not None:
-            lora_attach(model, targets=lora["targets"])
     except (TinymmtError, KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"{where}: {type(exc).__name__}: {exc}") from exc
+        raise CheckpointError(f"{where}: {exc}") from exc
+    if lora is not None:
+        targets = sorted(default_lora_targets(model))
+        if lora["targets"] != targets:
+            raise CheckpointError(f"{where}: lora targets must be {targets}, "
+                                  f"got {lora['targets']}")
+        lora_attach(model)
     model.provenance = header["provenance"]
 
     (n_tensors,) = reader.unpack("<I")
@@ -150,7 +154,7 @@ def load_checkpoint(path) -> MultimodalModel:
         if name in seen:
             raise CheckpointError(f"{path}: duplicate tensor {name!r}")
         dtype_code, ndim = reader.unpack("<BB")
-        if dtype_code not in _CODE_DTYPES:
+        if dtype_code != FLOAT64:
             raise CheckpointError(f"{path}: tensor {name!r} has unknown dtype code {dtype_code}")
         dims = reader.unpack(f"<{ndim}I")
         (nbytes,) = reader.unpack("<Q")
@@ -162,14 +166,13 @@ def load_checkpoint(path) -> MultimodalModel:
                 f"{path}: tensor {name!r} shape {dims} conflicts with the "
                 f"embedded config (expected {shape})"
             )
-        dtype = _CODE_DTYPES[dtype_code]
-        if nbytes != math.prod(dims) * dtype.itemsize:
+        if nbytes != math.prod(dims) * 8:
             raise CheckpointError(
                 f"{path}: tensor {name!r} length field {nbytes} does not match "
-                f"shape {dims} ({math.prod(dims) * dtype.itemsize} bytes expected)"
+                f"shape {dims} ({math.prod(dims) * 8} bytes expected)"
             )
-        data = np.frombuffer(reader.take(nbytes), dtype=dtype).reshape(dims)
-        model.params[name].data = data.astype(config.np_dtype)  # a writable copy
+        data = np.frombuffer(reader.take(nbytes), dtype=np.float64).reshape(dims)
+        model.params[name].data = data.copy()  # writable
         seen.add(name)
     if reader.pos != len(reader.blob):
         raise CheckpointError(f"{path}: trailing bytes after the last tensor")

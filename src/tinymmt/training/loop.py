@@ -238,14 +238,13 @@ def _train_stage(model: MultimodalModel, dataset: Sequence[PromptInstance],
 
 def run_pipeline(model: MultimodalModel, stage_configs: Sequence[StageConfig],
                  datasets: dict[int, Sequence[PromptInstance]], out_dir,
-                 val_datasets: dict[int, Sequence[PromptInstance]] | None = None
-                 ) -> tuple[MultimodalModel, list[TrainLog]]:
+                 val: Sequence[PromptInstance] = ()) -> tuple[MultimodalModel, list[TrainLog]]:
     """Run an ordered subset of stages, checkpointing after each.
 
     Stage numbers must be strictly increasing; [1, 3] (skip instruction
     tuning) and stopping after [1, 2] are both legitimate schedules. Each
     stage resumes from the in-memory model the previous stage produced, and a
-    checkpoint lands in out_dir per stage.
+    checkpoint lands in out_dir per stage. Every stage validates on val.
     """
     from tinymmt.training.checkpoint import save_checkpoint
 
@@ -261,7 +260,6 @@ def run_pipeline(model: MultimodalModel, stage_configs: Sequence[StageConfig],
     for cfg in stage_configs:
         if cfg.stage not in datasets:
             raise DataError(f"no dataset provided for stage {cfg.stage}")
-        val = (val_datasets or {}).get(cfg.stage)
         log = run_stage(model, datasets[cfg.stage], cfg, val_dataset=val)
         logs.append(log)
         model.provenance.append(cfg.summary())

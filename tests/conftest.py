@@ -66,11 +66,11 @@ def make_instances(records, task, tag="object"):
     return [render_prompt(r, task, tag) for r in records]
 
 
-def build_model(instances, seed=0, c_total=512, **overrides):
+def build_model(instances, seed=0, c_total=512):
     """Vocabulary harvested from the instances, model built around it."""
     texts = [i.prompt for i in instances] + [i.response for i in instances]
     vocab = Vocabulary.from_texts(texts)
-    cfg = ModelConfig(vocab_size=len(vocab), c_total=c_total, **overrides)
+    cfg = ModelConfig(vocab_size=len(vocab), c_total=c_total)
     return MultimodalModel(cfg, vocab, seed=seed)
 
 

@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tinymmt.errors import CheckpointError
-from tinymmt.model import ModelConfig, MultimodalModel, Vocabulary, lora_attach, lora_targets
+from tinymmt.model import (
+    ModelConfig,
+    MultimodalModel,
+    Vocabulary,
+    default_lora_targets,
+    lora_attach,
+    lora_targets,
+)
 from tinymmt.numerics.tensor import _CAUSAL_MASKS
 from tinymmt.training import (
     FORMAT_VERSION,
@@ -127,6 +134,36 @@ def test_lora_model_round_trips(tmp_path):
         assert np.array_equal(loaded.params[name].data, model.params[name].data)
 
 
+# written by save_checkpoint before ModelConfig lost its adapter_mode and dtype
+# fields and lora_attach its targets: format v1, as golden_lora_model builds it
+GOLDEN_LORA = Path(__file__).parent / "golden" / "lora_v1.ckpt"
+
+
+def golden_lora_model():
+    """A tiny model, LoRA attached on the default targets, with non-zero B."""
+    vocab = Vocabulary.from_texts(["a red cat", "एक लाल बिल्ली"])
+    cfg = ModelConfig(vocab_size=len(vocab), d_vis=2, d_model=4, n_layers_vis=1,
+                      n_layers_lm=1, n_heads=1, c_total=8, image_size=4, patch_size=2)
+    model = MultimodalModel(cfg, vocab, seed=5)
+    lora_attach(model, seed=1)
+    rng = np.random.default_rng(2)
+    for target in lora_targets(model):
+        b = model.params[f"lora.{target}.B"]
+        b.data = rng.normal(0.0, 0.01, size=b.data.shape)
+    model.provenance = [{"stage": 3, "mode": "lora"}]
+    return model
+
+
+def test_an_older_lora_checkpoint_loads_and_resaves_byte_for_byte(tmp_path):
+    golden = GOLDEN_LORA.read_bytes()
+    loaded = load_checkpoint(GOLDEN_LORA)
+    assert lora_targets(loaded) == sorted(default_lora_targets(loaded))
+    for model in (loaded, golden_lora_model()):
+        path = tmp_path / "again.ckpt"
+        save_checkpoint(model, path)
+        assert path.read_bytes() == golden
+
+
 def test_provenance_records_full_pipeline(tmp_path):
     from tinymmt.training import run_pipeline
     records = make_records(4, seed=2)
@@ -196,7 +233,12 @@ def test_duplicate_tensor_rejected(lora_checkpoint):
     lambda lora: lora.update(r=2.5),
     lambda lora: lora.update(alpha=8.0),
     lambda lora: lora.update(targets=["llm.nope.weight"]),
-], ids=["no-targets", "r-string", "r-float", "alpha", "unknown-target"])
+    # the header lists every attention projection, sorted by name
+    lambda lora: lora.update(targets=[f"llm.blocks.{i}.attn.{proj}.weight" for i in range(2)
+                                      for proj in ("wq", "wk", "wv", "wo")]),
+    lambda lora: lora.update(targets=lora["targets"][:1]),
+], ids=["no-targets", "r-string", "r-float", "alpha", "unknown-target", "block-order",
+        "subset"])
 def test_bad_lora_header_rejected(lora_checkpoint, edit):
     blob = lora_checkpoint.read_bytes()
     header, tensors = split_blob(blob)

@@ -793,6 +793,30 @@ def test_negative_decode_budget_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "h.txt").exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    # an instance file carries its own language: --lang would decode nothing else
+    (["--input", "x.jsonl", "--lang", "bn"], "--lang applies only to --raw-sentences input"),
+    (["--input", "s.txt", "--raw-sentences", "--lang", "hi", "--task", "mmt"],
+     "--task does not apply to --raw-sentences input"),
+    (["--input", "s.txt", "--raw-sentences", "--lang", "hi", "--no-image"],
+     "--no-image does not apply to --raw-sentences input"),
+    (["train", "--stages", "1,2", "--stage3-mode", "lora"],
+     "--stage3-mode: the selected stages hold no stage 3"),
+], ids=["generate-lang", "raw-task", "raw-no-image", "train-stage3-mode"])
+def test_a_flag_its_command_would_ignore_is_a_config_error(fixture_tree, tmp_path, capsys,
+                                                            flags, message):
+    if flags[0] == "train":
+        argv = [*flags, "--config", str(fixture_tree)]
+    else:
+        (tmp_path / "s.txt").write_text("red cat\n", encoding="utf-8")
+        argv = ["generate", "--checkpoint", str(text_only_checkpoint(tmp_path / "m.ckpt")),
+                "--out", str(tmp_path / "h.txt"),
+                *[str(tmp_path / f) if f.endswith((".txt", ".jsonl")) else f for f in flags]]
+    assert main(argv) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "h.txt").exists() and not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("target, code", [
     ("config.json", 2), ("hi_train.tsv", 3), ("detections/train0.json", 3),
     ("run/instances/caption.hi.train.jsonl", 3), ("s.txt", 3),

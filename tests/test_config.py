@@ -43,13 +43,18 @@ def write(tmp_path, raw: dict) -> Path:
     (lambda raw: raw, "batchsize", 2, "config.json", "unknown key 'batchsize'"),
     (lambda raw: raw.setdefault("model", {"c_total": 512}), "batchsize", 2, "model",
      "unknown key 'batchsize'"),
+    # the adapter and the dtype are fixed: the checkpoint header records them, no config sets them
+    (lambda raw: raw.setdefault("model", {}), "adapter_mode", "mlp2", "model",
+     "unknown key 'adapter_mode'"),
+    (lambda raw: raw.setdefault("model", {}), "dtype", "float64", "model", "unknown key 'dtype'"),
     (lambda raw: raw["data"], "batchsize", 2, "data", "unknown key 'batchsize'"),
     (lambda raw: raw["train"], "batchsize", 2, "train", "unknown key 'batchsize'"),
     (lambda raw: raw["train"]["stages"][1], "batchsize", 2, "train.stages[1]",
      "unknown key 'batchsize'"),
     (lambda raw: raw["train"]["stages"][1], "lr", True, "train.stages[1]",
      "'lr' must be .* got a boolean"),
-], ids=["top", "model", "data", "train", "stage", "bool-is-not-a-number"])
+], ids=["top", "model", "model-adapter_mode", "model-dtype", "data", "train", "stage",
+         "bool-is-not-a-number"])
 def test_unknown_key_names_its_dotted_path(tmp_path, capsys, section, key, value, place, problem):
     raw = base_config()
     section(raw)[key] = value
@@ -115,7 +120,7 @@ def test_one_record_of_a_stage():
 
 def test_model_keys_are_the_settable_model_config_fields(tmp_path):
     raw = base_config()
-    raw["model"] = {"d_model": 32, "n_heads": 2, "c_total": 128, "dtype": "float32"}
+    raw["model"] = {"d_model": 32, "n_heads": 2, "c_total": 128, "n_layers_lm": 1}
     assert load_config(write(tmp_path, raw)).model == raw["model"]
     raw["model"]["vocab_size"] = 40  # derived from the data by train
     with pytest.raises(ConfigError, match="model: unknown key 'vocab_size'"):

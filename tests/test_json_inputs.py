@@ -136,6 +136,11 @@ CASES = {
     "header-seed-bool": (header_case(lambda h: h.update(seed=True)), 4, "'seed'"),
     "header-unknown-key": (header_case(lambda h: h.update(comment="x")), 4, "'comment'"),
     "header-lora-unknown-key": (header_case(lambda h: h["lora"].update(rank=4)), 4, "'rank'"),
+    # the adapter and the dtype are fixed: a header naming another one is refused
+    "header-adapter-linear": (
+        header_case(lambda h: h["config"].update(adapter_mode="linear")), 4, "adapter_mode="),
+    "header-dtype-float32": (
+        header_case(lambda h: h["config"].update(dtype="float32")), 4, "dtype="),
     "header-provenance-surrogate-key": (
         header_case(lambda h: h["provenance"].append({"st\udc00ge": 1})), 4, "'provenance'[0]"),
 }

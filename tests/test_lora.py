@@ -37,24 +37,20 @@ def test_attach_freezes_base_weights():
     lora_attach(model)
     for target in default_lora_targets(model):
         assert target not in model.params.trainable
-        assert f"lora.{target}.A" in model.params
-        assert f"lora.{target}.B" in model.params
+        a, b = model.params.linears[target].lora
+        assert a is model.params[f"lora.{target}.A"] and b is model.params[f"lora.{target}.B"]
         assert np.array_equal(model.params[f"lora.{target}.B"].data,
                               np.zeros_like(model.params[f"lora.{target}.B"].data))
 
 
-def test_unknown_target_rejected():
-    model, _ = setup_model()
-    with pytest.raises(KeyError, match="nope"):
-        lora_attach(model, targets=["llm.nope.weight"])
-
-
 def test_double_attach_rejected():
     model, _ = setup_model()
-    target = default_lora_targets(model)[:1]
-    lora_attach(model, targets=target)
-    with pytest.raises(ValueError, match="already attached"):
-        lora_attach(model, targets=target)
+    lora_attach(model)
+    names = model.params.names()
+    with pytest.raises(ValueError, match="duplicate parameter name 'lora.llm.blocks.0.attn.wq"):
+        lora_attach(model)
+    assert model.params.names() == names
+    assert lora_targets(model) == sorted(default_lora_targets(model))
 
 
 def logits(model, inst):
@@ -82,12 +78,6 @@ def test_clone_of_a_lora_model_is_equal_and_independent():
                                                  batch_size=2, seed=4))
     assert log.digests_post["lora"] != before["lora"]
     assert model.params.component_digests() == before
-
-
-def test_non_2d_target_rejected():
-    model, _ = setup_model()
-    with pytest.raises(ValueError, match="not a linear weight"):
-        lora_attach(model, targets=["llm.tok_emb"])
 
 
 def test_merge_matches_adapted_logits_after_training():
@@ -136,10 +126,11 @@ def test_merge_without_adapters_rejected():
         lora_merge(model)
 
 
-@pytest.mark.parametrize("adapter_mode", ["linear", "mlp2"])
+@pytest.mark.parametrize("adapter_mode", ["mlp2"])  # the one adapter, as the header names it
 def test_every_weight_registers_its_linear(adapter_mode):
     records = make_records(4, seed=3)
-    model = build_model(make_instances(records, "mmt"), seed=3, adapter_mode=adapter_mode)
+    model = build_model(make_instances(records, "mmt"), seed=3)
+    assert model.config.to_dict()["adapter_mode"] == adapter_mode
 
     def check(m):
         weights = {name for name in m.params.names() if name.endswith(".weight")}

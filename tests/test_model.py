@@ -14,11 +14,20 @@ from tinymmt.numerics.tensor import ATTN_BLOCK, _CAUSAL_MASKS, backward, cross_e
 from conftest import build_model, make_instances, make_records
 
 
-def small_model(adapter_mode="mlp2", seed=0, c_total=256, dtype="float64"):
+def small_model(seed=0, c_total=256):
     vocab = Vocabulary.from_texts(["hello world abc xyz"])
-    cfg = ModelConfig(vocab_size=len(vocab), adapter_mode=adapter_mode, c_total=c_total,
-                      dtype=dtype)
-    return MultimodalModel(cfg, vocab, seed=seed)
+    return MultimodalModel(ModelConfig(vocab_size=len(vocab), c_total=c_total), vocab, seed=seed)
+
+
+def _of_dtype(model, dtype):
+    """The model, after checking that every parameter, adapters included, holds dtype."""
+    assert {t.data.dtype for _, t in model.params.items()} == {np.dtype(dtype)}
+    return model
+
+
+# float64 is the one model dtype; the parameter is the dtype these tests check
+MODEL_DTYPE = pytest.mark.parametrize("dtype", ["float64"])
+MODEL_DTYPE_TOL = pytest.mark.parametrize("dtype, tol", [("float64", 1e-12)])
 
 
 class TestConfig:
@@ -83,26 +92,10 @@ class TestVisionEncoder:
 
 
 class TestAdapter:
-    def test_linear_mode_zero_weights_give_zero(self):
-        model = small_model(adapter_mode="linear")
-        model.params["adapter.proj.weight"].data[:] = 0.0
-        model.params["adapter.proj.bias"].data[:] = 0.0
-        out = model.project(model.encode_image(synth_image("c", 12)))
-        assert np.array_equal(out.data, np.zeros((9, 64)))
-
-    def test_linear_mode_is_affine(self):
-        from tinymmt.numerics import Tensor
-
-        model = small_model(adapter_mode="linear")
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(9, 32))
-        b = rng.normal(size=(9, 32))
-        f = lambda arr: model.project(Tensor(arr)).data
-        residual = f(a + b) - f(a) - f(b) + f(np.zeros((9, 32)))
-        assert np.abs(residual).max() < 1e-9
-
     def test_mlp2_output_shape(self):
-        model = small_model(adapter_mode="mlp2")
+        model = small_model()
+        assert [n for n in model.params.names() if n.startswith("adapter.")] == [
+            "adapter.fc1.bias", "adapter.fc1.weight", "adapter.fc2.bias", "adapter.fc2.weight"]
         out = model.project(model.encode_image(synth_image("d", 12)))
         assert out.shape == (9, 64)
 
@@ -303,8 +296,8 @@ def _teacher_forced_argmax(model, prompt, image, ids):
 def _decoding_model(dtype, lora):
     """A small model whose greedy outputs stop at <eos> for some prompts and
     at a 20-token budget for others; lora is "none", "attached" with a
-    non-zero B, or "merged"."""
-    model = small_model(seed=3, dtype=dtype)
+    non-zero B, or "merged". Every parameter holds dtype."""
+    model = small_model(seed=3)
     if lora != "none":
         lora_attach(model)
         rng = np.random.default_rng(5)
@@ -314,11 +307,11 @@ def _decoding_model(dtype, lora):
         if lora == "merged":
             lora_merge(model)
     model.params["llm.tok_emb"].data[EOS] *= 1.5
-    return model
+    return _of_dtype(model, dtype)
 
 
 class TestCachedDecoding:
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @MODEL_DTYPE
     @pytest.mark.parametrize("lora", ["none", "attached", "merged"])
     @pytest.mark.parametrize("with_image", [False, True], ids=["text", "image"])
     def test_greedy_equals_teacher_forced_argmax(self, dtype, lora, with_image):
@@ -332,9 +325,9 @@ class TestCachedDecoding:
             if len(ids) < 20:
                 assert predicted[len(ids)] == EOS
 
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @MODEL_DTYPE
     def test_prefill_logits_equal_forward(self, dtype):
-        model = small_model(dtype=dtype)
+        model = _of_dtype(small_model(), dtype)
         prefix = model.assemble_sequence(model.vocab.encode("hello abc"),
                                          model.visual_tokens(synth_image("p", 12)))
         with no_grad():
@@ -373,12 +366,12 @@ class TestCachedDecoding:
             with pytest.raises(ShapeError, match="image slots"):
                 model.forward(Assembled(full.ids[split:], full.visual), cache)
 
-    @pytest.mark.parametrize("dtype, tol", [("float64", 1e-12), ("float32", 1e-6)])
+    @MODEL_DTYPE_TOL
     def test_a_generated_img_id_is_a_token_row(self, dtype, tol):
         # the <img> slots are positions 1..c_vis; an <img> id an untrained
         # model emits after the prompt embeds as its token row, fed whole or
         # step by step
-        model = small_model(dtype=dtype)
+        model = _of_dtype(small_model(), dtype)
         prompt = model.vocab.encode("hello")
         ids = np.array([IMG, model.vocab.encode("a")[0], IMG, IMG])
         with no_grad():
@@ -461,7 +454,7 @@ def _loss_and_grads(model, loss_fn, response):
 
 
 class TestLastRows:
-    @pytest.mark.parametrize("dtype, tol", [("float64", 1e-12), ("float32", 1e-6)])
+    @MODEL_DTYPE_TOL
     @pytest.mark.parametrize("lora", ["none", "attached", "merged"])
     @pytest.mark.parametrize("with_image", [False, True], ids=["text", "image"])
     def test_forward_equals_the_last_rows_of_a_full_forward(self, dtype, tol, lora,
@@ -502,7 +495,7 @@ class TestLastRows:
         with pytest.raises(ValueError, match="no positions"):
             model.loss(asm)
 
-    @pytest.mark.parametrize("dtype, tol", [("float64", 1e-12), ("float32", 1e-6)])
+    @MODEL_DTYPE_TOL
     def test_one_row_prefill_equals_the_last_row_and_caches_every_row(self, dtype, tol):
         model = _decoding_model(dtype, "attached")
         prefix = model.assemble_sequence(model.vocab.encode("hello abc"),

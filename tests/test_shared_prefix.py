@@ -95,9 +95,9 @@ def _loss_calls(monkeypatch):
     return groups
 
 
-def _text_batch(n=8, seed=5, **model_kw):
+def _text_batch(n=8, seed=5):
     instances = make_instances(make_records(n, seed=seed), "text_only")
-    return build_model(instances, seed=3, c_total=256, **model_kw), instances
+    return build_model(instances, seed=3, c_total=256), instances
 
 
 class TestAgainstPerSample:
@@ -133,11 +133,6 @@ class TestAgainstPerSample:
             b = model.params[f"lora.{target}.B"]
             b.data[...] = rng.normal(0.0, 0.05, size=b.shape)
         assert_matches_per_sample(_all_trainable(model), instances, 1e-12)
-
-    def test_float32(self):
-        model, instances = _text_batch(dtype="float32")
-        assert model.params["llm.tok_emb"].data.dtype == np.float32
-        assert_matches_per_sample(_all_trainable(model), instances, 1e-5)
 
 
 class TestRowsComputed:

@@ -404,26 +404,6 @@ class TestPipeline:
             run_pipeline(model, [StageConfig(stage=2)], datasets, tmp_path)
 
 
-def test_float32_training_flag(tmp_path):
-    # single-precision runs sit behind the model dtype flag; double stays
-    # the default for checks
-    records = make_records(3, seed=12)
-    instances = make_instances(records, "text_only")
-    model = build_model(instances, seed=2, c_total=256, dtype="float32")
-    assert model.params["llm.tok_emb"].data.dtype == np.float32
-    log = run_stage(model, instances, StageConfig(stage=3, seed=1, max_steps=2,
-                                                  batch_size=2))
-    assert all(np.isfinite(s["loss"]) for s in log.steps)
-    assert model.params["llm.tok_emb"].data.dtype == np.float32
-
-    from tinymmt.training import load_checkpoint, save_checkpoint
-    save_checkpoint(model, tmp_path / "f32.ckpt")
-    loaded = load_checkpoint(tmp_path / "f32.ckpt")
-    assert loaded.params["llm.tok_emb"].data.dtype == np.float32
-    assert np.array_equal(loaded.params["llm.tok_emb"].data,
-                          model.params["llm.tok_emb"].data)
-
-
 def test_adapter_untouched_by_pure_text_stage():
     # text-only data routes nothing through the projector: zero gradient,
     # zero Adam update, digest unchanged
