@@ -107,10 +107,14 @@ def json_fields(obj, kinds: dict, where, error: type[Exception], required) -> di
         kind = kinds.get(key)
         if kind is None:
             raise error(f"{where}: unknown key {key!r} (allowed: {', '.join(kinds)})")
-        if not isinstance(value, kind) or (type(value) is bool and kind is not bool):
+        found = type(value)
+        if not isinstance(value, kind) or (found is bool and kind is not bool):
             expected = " or ".join(map(_JSON_TYPES.get, kind if isinstance(kind, tuple) else (kind,)))
-            raise error(f"{where}: {key!r} must be {expected}, got {_JSON_TYPES[type(value)]}")
-        fault = _fault(value) if type(value) in _WALKED else None
+            raise error(f"{where}: {key!r} must be {expected}, got {_JSON_TYPES[found]}")
+        if (found is str and value.isascii() or found is float and math.isfinite(value)
+                or found is list and _WALKED.isdisjoint(map(type, value))):
+            continue  # a clean leaf, or an array of no _WALKED type: nothing for _fault to find
+        fault = _fault(value) if found in _WALKED else None
         if fault:
             keys, problem = fault
             raise error(f"{where}: {key!r}{''.join(f'[{k!r}]' for k in keys)} {problem}")

@@ -17,7 +17,6 @@ from pathlib import Path
 from tinymmt.atomic import atomic_write, read_lines
 from tinymmt.config import RunConfig, load_config
 from tinymmt.datapipe import (
-    LANG_NAMES,
     LANGS,
     SPLITS,
     TASKS,
@@ -31,9 +30,9 @@ from tinymmt.datapipe import (
     read_instances,
     render_prompt,
     select_tag,
+    text_only_prompt,
     write_instances,
 )
-from tinymmt.datapipe.prompts import TEXT_ONLY_TEMPLATE
 from tinymmt.errors import ConfigError, DataError, TinymmtError
 from tinymmt.metrics import evaluate_files, format_leaderboard, read_reports, tokenize, write_report
 from tinymmt.model import ModelConfig, MultimodalModel, Vocabulary
@@ -49,19 +48,24 @@ def _json_dumps(obj) -> str:
 # ----------------------------------------------------------------------
 # prepare-data
 
-def _record_tag(cfg: RunConfig, detections_dir: Path | None, rec: VgRecord,
-                detections: dict[str, list[DetectedObject]]) -> str | list[str] | None:
-    """A record's object labels: the best-IoU detection, or all of them.
+def _record_tags(cfg: RunConfig, detections_dir: Path | None, records: list[VgRecord],
+                 detections: dict[str, list[DetectedObject]]) -> list[str | list[str] | None]:
+    """Each record's object labels: the best-IoU detection, or all of them.
 
     `detections` maps image id to its detector output for the whole run, so
     each image's file is read once however many records and splits share it.
     """
-    if rec.image_id not in detections:
-        detections[rec.image_id] = load_detections(detections_dir, rec.image_id)
-    dets = detections[rec.image_id]
-    if cfg.data.all_labels:
-        return [d.label for d in dets] or None
-    return select_tag(rec.box, dets, cfg.data.iou_threshold)
+    all_labels, threshold = cfg.data.all_labels, cfg.data.iou_threshold
+    tags = []
+    for rec in records:
+        dets = detections.get(rec.image_id)
+        if dets is None:
+            dets = detections[rec.image_id] = load_detections(detections_dir, rec.image_id)
+        if all_labels:
+            tags.append([d.label for d in dets] or None)
+        else:
+            tags.append(select_tag(rec.box, dets, threshold))
+    return tags
 
 
 def cmd_prepare_data(cfg: RunConfig, task_filter: str | None) -> int:
@@ -95,15 +99,14 @@ def cmd_prepare_data(cfg: RunConfig, task_filter: str | None) -> int:
             for issue in result.issues:
                 print(f"warning: {tsv_path}:{issue.line_no}: skipped ({issue.reason})",
                       file=sys.stderr)
-            records_by_split[split] = result.records
+            records = records_by_split[split] = result.records
 
             # text_only ignores the tag, so a text_only run reads no detector file
-            tags = [_record_tag(cfg, detections_dir, rec, detections) if grounded else None
-                    for rec in result.records]
+            tags = (_record_tags(cfg, detections_dir, records, detections) if grounded
+                    else [None] * len(records))
             untagged = tags.count(None) * grounded
             for task in tasks:
-                instances = [render_prompt(rec, task, tag)
-                             for rec, tag in zip(result.records, tags)]
+                instances = [render_prompt(rec, task, tag) for rec, tag in zip(records, tags)]
                 out_path = instances_dir / f"{task}.{lang}.{split}.jsonl"
                 write_instances(out_path, instances)
                 print(f"wrote {len(instances)} {task} instances -> {out_path}")
@@ -112,7 +115,7 @@ def cmd_prepare_data(cfg: RunConfig, task_filter: str | None) -> int:
                       "without a labels clause (no detection met the IoU threshold)",
                       file=sys.stderr)
 
-        flat = [rec for records in records_by_split.values() for rec in records]
+        flat = [rec for split_records in records_by_split.values() for rec in split_records]
         stats = corpus_stats(flat, tokenize)
         all_stats[lang] = stats.to_dict()
         for split, s in sorted(stats.splits.items()):
@@ -224,8 +227,7 @@ def cmd_generate(args) -> int:
             PromptInstance(
                 task="text_only",
                 # NFC, as TSV ingestion normalizes every sentence
-                prompt=TEXT_ONLY_TEMPLATE.format(src="English", tgt=LANG_NAMES[args.lang],
-                                                 sentence=unicodedata.normalize("NFC", line)),
+                prompt=text_only_prompt(args.lang, unicodedata.normalize("NFC", line)),
                 response="",
                 lang=args.lang,
                 source_id=f"{input_path}:{line_no}",

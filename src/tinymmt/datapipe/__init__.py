@@ -16,31 +16,23 @@ from tinymmt.datapipe.records import (
     write_instances,
 )
 from tinymmt.datapipe.boxes import iou, select_tag
-from tinymmt.datapipe.prompts import (
-    CAPTION_TEMPLATE,
-    MMT_TEMPLATE,
-    TEXT_ONLY_TEMPLATE,
-    render_prompt,
-)
+from tinymmt.datapipe.prompts import render_prompt, text_only_prompt
 from tinymmt.datapipe.sampling import mix_samples
 from tinymmt.datapipe.stats import CorpusStats, SplitStats, corpus_stats
 from tinymmt.datapipe.images import make_synth_loader, synth_image
 
 __all__ = [
     "BoundingBox",
-    "CAPTION_TEMPLATE",
     "CorpusStats",
     "DetectedObject",
     "LANGS",
     "LANG_NAMES",
-    "MMT_TEMPLATE",
     "ParseIssue",
     "ParseResult",
     "PromptInstance",
     "SPLITS",
     "SplitStats",
     "TASKS",
-    "TEXT_ONLY_TEMPLATE",
     "VgRecord",
     "corpus_stats",
     "iou",
@@ -53,5 +45,6 @@ __all__ = [
     "render_prompt",
     "select_tag",
     "synth_image",
+    "text_only_prompt",
     "write_instances",
 ]

@@ -10,11 +10,11 @@ Instruction data is JSON-lines, one instance per line with fields
 
 from __future__ import annotations
 
-import json
-import unicodedata
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring as _json_str  # the C encoder json.dumps uses
 from pathlib import Path
 from typing import Iterable
+from unicodedata import normalize
 
 from tinymmt.atomic import NUMBER, atomic_write, json_fields, parse_json, read_text
 from tinymmt.errors import DataError, TsvParseError
@@ -37,11 +37,6 @@ class BoundingBox:
             raise DataError(f"box extent must be positive, got w={self.w}, h={self.h}")
         if self.x < 0 or self.y < 0:
             raise DataError(f"box origin must be non-negative, got x={self.x}, y={self.y}")
-
-    @property
-    def corners(self) -> tuple[int, int, int, int]:
-        """(x1, y1, x2, y2) with x2 = x + w, y2 = y + h."""
-        return (self.x, self.y, self.x + self.w, self.y + self.h)
 
     @property
     def area(self) -> int:
@@ -105,10 +100,6 @@ class ParseResult:
     issues: list[ParseIssue] = field(default_factory=list)
 
 
-def _nfc(text: str) -> str:
-    return unicodedata.normalize("NFC", text)
-
-
 def parse_vg_tsv(path, lang: str, split: str, strict: bool) -> ParseResult:
     """Parse one TSV split. strict: abort on the first bad line; lenient:
     skip bad lines and report them (line numbers are 1-based)."""
@@ -118,11 +109,12 @@ def parse_vg_tsv(path, lang: str, split: str, strict: bool) -> ParseResult:
     if split not in SPLITS:
         raise DataError(f"split must be one of {SPLITS}, got {split!r}")
     result = ParseResult()
+    records = result.records
     for line_no, line in enumerate(read_text(path).split("\n"), start=1):
         if not line:
             continue
         try:
-            result.records.append(_parse_line(line, line_no, lang, split))
+            records.append(_parse_line(line, lang, split))
         except DataError as exc:
             if strict:
                 raise TsvParseError(f"{path}:{line_no}: {exc}") from exc
@@ -130,18 +122,19 @@ def parse_vg_tsv(path, lang: str, split: str, strict: bool) -> ParseResult:
     return result
 
 
-def _parse_line(line: str, line_no: int, lang: str, split: str) -> VgRecord:
+def _parse_line(line: str, lang: str, split: str) -> VgRecord:
     fields = line.split("\t")
     if len(fields) != 7:
         raise DataError(f"expected 7 tab-separated fields, got {len(fields)}")
     image_id, xs, ys, ws, hs, english, target = fields
-    coords = []
-    for name, raw in zip(("x", "y", "w", "h"), (xs, ys, ws, hs)):
-        try:
-            coords.append(int(raw))
-        except ValueError:
-            raise DataError(f"box field {name} is not an integer: {raw!r}") from None
-    box = BoundingBox(*coords)
+    try:
+        box = BoundingBox(int(xs), int(ys), int(ws), int(hs))
+    except ValueError:  # name the first field that is not an integer
+        for name, raw in zip("xywh", (xs, ys, ws, hs)):
+            try:
+                int(raw)
+            except ValueError:
+                raise DataError(f"box field {name} is not an integer: {raw!r}") from None
     image_id = image_id.strip()
     # the id names a file inside detections_dir, so it must stay one path
     # component of printable characters (no NUL, BOM or line separator)
@@ -154,9 +147,9 @@ def _parse_line(line: str, line_no: int, lang: str, split: str) -> VgRecord:
     return VgRecord(
         image_id=image_id,
         box=box,
-        english=_nfc(english),
+        english=normalize("NFC", english),
         target_lang=lang,
-        target_text=_nfc(target),
+        target_text=normalize("NFC", target),
         split=split,
     )
 
@@ -171,17 +164,21 @@ def read_detection_file(path) -> list[DetectedObject]:
     raw = parse_json(read_text(path), path, DataError)
     if not isinstance(raw, list):
         raise DataError(f"{path}: detector file must hold a JSON array")
-    out = []
-    for i, entry in enumerate(raw):
-        where = f"{path}: bad detection entry {i}"
-        d = json_fields(entry, _DETECTION_FIELDS, where, DataError, _DETECTION_FIELDS)
-        if list(map(type, d["box"])) != [int] * 4:
-            raise DataError(f"{where}: 'box' must be 4 integers [x, y, w, h]")
-        try:
-            out.append(DetectedObject(d["label"], BoundingBox(*d["box"]), d["confidence"]))
-        except DataError as exc:
-            raise DataError(f"{where}: {exc}") from None
-    return out
+    try:
+        return [_detection(i, entry) for i, entry in enumerate(raw)]
+    except DataError as exc:  # the file is named once, when an entry is bad
+        raise DataError(f"{path}: bad detection entry {exc}") from None
+
+
+def _detection(i: int, entry) -> DetectedObject:
+    """Entry i of a detector file; a DataError's message starts with i."""
+    d = json_fields(entry, _DETECTION_FIELDS, i, DataError, _DETECTION_FIELDS)
+    if list(map(type, d["box"])) != [int] * 4:
+        raise DataError(f"{i}: 'box' must be 4 integers [x, y, w, h]")
+    try:
+        return DetectedObject(d["label"], BoundingBox(*d["box"]), d["confidence"])
+    except DataError as exc:
+        raise DataError(f"{i}: {exc}") from None
 
 
 def load_detections(detections_dir, image_id: str) -> list[DetectedObject]:
@@ -197,26 +194,18 @@ def load_detections(detections_dir, image_id: str) -> list[DetectedObject]:
 # ----------------------------------------------------------------------
 # instruction-data files (JSON-lines)
 
-# json.dumps with these options builds a new encoder on every call
-_INSTANCE_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
-
-
 def instance_to_json(inst: PromptInstance) -> str:
-    d = {
-        "task": inst.task,
-        "prompt": inst.prompt,
-        "response": inst.response,
-        "lang": inst.lang,
-        "source_id": inst.source_id,
-    }
-    if inst.image_id is not None:
-        d["image_id"] = inst.image_id
-    return _INSTANCE_ENCODER.encode(d)
+    """json.dumps of the instance's fields with ensure_ascii=False and sort_keys=True,
+    framed here in that key order around the string encoder json.dumps uses;
+    image_id is left out when it is None."""
+    head = "{" if inst.image_id is None else f'{{"image_id": {_json_str(inst.image_id)}, '
+    return (f'{head}"lang": {_json_str(inst.lang)}, "prompt": {_json_str(inst.prompt)}, '
+            f'"response": {_json_str(inst.response)}, "source_id": {_json_str(inst.source_id)}, '
+            f'"task": {_json_str(inst.task)}}}')
 
 
 def write_instances(path, instances: Iterable[PromptInstance]) -> None:
-    lines = [instance_to_json(inst) for inst in instances]
-    atomic_write(path, "".join(line + "\n" for line in lines))
+    atomic_write(path, "".join([f"{instance_to_json(inst)}\n" for inst in instances]))
 
 
 # an instance's field table; an absent image_id reads as null

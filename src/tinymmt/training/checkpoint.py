@@ -23,6 +23,7 @@ is byte-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import math
@@ -33,7 +34,7 @@ import numpy as np
 
 from tinymmt.atomic import NUMBER, atomic_write, json_fields, parse_json
 from tinymmt.errors import CheckpointError, TinymmtError
-from tinymmt.model.config import ModelConfig
+from tinymmt.model.config import FIXED_SHAPE, ModelConfig
 from tinymmt.model.lora import LORA_ALPHA, LORA_R, default_lora_targets, lora_attach, lora_targets
 from tinymmt.model.multimodal import MultimodalModel
 from tinymmt.model.vocab import Vocabulary
@@ -44,6 +45,10 @@ FLOAT64 = 0  # the tensor dtype code
 _HEADER_FIELDS = {"config": dict, "vocab": dict, "provenance": list, "seed": int,
                   "lora": (dict, type(None))}
 _LORA_FIELDS = {"targets": list, "r": int, "alpha": NUMBER}
+# every key ModelConfig.to_dict writes, each required
+_CONFIG_FIELDS = {**dict.fromkeys((f.name for f in dataclasses.fields(ModelConfig)), int),
+                  **dict.fromkeys(FIXED_SHAPE, str), "c_vis": int}
+_VOCAB_FIELDS = {"symbols": list}
 
 
 def _header(model: MultimodalModel) -> dict:
@@ -122,6 +127,9 @@ def load_checkpoint(path) -> MultimodalModel:
         raise CheckpointError(f"{where}: not UTF-8 text: {exc}") from exc
     header = json_fields(parse_json(text, where, CheckpointError), _HEADER_FIELDS, where,
                          CheckpointError, _HEADER_FIELDS)
+    json_fields(header["config"], _CONFIG_FIELDS, f"{where}: config", CheckpointError,
+                _CONFIG_FIELDS)
+    json_fields(header["vocab"], _VOCAB_FIELDS, f"{where}: vocab", CheckpointError, _VOCAB_FIELDS)
     lora = header["lora"]
     if lora is not None:
         json_fields(lora, _LORA_FIELDS, f"{where}: lora", CheckpointError, _LORA_FIELDS)

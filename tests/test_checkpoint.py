@@ -197,6 +197,38 @@ def join_blob(blob: bytes, header: dict, tensors: bytes) -> bytes:
     return blob[:8] + struct.pack("<Q", len(raw)) + raw + tensors
 
 
+def _rename(table: dict, old: str, new: str) -> None:
+    table[new] = table.pop(old)
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda h: h["config"].pop("d_model"), "config: missing required key 'd_model'"),
+    (lambda h: _rename(h["config"], "d_model", "d_modle"), "config: unknown key 'd_modle'"),
+    (lambda h: h["config"].pop("c_vis"), "config: missing required key 'c_vis'"),
+    (lambda h: h["config"].pop("dtype"), "config: missing required key 'dtype'"),
+    (lambda h: h["config"].update(n_heads=1.0), "config: 'n_heads' must be an integer"),
+    (lambda h: h["config"].update(adapter_mode=None), "config: 'adapter_mode' must be a string"),
+    (lambda h: h["vocab"].pop("symbols"), "vocab: missing required key 'symbols'"),
+    (lambda h: _rename(h["vocab"], "symbols", "symbol"), "vocab: unknown key 'symbol'"),
+    (lambda h: h["vocab"].update(symbols="abc"), "vocab: 'symbols' must be an array"),
+], ids=["no-d_model", "d_modle", "no-c_vis", "no-dtype", "float-n_heads", "null-adapter",
+        "no-symbols", "symbol", "symbols-string"])
+def test_a_header_config_or_vocab_off_its_field_table_is_exit_4_naming_the_key(
+        tmp_path, capsys, edit, problem):
+    from tinymmt.cli import main
+
+    blob = GOLDEN_LORA.read_bytes()
+    header, tensors = split_blob(blob)
+    edit(header)
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(join_blob(blob, header, tensors))
+    assert main(["generate", "--checkpoint", str(path), "--input", str(tmp_path / "s.txt"),
+                 "--out", str(tmp_path / "h.txt"), "--raw-sentences", "--lang", "hi"]) == 4
+    err = capsys.readouterr().err
+    assert f"error: {path}: invalid header: {problem}" in err
+    assert_structured(err)
+
+
 @pytest.fixture
 def lora_checkpoint(tmp_path):
     records = make_records(3, seed=9)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -218,6 +219,41 @@ def test_prepare_data_reads_each_detector_file_once(fixture_tree, tmp_path, monk
                  for line in (tmp_path / f"hi_{split}.tsv").read_text(
                      encoding="utf-8").splitlines()]
     assert sorted(calls) == sorted(image_ids)
+
+
+# SHA-256 of every prepare-data output on write_fixture_tree's config, taken
+# before the instance writer and the prompt templates were rewritten as direct
+# string framing; any byte those rewrites move fails here
+PREPARE_DIGESTS = {
+    "instances/caption.hi.test.jsonl":
+        "682c552cba261f91036524afffdc99e96a559812dd1c1b366fda3df4cb17aa46",
+    "instances/caption.hi.train.jsonl":
+        "9f1950c3bee9d65f052e0755c53b4041a633a6eacb9d6c5290fa8489a13a1735",
+    "instances/caption.hi.valid.jsonl":
+        "d071315e12067a34c97b32e31a1a358681f73212c16a7785f06f588ebb392881",
+    "instances/mmt.hi.test.jsonl":
+        "9da08dcc2b2b9cefd12499c4ddabec10a34f473fa0d2a96a2e723b1b455c8fe4",
+    "instances/mmt.hi.train.jsonl":
+        "f5db1d0570c2c42d5a8b9f485e2f2d2fa6f67ccdafe8fadec8e3ef134f2bfaa9",
+    "instances/mmt.hi.valid.jsonl":
+        "166c4cf0cb7a4499fbfcdc5116480cbd890d5992be094b3ae9f78ad2f3b647ee",
+    "instances/text_only.hi.test.jsonl":
+        "251386397dae106c59712a9b14c1c5bef4106a7c85bbbc2e152a5547843d6d7e",
+    "instances/text_only.hi.train.jsonl":
+        "a4ac7d0f1ee7c5fb1a824e52120fa7bf2d2805e7608dbded3e31cf19b0e905e0",
+    "instances/text_only.hi.valid.jsonl":
+        "d375d3d6425caf2cf2b6b4bf71cb268f4de1763d8b27ddeadb6e7081b5f83b52",
+    "stats.json":
+        "61ebbd4afa0c9cc7539aecca93b6a4c701422da79ad19c5e83601e70bf396ffb",
+}
+
+
+def test_prepare_data_outputs_keep_their_recorded_digests(fixture_tree, tmp_path):
+    assert main(["prepare-data", "--config", str(fixture_tree)]) == 0
+    run = tmp_path / "run"
+    digests = {path.relative_to(run).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(run.rglob("*")) if path.is_file()}
+    assert digests == PREPARE_DIGESTS
 
 
 def assert_prepare_data_matches_a_per_record_reference(tmp_path, err, all_labels, detections):

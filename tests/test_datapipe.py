@@ -1,7 +1,10 @@
 import codecs
+import dataclasses
 import json
 import re
+import tempfile
 import unicodedata
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +21,10 @@ from tinymmt.datapipe import (
     mix_samples,
     parse_vg_tsv,
     read_detection_file,
+    read_instances,
     select_tag,
     synth_image,
+    write_instances,
 )
 from tinymmt.datapipe.records import instance_to_json
 from tinymmt.errors import DataError, TsvParseError
@@ -229,16 +234,39 @@ class TestDetections:
 # ----------------------------------------------------------------------
 # instance files
 
-@pytest.mark.parametrize("image_id", ["img7", None])
-def test_instance_json_equals_json_dumps(image_id):
-    inst = PromptInstance(task="mmt", prompt="Translate: a red cat",
-                          response="एक लाल बिल्ली", lang="hi", source_id="hi/train/3",
-                          image_id=image_id)
-    d = {"task": "mmt", "prompt": inst.prompt, "response": inst.response, "lang": "hi",
-         "source_id": "hi/train/3"}
+# any text an instance can carry: no lone surrogates (UTF-8 cannot write them),
+# with the characters JSON escapes or passes through drawn often
+TEXT = st.text(st.characters(blacklist_categories=("Cs",))
+               | st.sampled_from('"\\/\x00\x08\t\n\x0c\r\x1f\x7f\x80\u2028\u2029\U0001f600'),
+               max_size=30)
+
+
+@st.composite
+def instances(draw):
+    task = draw(st.sampled_from(("mmt", "text_only", "caption")))
+    image_id = None if task == "text_only" else draw(TEXT)
+    return PromptInstance(task=task, prompt=draw(TEXT), response=draw(TEXT), lang=draw(TEXT),
+                          source_id=draw(TEXT), image_id=image_id)
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=instances(), image_id=st.none() | TEXT)
+def test_instance_json_equals_json_dumps(inst, image_id):
+    inst = dataclasses.replace(inst, image_id=image_id)
+    d = {"task": inst.task, "prompt": inst.prompt, "response": inst.response,
+         "lang": inst.lang, "source_id": inst.source_id}
     if image_id is not None:
         d["image_id"] = image_id
     assert instance_to_json(inst) == json.dumps(d, ensure_ascii=False, sort_keys=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(written=st.lists(instances(), max_size=5))
+def test_read_instances_returns_what_write_instances_wrote(written):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "i.jsonl"
+        write_instances(path, written)
+        assert read_instances(path) == written
 
 
 # ----------------------------------------------------------------------
