@@ -249,9 +249,21 @@ def instances(draw):
                           source_id=draw(TEXT), image_id=image_id)
 
 
+@pytest.mark.parametrize("image_id", ["img7", None])
+def test_instance_json_equals_json_dumps(image_id):
+    inst = PromptInstance(task="mmt", prompt="Translate: a red cat",
+                          response="एक लाल बिल्ली", lang="hi", source_id="hi/train/3",
+                          image_id=image_id)
+    d = {"task": "mmt", "prompt": inst.prompt, "response": inst.response, "lang": "hi",
+         "source_id": "hi/train/3"}
+    if image_id is not None:
+        d["image_id"] = image_id
+    assert instance_to_json(inst) == json.dumps(d, ensure_ascii=False, sort_keys=True)
+
+
 @settings(max_examples=200, deadline=None)
 @given(inst=instances(), image_id=st.none() | TEXT)
-def test_instance_json_equals_json_dumps(inst, image_id):
+def test_instance_json_equals_json_dumps_for_any_text(inst, image_id):
     inst = dataclasses.replace(inst, image_id=image_id)
     d = {"task": inst.task, "prompt": inst.prompt, "response": inst.response,
          "lang": inst.lang, "source_id": inst.source_id}
