@@ -34,7 +34,7 @@ from tinymmt.datapipe import (
     write_instances,
 )
 from tinymmt.errors import ConfigError, DataError, TinymmtError
-from tinymmt.metrics import evaluate_files, format_leaderboard, read_reports, tokenize, write_report
+from tinymmt.metrics import evaluate_files, format_leaderboard, read_reports, write_report
 from tinymmt.model import ModelConfig, MultimodalModel, Vocabulary
 from tinymmt.training import hyperparameter_sweep, load_checkpoint, run_pipeline
 from tinymmt.training.stages import STAGE_MODES, SWEEP_EPOCHS, SWEEP_LRS
@@ -116,11 +116,10 @@ def cmd_prepare_data(cfg: RunConfig, task_filter: str | None) -> int:
                       file=sys.stderr)
 
         flat = [rec for split_records in records_by_split.values() for rec in split_records]
-        stats = corpus_stats(flat, tokenize)
-        all_stats[lang] = stats.to_dict()
-        for split, s in sorted(stats.splits.items()):
-            avg = ", ".join(f"{l}={v:.2f}" for l, v in sorted(s.avg_tokens.items()))
-            print(f"{lang}/{split}: {s.count} records, avg tokens {avg}")
+        all_stats[lang] = corpus_stats(flat)
+        for split, s in all_stats[lang].items():
+            avg = ", ".join(f"{l}={v:.2f}" for l, v in s["avg_tokens"].items())
+            print(f"{lang}/{split}: {s['count']} records, avg tokens {avg}")
 
     atomic_write(cfg.out_path / "stats.json", _json_dumps(all_stats))
     return 0
@@ -138,11 +137,11 @@ def _load_stage_datasets(cfg: RunConfig) -> tuple[dict[int, list[PromptInstance]
             path = cfg.resolve(rel)
             if not path.exists():
                 raise DataError(f"stage {stage}: instance file not found: {path}")
-            corpora.append((rel, read_instances(path)))
+            corpora.append(read_instances(path))
         if spec.mix_cap is not None:
-            datasets[stage] = mix_samples(corpora, spec.mix_cap, seed=spec.config.seed)
+            datasets[stage] = mix_samples(corpora, spec.mix_cap, spec.config.seed)
         else:
-            datasets[stage] = [inst for _, records in corpora for inst in records]
+            datasets[stage] = [inst for records in corpora for inst in records]
         if not datasets[stage]:
             raise DataError(f"stage {stage}: no instances loaded")
     val = []

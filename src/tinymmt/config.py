@@ -104,6 +104,7 @@ def _parse_stage(raw, index: int, master_seed: int) -> StageSpec:
     _expect(len(data) > 0, f"{where}.data", "at least one instance file required")
     for data_file in data:
         _expect_path(f"{where}.data", data_file)
+    _expect(mix_cap is None or mix_cap >= 1, where, f"mix_cap must be >= 1, got {mix_cap}")
     if settings.get("seed") is None:  # derived once the stage number is known to be good
         settings.pop("seed", None)
     try:

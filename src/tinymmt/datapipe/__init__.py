@@ -18,12 +18,11 @@ from tinymmt.datapipe.records import (
 from tinymmt.datapipe.boxes import iou, select_tag
 from tinymmt.datapipe.prompts import render_prompt, text_only_prompt
 from tinymmt.datapipe.sampling import mix_samples
-from tinymmt.datapipe.stats import CorpusStats, SplitStats, corpus_stats
+from tinymmt.datapipe.stats import corpus_stats
 from tinymmt.datapipe.images import make_synth_loader, synth_image
 
 __all__ = [
     "BoundingBox",
-    "CorpusStats",
     "DetectedObject",
     "LANGS",
     "LANG_NAMES",
@@ -31,7 +30,6 @@ __all__ = [
     "ParseResult",
     "PromptInstance",
     "SPLITS",
-    "SplitStats",
     "TASKS",
     "VgRecord",
     "corpus_stats",

@@ -29,10 +29,8 @@ def select_tag(record_box: BoundingBox, detections: Sequence[DetectedObject],
 
     Returns None when there are no detections or the best IoU falls below
     threshold. Exact IoU ties break toward higher confidence, then input
-    order.
+    order. threshold is data.iou_threshold, which load_config bounds to [0, 1].
     """
-    if not (0.0 <= threshold <= 1.0):
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     best: tuple[float, float, int] | None = None  # (iou, confidence, -index)
     best_label: str | None = None
     for index, det in enumerate(detections):

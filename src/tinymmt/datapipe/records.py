@@ -6,6 +6,10 @@ Detector output is one JSON file per image: a list of
 {"label": str, "box": [x, y, w, h], "confidence": float}.
 Instruction data is JSON-lines, one instance per line with fields
 {task, prompt, response, lang, image_id?, source_id}.
+
+Records are plain frozen values: the reader that builds one from outside
+input (parse_vg_tsv, read_detection_file, read_instances) is its one check.
+BoundingBox alone checks itself, for the two readers that build boxes.
 """
 
 from __future__ import annotations
@@ -52,26 +56,12 @@ class VgRecord:
     target_text: str
     split: str
 
-    def __post_init__(self):
-        if not self.image_id:
-            raise DataError("image_id must be non-empty")
-        if not self.english or not self.target_text:
-            raise DataError("english and target text must be non-empty")
-        if self.target_lang not in LANGS:
-            raise DataError(f"target_lang must be one of {LANGS}, got {self.target_lang!r}")
-        if self.split not in SPLITS:
-            raise DataError(f"split must be one of {SPLITS}, got {self.split!r}")
-
 
 @dataclass(frozen=True)
 class DetectedObject:
     label: str
     box: BoundingBox
     confidence: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.confidence <= 1.0):
-            raise DataError(f"confidence must be in [0, 1], got {self.confidence}")
 
 
 @dataclass(frozen=True)
@@ -82,10 +72,6 @@ class PromptInstance:
     lang: str
     source_id: str
     image_id: str | None = None
-
-    def __post_init__(self):
-        if self.task not in TASKS:
-            raise DataError(f"task must be one of {TASKS}, got {self.task!r}")
 
 
 @dataclass(frozen=True)
@@ -104,10 +90,6 @@ def parse_vg_tsv(path, lang: str, split: str, strict: bool) -> ParseResult:
     """Parse one TSV split. strict: abort on the first bad line; lenient:
     skip bad lines and report them (line numbers are 1-based)."""
     path = Path(path)
-    if lang not in LANGS:
-        raise DataError(f"lang must be one of {LANGS}, got {lang!r}")
-    if split not in SPLITS:
-        raise DataError(f"split must be one of {SPLITS}, got {split!r}")
     result = ParseResult()
     records = result.records
     for line_no, line in enumerate(read_text(path).split("\n"), start=1):
@@ -144,6 +126,10 @@ def _parse_line(line: str, lang: str, split: str) -> VgRecord:
         code = next(ord(c) for c in image_id if not c.isprintable())
         raise DataError(f"image_id holds U+{code:04X}, which cannot name a file, "
                         f"got {image_id!r}")
+    if not image_id:
+        raise DataError("image_id must be non-empty")
+    if not english or not target:
+        raise DataError("english and target text must be non-empty")
     return VgRecord(
         image_id=image_id,
         box=box,
@@ -176,9 +162,12 @@ def _detection(i: int, entry) -> DetectedObject:
     if list(map(type, d["box"])) != [int] * 4:
         raise DataError(f"{i}: 'box' must be 4 integers [x, y, w, h]")
     try:
-        return DetectedObject(d["label"], BoundingBox(*d["box"]), d["confidence"])
+        box = BoundingBox(*d["box"])
     except DataError as exc:
         raise DataError(f"{i}: {exc}") from None
+    if not 0.0 <= d["confidence"] <= 1.0:
+        raise DataError(f"{i}: confidence must be in [0, 1], got {d['confidence']}")
+    return DetectedObject(d["label"], box, d["confidence"])
 
 
 def load_detections(detections_dir, image_id: str) -> list[DetectedObject]:
@@ -216,8 +205,9 @@ _INSTANCE_REQUIRED = ("task", "prompt", "response", "lang", "source_id")
 
 def read_instances(path) -> list[PromptInstance]:
     """Read a JSON-lines instance file; a record that fails the field table,
-    or whose image_id does not match its task (text_only has none, every
-    other task one), raises DataError naming path:line and the key or task."""
+    names a task outside TASKS, or whose image_id does not match its task
+    (text_only has none, every other task one), raises DataError naming
+    path:line and the key or task."""
     out = []
     for line_no, line in enumerate(read_text(path).split("\n"), start=1):
         line = line.strip()
@@ -226,10 +216,10 @@ def read_instances(path) -> list[PromptInstance]:
         where = f"{path}:{line_no}"
         d = json_fields(parse_json(line, where, DataError), _INSTANCE_FIELDS, where, DataError,
                         _INSTANCE_REQUIRED)
-        try:
-            inst = PromptInstance(**d)
-        except DataError as exc:
-            raise DataError(f"{where}: bad instance record: {exc}") from exc
+        if d["task"] not in TASKS:
+            raise DataError(f"{where}: bad instance record: task must be one of {TASKS}, "
+                            f"got {d['task']!r}")
+        inst = PromptInstance(**d)
         if (inst.image_id is None) != (inst.task == "text_only"):
             need = "has no" if inst.task == "text_only" else "needs an"
             raise DataError(f"{where}: a {inst.task!r} instance {need} 'image_id'")

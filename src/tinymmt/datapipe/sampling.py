@@ -6,29 +6,23 @@ from typing import Sequence, TypeVar
 
 import numpy as np
 
-from tinymmt.errors import DataError
-
 T = TypeVar("T")
 
 
-def mix_samples(corpora: Sequence[tuple[str, Sequence[T]]], cap: int,
-                seed: int = 0) -> list[T]:
+def mix_samples(corpora: Sequence[Sequence[T]], cap: int, seed: int) -> list[T]:
     """Draw an equal-ratio blend across corpora, capped at `cap` items total.
 
     Each corpus contributes cap // k items (k corpora), with the remainder
     going to the earliest corpora, one extra each. Sampling is without
     replacement when the corpus is large enough, with replacement otherwise;
-    empty corpora contribute nothing. Deterministic under `seed`.
+    empty corpora contribute nothing. Deterministic under `seed`. The config
+    loader guarantees at least one corpus and a cap of at least 1.
     """
-    if not corpora:
-        raise DataError("mix_samples needs at least one corpus")
-    if cap <= 0:
-        raise DataError(f"cap must be positive, got {cap}")
     k = len(corpora)
     base, remainder = divmod(cap, k)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x31B1]))
     out: list[T] = []
-    for index, (corpus_id, records) in enumerate(corpora):
+    for index, records in enumerate(corpora):
         quota = base + (1 if index < remainder else 0)
         n = len(records)
         if quota == 0 or n == 0:

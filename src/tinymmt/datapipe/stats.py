@@ -2,51 +2,30 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 from tinymmt.datapipe.records import VgRecord
+from tinymmt.metrics.tokenizer import tokenize
 
 
-@dataclass
-class SplitStats:
-    count: int
-    avg_tokens: dict[str, float] = field(default_factory=dict)  # language -> mean, 2 decimals
-
-
-@dataclass
-class CorpusStats:
-    splits: dict[str, SplitStats] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            split: {"count": s.count, "avg_tokens": dict(sorted(s.avg_tokens.items()))}
-            for split, s in sorted(self.splits.items())
-        }
-
-
-def corpus_stats(records: Iterable[VgRecord],
-                 tokenize: Callable[[str], list[str]]) -> CorpusStats:
-    """Count instances per split and average token lengths per language.
+def corpus_stats(records: Iterable[VgRecord]) -> dict[str, dict]:
+    """Per split, in sorted order: {"count": records, "avg_tokens": {lang: mean}},
+    the dict stats.json holds for one language.
 
     English averages come from the source utterance, target-language averages
-    from the translated text of records in that language. Averages are
-    rounded to 2 decimals; empty groups are omitted rather than averaged.
+    from the translated text of records in that language, both over the
+    evaluation tokenizer's tokens. Averages are rounded to 2 decimals; a split
+    with no records is absent.
     """
     token_totals: dict[str, dict[str, tuple[int, int]]] = {}
-    counts: dict[str, int] = {}
     for rec in records:
-        counts[rec.split] = counts.get(rec.split, 0) + 1
         per_split = token_totals.setdefault(rec.split, {})
         for lang, text in (("en", rec.english), (rec.target_lang, rec.target_text)):
             total, n = per_split.get(lang, (0, 0))
             per_split[lang] = (total + len(tokenize(text)), n + 1)
-    stats = CorpusStats()
-    for split, count in counts.items():
-        avg = {
-            lang: round(total / n, 2)
-            for lang, (total, n) in token_totals[split].items()
-            if n > 0
-        }
-        stats.splits[split] = SplitStats(count=count, avg_tokens=avg)
-    return stats
+    return {  # each record adds one English text, so the English n is the count
+        split: {"count": totals["en"][1],
+                "avg_tokens": {lang: round(total / n, 2)
+                               for lang, (total, n) in sorted(totals.items())}}
+        for split, totals in sorted(token_totals.items())
+    }

@@ -22,7 +22,7 @@ class Vocabulary:
     def __init__(self, symbols: Iterable[str]):
         symbols = list(symbols)
         for s in symbols:
-            if len(s) != 1:
+            if not isinstance(s, str) or len(s) != 1:
                 raise VocabularyError(f"vocabulary symbols must be single characters, got {s!r}")
         if len(set(symbols)) != len(symbols):
             raise VocabularyError("duplicate symbols in vocabulary")

@@ -11,12 +11,13 @@ from tinymmt.numerics.tensor import Tensor, backward, no_grad
 # Rounding in f(x+h) and f(x-h) alone moves the central difference by up to
 # about ulps * eps * |f| / h; disagreements below this are not resolvable.
 _ROUNDOFF_ULPS = 4.0
+_EPS = float(np.finfo(np.float64).eps)
 
 
-def _rel_error(analytic: float, f_plus: float, f_minus: float, h: float, eps: float) -> float:
+def _rel_error(analytic: float, f_plus: float, f_minus: float, h: float) -> float:
     numeric = (f_plus - f_minus) / (2.0 * h)
     diff = abs(analytic - numeric)
-    if diff <= _ROUNDOFF_ULPS * eps * max(abs(f_plus), abs(f_minus)) / h:
+    if diff <= _ROUNDOFF_ULPS * _EPS * max(abs(f_plus), abs(f_minus)) / h:
         return 0.0
     return diff / max(abs(analytic), abs(numeric), 1e-8)
 
@@ -38,16 +39,15 @@ def grad_check_params(
     Per coordinate, the relative error is |analytic - numeric| divided by
     max(|analytic|, |numeric|, 1e-8), so near-zero coordinates don't blow
     up. A disagreement no larger than the central difference's own roundoff,
-    4 * eps * max(|f(x+h)|, |f(x-h)|) / h with eps the machine
-    epsilon of the loss dtype, counts as agreement (error 0): a coordinate
-    whose exact gradient is 0 still sees a few ulps of the loss divided by 2h.
+    4 * eps * max(|f(x+h)|, |f(x-h)|) / h with eps float64's machine
+    epsilon, counts as agreement (error 0): a coordinate whose exact
+    gradient is 0 still sees a few ulps of the loss divided by 2h.
     """
     for t in tensors:
         t.grad = None
     out = loss_fn()
     backward(out)
     analytic = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for t in tensors]
-    eps = float(np.finfo(out.data.dtype).eps)
 
     worst = 0.0
     with no_grad():
@@ -66,5 +66,5 @@ def grad_check_params(
                 t.data[idx] = orig - h
                 f_minus = float(loss_fn().data)
                 t.data[idx] = orig
-                worst = max(worst, _rel_error(float(a[idx]), f_plus, f_minus, h, eps))
+                worst = max(worst, _rel_error(float(a[idx]), f_plus, f_minus, h))
     return worst

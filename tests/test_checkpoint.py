@@ -18,7 +18,7 @@ from tinymmt.model import (
     lora_attach,
     lora_targets,
 )
-from tinymmt.numerics.tensor import _CAUSAL_MASKS
+import tinymmt.numerics.tensor as tensor_module
 from tinymmt.training import (
     FORMAT_VERSION,
     MAGIC,
@@ -211,8 +211,12 @@ def _rename(table: dict, old: str, new: str) -> None:
     (lambda h: h["vocab"].pop("symbols"), "vocab: missing required key 'symbols'"),
     (lambda h: _rename(h["vocab"], "symbols", "symbol"), "vocab: unknown key 'symbol'"),
     (lambda h: h["vocab"].update(symbols="abc"), "vocab: 'symbols' must be an array"),
+    (lambda h: h["vocab"]["symbols"].__setitem__(0, 1),
+     "vocabulary symbols must be single characters, got 1"),
+    (lambda h: h["vocab"]["symbols"].__setitem__(0, None),
+     "vocabulary symbols must be single characters, got None"),
 ], ids=["no-d_model", "d_modle", "no-c_vis", "no-dtype", "float-n_heads", "null-adapter",
-        "no-symbols", "symbol", "symbols-string"])
+        "no-symbols", "symbol", "symbols-string", "symbol-int", "symbol-null"])
 def test_a_header_config_or_vocab_off_its_field_table_is_exit_4_naming_the_key(
         tmp_path, capsys, edit, problem):
     from tinymmt.cli import main
@@ -280,7 +284,7 @@ def test_bad_lora_header_rejected(lora_checkpoint, edit):
         load_checkpoint(lora_checkpoint)
 
 
-def test_rejected_context_length_leaves_no_causal_mask(tmp_path):
+def test_rejected_context_length_leaves_no_causal_mask(tmp_path, monkeypatch):
     vocab = Vocabulary("abcdefg")
     model = MultimodalModel(ModelConfig(vocab_size=len(vocab), d_vis=8, d_model=8,
                                         n_layers_vis=1, n_layers_lm=1, c_total=32), vocab)
@@ -288,13 +292,12 @@ def test_rejected_context_length_leaves_no_causal_mask(tmp_path):
     save_checkpoint(model, path)
     blob = path.read_bytes()
     header, tensors = split_blob(blob)
-    before = {dtype: mask.shape for dtype, mask in _CAUSAL_MASKS.items()}
-    # one stray digit in front of 32, or longer than any mask built so far
-    header["config"]["c_total"] = max([932] + [n + 1 for n, _ in before.values()])
+    monkeypatch.setattr(tensor_module, "_CAUSAL_MASK", None)
+    header["config"]["c_total"] = 932  # one stray digit in front of 32
     path.write_bytes(join_blob(blob, header, tensors))
     with pytest.raises(CheckpointError, match="llm.pos_emb"):
         load_checkpoint(path)
-    assert {dtype: mask.shape for dtype, mask in _CAUSAL_MASKS.items()} == before
+    assert tensor_module._CAUSAL_MASK is None
 
 
 def test_corrupt_checkpoint_is_exit_4_with_structured_message(lora_checkpoint, tmp_path, capsys):

@@ -794,8 +794,11 @@ def test_generate_oov_error_names_the_instance(tmp_path, capsys, raw):
      "'caption' instance needs an 'image_id'"),
     # training and decoding would feed the image with a prompt that names none
     (lambda d: {**d, "image_id": "img1"}, "'text_only' instance has no 'image_id'"),
+    (lambda d: {**d, "task": "summarize"},
+     "bad instance record: task must be one of ('mmt', 'text_only', 'caption'), got 'summarize'"),
 ], ids=["array", "int-prompt", "int-image-id", "lone-surrogate", "list-source-id", "null-lang",
-        "misspelt-key", "mmt-without-image", "caption-without-image", "text-only-with-image"])
+        "misspelt-key", "mmt-without-image", "caption-without-image", "text-only-with-image",
+        "unknown-task"])
 def test_generate_rejects_a_malformed_instance_record(tmp_path, capsys, mutate, named):
     record = dataclasses.asdict(make_instances(make_records(1, seed=1), "text_only")[0])
     source = tmp_path / "s.jsonl"

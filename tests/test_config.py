@@ -53,8 +53,19 @@ def write(tmp_path, raw: dict) -> Path:
      "unknown key 'batchsize'"),
     (lambda raw: raw["train"]["stages"][1], "lr", True, "train.stages[1]",
      "'lr' must be .* got a boolean"),
+    # the data.tsv field tables are the one check of a TSV's language and split
+    (lambda raw: raw["data"]["tsv"], "fr", {"train": "fr_train.tsv"}, "data.tsv",
+     "unknown key 'fr'"),
+    (lambda raw: raw["data"]["tsv"]["hi"], "dev", "hi_dev.tsv", "data.tsv.hi",
+     "unknown key 'dev'"),
+    (lambda raw: raw["data"], "iou_threshold", 1.5, "data.iou_threshold", r"must be in \[0, 1\]"),
+    (lambda raw: raw["data"], "iou_threshold", -0.1, "data.iou_threshold",
+     r"must be in \[0, 1\]"),
+    (lambda raw: raw["train"]["stages"][1], "data", [], "train.stages[1].data",
+     "at least one instance file required"),
 ], ids=["top", "model", "model-adapter_mode", "model-dtype", "data", "train", "stage",
-         "bool-is-not-a-number"])
+         "bool-is-not-a-number", "tsv-lang-fr", "tsv-split-dev", "iou-threshold-1.5",
+         "iou-threshold-negative", "stage-data-empty"])
 def test_unknown_key_names_its_dotted_path(tmp_path, capsys, section, key, value, place, problem):
     raw = base_config()
     section(raw)[key] = value
@@ -67,7 +78,7 @@ def test_unknown_key_names_its_dotted_path(tmp_path, capsys, section, key, value
 
 @pytest.mark.parametrize("key, value", [
     ("stage", 4), ("mode", "lora"), ("lr", 0), ("lr", -1e-4), ("epochs", 0),
-    ("batch_size", 0), ("max_steps", 0), ("seed", -1),
+    ("batch_size", 0), ("max_steps", 0), ("seed", -1), ("mix_cap", 0),
 ])
 def test_bad_stage_value_fails_at_load_time(tmp_path, capsys, key, value):
     raw = base_config()

@@ -40,11 +40,10 @@ def test_zero_exact_gradient_at_loss_near_four_passes():
 def test_few_ulp_roundoff_at_zero_gradient_is_agreement():
     # a zero gradient whose central difference at loss 4.07, h=1e-4, is 1 to
     # 3 ulps of the loss over 2h: up to 1.3e-11, 1.3e-3 over the 1e-8 floor
-    eps = float(np.finfo(np.float64).eps)
     f_plus = 4.07
     for ulps in (1, 2, 3):
         f_minus = f_plus - ulps * float(np.spacing(f_plus))
-        assert _rel_error(1e-20, f_plus, f_minus, 1e-4, eps) == 0.0
+        assert _rel_error(1e-20, f_plus, f_minus, 1e-4) == 0.0
 
 
 def _square_with_grad_scaled(scale):

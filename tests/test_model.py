@@ -9,7 +9,8 @@ from tinymmt.model import (
 from tinymmt.model.components import DecoderLM
 from tinymmt.model.vocab import BOS, EOS, HUM, IMG, SYS
 from tinymmt.numerics import no_grad
-from tinymmt.numerics.tensor import ATTN_BLOCK, _CAUSAL_MASKS, backward, cross_entropy_masked
+import tinymmt.numerics.tensor as tensor_module
+from tinymmt.numerics.tensor import ATTN_BLOCK, backward, cross_entropy_masked
 
 from conftest import build_model, make_instances, make_records
 
@@ -189,8 +190,7 @@ class TestForward:
                                       model.vocab.encode("hello"))
         assert len(asm.ids) > 490
         model.forward(asm)
-        assert _CAUSAL_MASKS and all(mask.shape == (ATTN_BLOCK, ATTN_BLOCK)
-                                     for mask in _CAUSAL_MASKS.values())
+        assert tensor_module._CAUSAL_MASK.shape == (ATTN_BLOCK, ATTN_BLOCK)
 
     def test_forward_and_loss_record_a_fixed_number_of_tape_ops(self):
         # per block: 2 layer norms, 6 linear nodes, 1 attention (heads split
@@ -528,7 +528,7 @@ class TestLastRows:
         assert rows == [1] * (len(ids) + (len(ids) < 5))
 
 
-def test_building_a_model_allocates_no_causal_mask():
-    before = {dtype: mask.shape for dtype, mask in _CAUSAL_MASKS.items()}
+def test_building_a_model_allocates_no_causal_mask(monkeypatch):
+    monkeypatch.setattr(tensor_module, "_CAUSAL_MASK", None)
     small_model(c_total=4096)
-    assert {dtype: mask.shape for dtype, mask in _CAUSAL_MASKS.items()} == before
+    assert tensor_module._CAUSAL_MASK is None
