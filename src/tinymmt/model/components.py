@@ -21,8 +21,10 @@ from tinymmt.numerics.tensor import (
     attention,
     embedding,
     gelu,
+    gelu_mlp,
     layer_norm,
     linear,
+    lora_linear,
 )
 
 INIT_STD = 0.02
@@ -38,11 +40,9 @@ class Linear:
         store.linears[name + ".weight"] = self
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = linear(x, self.weight, self.bias)
-        if self.lora is not None:
-            a, b = self.lora
-            y = y + linear(linear(x, a), b) * LORA_SCALE
-        return y
+        if self.lora is None:
+            return linear(x, self.weight, self.bias)
+        return lora_linear(x, self.weight, self.bias, *self.lora, LORA_SCALE)
 
 
 class LayerNorm:
@@ -107,8 +107,10 @@ class SelfAttention:
 class Block:
     """Pre-norm transformer block: x + attn(ln(x)), then x + mlp(ln(x)).
 
-    With a Segments table, the block returns only the rows that query: the
-    other rows supply keys and values and nothing else.
+    The MLP, fc2(gelu(fc1(·))), is one gelu_mlp node; its layers carry no
+    adapter (default_lora_targets holds attention projections only). With a
+    Segments table, the block returns only the rows that query: the other
+    rows supply keys and values and nothing else.
     """
 
     def __init__(self, store: ParameterStore, name: str, d: int, n_heads: int,
@@ -123,8 +125,8 @@ class Block:
                  segments: Segments | None = None) -> Tensor:
         h = self.attn(self.ln1(x), cache, segments)
         x = (x if segments is None else segments.select(x)) + h
-        x = x + self.fc2(gelu(self.fc1(self.ln2(x))))
-        return x
+        fc1, fc2 = self.fc1, self.fc2
+        return x + gelu_mlp(self.ln2(x), fc1.weight, fc1.bias, fc2.weight, fc2.bias)
 
 
 class VisionEncoder:

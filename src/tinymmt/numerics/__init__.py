@@ -7,8 +7,10 @@ from tinymmt.numerics.tensor import (
     cross_entropy_masked,
     embedding,
     gelu,
+    gelu_mlp,
     layer_norm,
     linear,
+    lora_linear,
     mul,
     no_grad,
 )
@@ -28,9 +30,11 @@ __all__ = [
     "cross_entropy_masked",
     "embedding",
     "gelu",
+    "gelu_mlp",
     "grad_check_params",
     "layer_norm",
     "linear",
+    "lora_linear",
     "mul",
     "no_grad",
 ]

@@ -75,7 +75,11 @@ class Tensor:
             if src.requires_grad:
                 _scatter_add(src, idx, g)
 
-        return _make(self.data[idx].copy(), (self,), fn)
+        out_data = self.data[idx]
+        # a basic index gives a view; an integer array's selection is already new
+        if np.may_share_memory(out_data, self.data):
+            out_data = out_data.copy()
+        return _make(out_data, (self,), fn)
 
 
 def _selects_once(idx) -> bool:
@@ -119,9 +123,14 @@ def _scatter_add(t: Tensor, idx, g: np.ndarray) -> None:
     np.add.at(t.grad, idx, g)
 
 
+def _recording(parents: Sequence[Tensor]) -> bool:
+    """Whether an op on these parents records a tape node."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _recording(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
@@ -145,16 +154,16 @@ def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
 
 def _operand(op: str, a: Tensor, b) -> Tensor:
     """b as the second operand of an elementwise op on a: a Tensor of a's
-    shape, or a scalar constant made a Tensor in a's dtype."""
+    shape, or a scalar constant made a Tensor."""
     if isinstance(b, Tensor):
         if b.data.shape != a.data.shape:
             raise ShapeError(f"{op} needs operands of one shape, got {a.data.shape} "
                              f"and {b.data.shape}")
         return b
-    data = np.asarray(b, dtype=a.data.dtype)
-    if data.ndim:
-        raise ShapeError(f"{op} takes a Tensor or a scalar constant, got shape {data.shape}")
-    return Tensor(data)
+    b = Tensor(b)
+    if b.data.ndim:
+        raise ShapeError(f"{op} takes a Tensor or a scalar constant, got shape {b.data.shape}")
+    return b
 
 
 def add(a: Tensor, b) -> Tensor:
@@ -227,38 +236,96 @@ def embedding(table: Tensor, ids) -> Tensor:
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 
-def gelu(x: Tensor) -> Tensor:
-    """GELU, tanh approximation."""
-    xd = x.data
+def _gelu_tanh(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(t, GELU(xd)), tanh approximation: t = tanh(c (x + 0.044715 x³)) is
+    what the slope needs besides x."""
     # cube and square as products: the generic ** ufunc costs ~70x a multiply here
     inner = xd * xd * xd
     inner *= 0.044715
     inner += xd
     inner *= _GELU_C
     t = np.tanh(inner, out=inner)
-    out_data = t + 1.0
-    out_data *= xd
-    out_data *= 0.5
+    out = t + 1.0
+    out *= xd
+    out *= 0.5
+    return t, out
+
+
+def _gelu_slope(xd: np.ndarray, t: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """GELU's derivative at xd, given _gelu_tanh's t, in one new buffer:
+    0.5 x (1 - t²) c (1 + 3·0.044715 x²) + 0.5(1 + t).
+
+    Overwrites t, and sq, a buffer of xd's shape (xd itself when the caller
+    has no further use for it), with the terms it is done with.
+    """
+    slope = t * t
+    np.subtract(1.0, slope, out=slope)
+    slope *= xd
+    slope *= 0.5
+    np.multiply(xd, xd, out=sq)
+    sq *= 3 * 0.044715
+    sq += 1.0
+    sq *= _GELU_C
+    slope *= sq
+    t += 1.0
+    t *= 0.5
+    slope += t
+    return slope
+
+
+def gelu(x: Tensor) -> Tensor:
+    """GELU, tanh approximation."""
+    xd = x.data
+    t, out_data = _gelu_tanh(xd)
 
     def fn(g: np.ndarray) -> None:
         if x.requires_grad:
-            # 0.5(1 + t) + 0.5 x (1 - t²) c (1 + 3·0.044715 x²), in two buffers
-            dinner = xd * xd
-            dinner *= 3 * 0.044715
-            dinner += 1.0
-            dinner *= _GELU_C
-            local = t * t
-            np.subtract(1.0, local, out=local)
-            local *= xd
-            local *= 0.5
-            local *= dinner
-            np.add(t, 1.0, out=dinner)
-            dinner *= 0.5
-            local += dinner
-            local *= g
-            _accumulate(x, local, fresh=True)
+            slope = _gelu_slope(xd, t, np.empty_like(xd))
+            slope *= g
+            _accumulate(x, slope, fresh=True)
 
     return _make(out_data, (x,), fn)
+
+
+def gelu_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """linear(gelu(linear(x, w1, b1)), w2, b2) as one tape node, bit for bit.
+
+    x is (n, d_in), w1 (h, d_in), b1 (h,), w2 (d_out, h) and b2 (d_out,).
+    While recording, the node keeps GELU's slope at the hidden rows, for the
+    gradients of x, w1 and b1, and GELU's output only when w2 trains: the
+    three nodes it replaces keep the hidden rows, tanh and GELU's output.
+    """
+    if x.data.ndim != 2 or w1.data.ndim != 2 or w2.data.ndim != 2 \
+            or x.data.shape[1] != w1.data.shape[1] or w1.data.shape[0] != w2.data.shape[1]:
+        raise ShapeError(f"gelu_mlp expects x (n, d_in), w1 (h, d_in) and w2 (d_out, h), "
+                         f"got {x.data.shape}, {w1.data.shape} and {w2.data.shape}")
+    hidden = x.data @ w1.data.T
+    hidden += b1.data
+    t, act = _gelu_tanh(hidden)
+    out_data = act @ w2.data.T
+    out_data += b2.data
+    parents = (x, w1, b1, w2, b2)
+    recording = _recording(parents)
+    upstream = recording and (x.requires_grad or w1.requires_grad or b1.requires_grad)
+    slope = _gelu_slope(hidden, t, hidden) if upstream else None
+    kept_act = act if recording and w2.requires_grad else None
+
+    def fn(g: np.ndarray) -> None:
+        if upstream:
+            dh = g @ w2.data
+            dh *= slope
+            if x.requires_grad:
+                _accumulate(x, dh @ w1.data, fresh=True)
+            if w1.requires_grad:
+                _accumulate(w1, (x.data.T @ dh).T)
+            if b1.requires_grad:
+                _accumulate(b1, dh.sum(axis=0))
+        if w2.requires_grad:
+            _accumulate(w2, (kept_act.T @ g).T)
+        if b2.requires_grad:
+            _accumulate(b2, g.sum(axis=0))
+
+    return _make(out_data, parents, fn)
 
 
 def _row_mean(a: np.ndarray, d: int) -> np.ndarray:
@@ -458,9 +525,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float,
         if spans[-1][1] != t or segments.ends[-1] != n:
             raise ShapeError(f"attention: segments select {spans[-1][1]} query rows of "
                              f"{segments.ends[-1]}, got q {qd.shape} and k {kd.shape}")
-    scale = qd.dtype.type(scale)
     qh = _heads(qd, n_heads)
-    out = np.empty((t, vd.shape[1]), dtype=np.result_type(qd, vd))
+    out = np.empty((t, vd.shape[1]))
     out_h = _heads(out, n_heads)
     blocks = []  # per sequence: (q0, q1, shared, k0, k1, [(r0, r1, keys seen, probabilities)])
     for q0, q1, shared, k0, k1 in spans:
@@ -484,9 +550,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float,
 
     def fn(g: np.ndarray) -> None:
         gh = _heads(g, n_heads)
-        dq = np.empty(qd.shape, qd.dtype) if q.requires_grad else None
-        dk = np.empty(kd.shape, kd.dtype) if k.requires_grad else None
-        dv = np.empty(vd.shape, vd.dtype) if v.requires_grad else None
+        dq = np.empty(qd.shape) if q.requires_grad else None
+        dk = np.empty(kd.shape) if k.requires_grad else None
+        dv = np.empty(vd.shape) if v.requires_grad else None
         dqh = None if dq is None else _heads(dq, n_heads)
         for q0, q1, shared, k0, k1, seq in blocks:
             # gathered again, not held from the forward: the tape keeps no
@@ -497,7 +563,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float,
             # it writes into buffers of its own and adds the prefix rows
             # into those sequence 0 wrote
             dks, dvs = (None if dx is None else
-                        np.empty((kh.shape[1], dx.shape[1]), dx.dtype) if shared else dx[k0:k1]
+                        np.empty((kh.shape[1], dx.shape[1])) if shared else dx[k0:k1]
                         for dx in (dk, dv))
             dkh, dvh = (None if dx is None else _heads(dx, n_heads) for dx in (dks, dvs))
             # the last block sees every key, so walking backwards its write
@@ -555,6 +621,49 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _make(out_data, parents, fn)
 
 
+def lora_linear(x: Tensor, w: Tensor, b: Tensor, down: Tensor, up: Tensor,
+                scale: float) -> Tensor:
+    """linear(x, w, b) + linear(linear(x, down), up) * scale as one tape node,
+    bit for bit: a low-rank adapter's down (r, d_in) and up (d_out, r) on a
+    linear layer's w (d_out, d_in) and b (d_out,).
+
+    The node keeps x and the (n, r) rows x @ downᵀ, and adds into x's
+    gradient the base layer's share first, then the adapter's, as the five
+    nodes it replaces do.
+    """
+    r = down.data.shape[0]
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1] \
+            or down.data.shape != (r, w.data.shape[1]) or up.data.shape != (w.data.shape[0], r):
+        raise ShapeError(f"lora_linear expects x (n, d_in), w (d_out, d_in), down (r, d_in) "
+                         f"and up (d_out, r), got {x.data.shape}, {w.data.shape}, "
+                         f"{down.data.shape} and {up.data.shape}")
+    out_data = x.data @ w.data.T
+    out_data += b.data
+    low = x.data @ down.data.T
+    delta = low @ up.data.T
+    delta *= scale
+    out_data += delta
+
+    def fn(g: np.ndarray) -> None:
+        if x.requires_grad:
+            _accumulate(x, g @ w.data, fresh=True)
+        if w.requires_grad:
+            _accumulate(w, (x.data.T @ g).T)
+        if b.requires_grad:
+            _accumulate(b, g.sum(axis=0))
+        g_delta = g * scale
+        if up.requires_grad:
+            _accumulate(up, (low.T @ g_delta).T)
+        if x.requires_grad or down.requires_grad:
+            d_low = g_delta @ up.data
+            if down.requires_grad:
+                _accumulate(down, (x.data.T @ d_low).T)
+            if x.requires_grad:
+                _accumulate(x, d_low @ down.data, fresh=True)
+
+    return _make(out_data, (x, w, b, down, up), fn)
+
+
 def cross_entropy_masked(logits: Tensor, targets, mask) -> Tensor:
     """Mean negative log-softmax probability of targets over masked positions.
 
@@ -583,14 +692,13 @@ def cross_entropy_masked(logits: Tensor, targets, mask) -> Tensor:
     log_probs = shifted - np.log(sum_e)
     nll = -log_probs[np.arange(t_len), targets]
     count = int(mask.sum())
-    out_data = np.asarray((nll * mask).sum() / count, dtype=logits.data.dtype)
+    out_data = (nll * mask).sum() / count
 
     def fn(g: np.ndarray) -> None:
         if logits.requires_grad:
-            p = e / sum_e
-            d = p.copy()
+            d = e / sum_e
             d[np.arange(t_len), targets] -= 1.0
-            d *= (mask.astype(logits.data.dtype) / count)[:, None]
+            d *= (mask / count)[:, None]
             _accumulate(logits, d * g, fresh=True)
 
     return _make(out_data, (logits,), fn)
@@ -632,7 +740,7 @@ def backward(loss: Tensor) -> None:
             if id(parent) not in visited:
                 stack.append((parent, False))
 
-    _accumulate(loss, np.ones((), dtype=loss.data.dtype))
+    _accumulate(loss, np.ones(()))
     while order:
         node = order.pop()
         fn = node._backward_fn

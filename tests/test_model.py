@@ -193,8 +193,9 @@ class TestForward:
         assert tensor_module._CAUSAL_MASK.shape == (ATTN_BLOCK, ATTN_BLOCK)
 
     def test_forward_and_loss_record_a_fixed_number_of_tape_ops(self):
-        # per block: 2 layer norms, 6 linear nodes, 1 attention (heads split
-        # and merged inside it), 1 gelu, 2 residual adds; the last block
+        # per block: 2 layer norms, 4 attention projections, 1 attention
+        # (heads split and merged inside it), 1 gelu_mlp node (fc1, GELU and
+        # fc2), 2 residual adds; the last block
         # adds 2 row slices (the query rows and the residual rows); around
         # the LM: the token embedding, position embedding and its add,
         # ln_f, the tied head and the cross-entropy (the last row's logits
@@ -214,13 +215,13 @@ class TestForward:
         cfg = model.config
         prompt, response = model.vocab.encode("hello"), model.vocab.encode("world")
         text_only = recorded_ops(model.loss(model.assemble_sequence(prompt, None, response))[0])
-        assert text_only == 8 + 12 * cfg.n_layers_lm
+        assert text_only == 8 + 10 * cfg.n_layers_lm
         # the token rows around the visual rows: one more embedding and a
         # concat; vision: patch projection, position add, its blocks and
         # ln_f; mlp2 adapter: 3
         vis = model.visual_tokens(synth_image("n", 12))
         grounded = recorded_ops(model.loss(model.assemble_sequence(prompt, vis, response))[0])
-        assert grounded == text_only + 2 + 3 + 12 * cfg.n_layers_vis + 3
+        assert grounded == text_only + 2 + 3 + 10 * cfg.n_layers_vis + 3
 
     def test_shape_and_determinism(self):
         model = small_model()

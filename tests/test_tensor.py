@@ -15,9 +15,11 @@ from tinymmt.numerics import (
     cross_entropy_masked,
     embedding,
     gelu,
+    gelu_mlp,
     grad_check_params,
     layer_norm,
     linear,
+    lora_linear,
     no_grad,
 )
 from tinymmt.numerics.tensor import ATTN_BLOCK, Segments, causal_mask
@@ -311,6 +313,10 @@ def _attention_case(causal):
     return fn
 
 
+# weights that do not train, for the fused ops' frozen rows
+_FROZEN = np.random.default_rng(99).normal(size=(4, 5))
+
+
 GRAD_CASES = {
     "matmul": lambda x: tape_sum(linear(x, x)),
     "mul": lambda x: tape_sum(x * x * 0.5),
@@ -333,6 +339,20 @@ GRAD_CASES = {
     "cross_entropy": lambda x: cross_entropy_masked(
         x, np.arange(x.shape[0]) % x.shape[1], np.ones(x.shape[0], dtype=bool)
     ),
+    # base weight (3, 5), bias (3,), down (2, 5) and up (3, 2)
+    "lora_linear": lambda x: _squared_sum(
+        lora_linear(x, x[:3] * 0.5, x[0, :3], x[1:3] * 0.3, x[:3, :2] * -0.4, 4.0)),
+    "lora_linear_frozen_base": lambda x: _squared_sum(
+        lora_linear(x, Tensor(_FROZEN[:3]), Tensor(_FROZEN[3, :3]), x[1:3] * 0.3,
+                    x[:3, :2] * -0.4, 4.0)),
+    # hidden width 4: w1 (4, 5), b1 (4,), w2 (3, 4) and b2 (3,)
+    "gelu_mlp": lambda x: _squared_sum(
+        gelu_mlp(x, x * 0.5, x[:, 0] * 0.5, x[:3, :4] * -0.3, x[3, :3])),
+    "gelu_mlp_frozen": lambda x: _squared_sum(
+        gelu_mlp(x, Tensor(_FROZEN), Tensor(_FROZEN[:, 0]), Tensor(_FROZEN[:3, :4]),
+                 Tensor(_FROZEN[3, :3]))),
+    "gelu_mlp_frozen_fc2": lambda x: _squared_sum(
+        gelu_mlp(x, x * 0.5, x[:, 0] * 0.5, Tensor(_FROZEN[:3, :4]), Tensor(_FROZEN[3, :3]))),
 }
 
 
@@ -660,6 +680,115 @@ class TestGeluLayerNormBitwise:
         got = (out.data, x.grad, gamma.grad, beta.grad)
         for a, b in zip(got, want):
             assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+
+
+def _lora_chain(x, w, b, down, up, scale):
+    """The five nodes lora_linear replaces: base linear, two thin linears, mul and add."""
+    return linear(x, w, b) + linear(linear(x, down), up) * scale
+
+
+def _mlp_chain(x, w1, b1, w2, b2):
+    """The three nodes gelu_mlp replaces."""
+    return linear(gelu(linear(x, w1, b1)), w2, b2)
+
+
+def _leaves(rng, shapes, trains):
+    return [Tensor(rng.normal(size=s), requires_grad=t) for s, t in zip(shapes, trains)]
+
+
+def _fused_and_chain(build, ops, seed, shapes, trains, g_shape):
+    """build(op, leaves) -> output, run with each of ops (the fused op, then
+    its chain) on equal leaves; returns (output, gradients) for each, the
+    gradients in leaf order (None where a leaf does not train)."""
+    runs = []
+    for op in ops:
+        rng = np.random.default_rng(seed)
+        leaves = _leaves(rng, shapes, trains)
+        g = rng.normal(size=g_shape)
+        out = build(op, leaves)
+        if out.requires_grad:
+            backward(tape_sum(out * Tensor(g)))
+        runs.append((out.data, [p.grad for p in leaves]))
+    return runs
+
+
+def _assert_bitwise(runs):
+    (out_a, grads_a), (out_b, grads_b) = runs
+    assert out_a.tobytes() == out_b.tobytes()
+    for a, b in zip(grads_a, grads_b):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.tobytes() == b.tobytes()
+
+
+class TestLoraLinear:
+    """lora_linear is bit for bit the five-node chain, forward and backward."""
+
+    D, R, N = 16, 4, 23
+
+    # x, then per projection (w, b, down, up); the base weights train or not
+    @pytest.mark.parametrize("base_trains", [True, False])
+    @pytest.mark.parametrize("x_trains", [True, False])
+    def test_three_projections_of_one_x_match_the_chain(self, base_trains, x_trains):
+        d, r = self.D, self.R
+        per = [(d, d), (d,), (r, d), (d, r)]
+        shapes = [(self.N, d)] + per * 3
+        trains = [x_trains] + [base_trains, base_trains, True, True] * 3
+
+        def build(op, leaves):
+            x, rest = leaves[0], leaves[1:]
+            q, k, v = (op(x, *rest[i:i + 4], 4.0) for i in (0, 4, 8))
+            return attention(q, k, v, 2, 0.25, causal=True)
+
+        _assert_bitwise(_fused_and_chain(build, (lora_linear, _lora_chain), 31, shapes, trains, (self.N, d)))
+
+    def test_no_grad_forward_matches_the_chain(self):
+        rng = np.random.default_rng(32)
+        leaves = _leaves(rng, [(5, 8), (6, 8), (6,), (2, 8), (6, 2)], [True] * 5)
+        with no_grad():
+            fused, chain = lora_linear(*leaves, 4.0), _lora_chain(*leaves, 4.0)
+        assert not fused.requires_grad and fused.data.tobytes() == chain.data.tobytes()
+
+    def test_shapes_checked(self):
+        z = Tensor(np.zeros((2, 3)))
+        with pytest.raises(ShapeError, match=r"up \(d_out, r\).*\(4, 3\), \(2, 3\) and \(3, 2\)"):
+            lora_linear(z, Tensor(np.zeros((4, 3))), Tensor(np.zeros(4)), z,
+                        Tensor(np.zeros((3, 2))), 4.0)
+
+
+class TestGeluMlp:
+    """gelu_mlp is bit for bit linear(gelu(linear(·))), forward and backward."""
+
+    D, H, N = 12, 48, 37
+
+    @pytest.mark.parametrize("trains", [
+        (True, True, True, True, True),
+        (True, False, False, False, False),
+        (True, True, True, False, False),
+        (False, False, False, True, True),
+        (False, True, True, False, True),
+    ], ids=["all", "x-only", "fc2-frozen", "fc2-only", "fc1-and-b2"])
+    def test_matches_the_chain(self, trains):
+        d, h, n = self.D, self.H, self.N
+        shapes = [(n, d), (h, d), (h,), (d, h), (d,)]
+
+        def build(op, leaves):
+            # scaled so GELU sees both tails and its bend
+            return op(leaves[0] * 3.0, *leaves[1:])
+
+        _assert_bitwise(_fused_and_chain(build, (gelu_mlp, _mlp_chain), 33, shapes, trains, (n, d)))
+
+    def test_no_grad_forward_matches_the_chain(self):
+        rng = np.random.default_rng(34)
+        leaves = _leaves(rng, [(5, 8), (32, 8), (32,), (8, 32), (8,)], [True] * 5)
+        with no_grad():
+            fused, chain = gelu_mlp(*leaves), _mlp_chain(*leaves)
+        assert not fused.requires_grad and fused.data.tobytes() == chain.data.tobytes()
+
+    def test_shapes_checked(self):
+        with pytest.raises(ShapeError, match=r"w2 \(d_out, h\).*\(6, 4\) and \(4, 5\)"):
+            gelu_mlp(Tensor(np.zeros((2, 4))), Tensor(np.zeros((6, 4))), Tensor(np.zeros(6)),
+                     Tensor(np.zeros((4, 5))), Tensor(np.zeros(4)))
 
 
 def test_forward_backward_values_stay_finite():
