@@ -164,8 +164,7 @@ def _build_model(cfg: RunConfig, datasets: dict[int, list[PromptInstance]],
         texts.append(inst.prompt)
         texts.append(inst.response)
     vocab = Vocabulary.from_texts(texts)
-    model_cfg = ModelConfig.from_dict({**cfg.model, "vocab_size": len(vocab)})
-    return MultimodalModel(model_cfg, vocab, seed=cfg.seed)
+    return MultimodalModel(ModelConfig(**cfg.model, vocab_size=len(vocab)), vocab, seed=cfg.seed)
 
 
 def cmd_train(cfg: RunConfig, stages_filter: list[int] | None,

@@ -14,6 +14,7 @@ from tinymmt.atomic import NUMBER, json_fields, parse_json, read_text
 from tinymmt.errors import ConfigError
 from tinymmt.datapipe.records import LANGS, SPLITS, TASKS
 from tinymmt.model.config import ModelConfig
+from tinymmt.model.vocab import N_SPECIALS
 from tinymmt.training.stages import StageConfig, derive_stage_seed
 
 
@@ -126,6 +127,8 @@ def load_config(path, seed: int | None = None) -> RunConfig:
     seed = raw.get("seed", 0) if seed is None else seed
     _expect(seed >= 0, "seed", f"must be >= 0, got {seed}")
     model = json_fields(raw.get("model", {}), _MODEL_FIELDS, "model", ConfigError, ())
+    # checks the section's values; train builds the model's with the data's vocab_size
+    ModelConfig(**model, vocab_size=N_SPECIALS)
 
     train = json_fields(raw.get("train", {}), _TRAIN_FIELDS, "train", ConfigError, ())
     stages = [_parse_stage(s, i, seed) for i, s in enumerate(train.get("stages", []))]

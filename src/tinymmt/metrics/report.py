@@ -48,7 +48,7 @@ class MetricReport:
 
 
 def evaluate_lines(hyp_lines: Sequence[str], ref_lines: Sequence[str], lang: str,
-                   split: str = "test", smooth: bool = False) -> MetricReport:
+                   split: str, smooth: bool) -> MetricReport:
     if len(hyp_lines) != len(ref_lines):
         raise DataError(
             f"hypothesis file has {len(hyp_lines)} lines but reference file has "
@@ -69,12 +69,10 @@ def evaluate_lines(hyp_lines: Sequence[str], ref_lines: Sequence[str], lang: str
     )
 
 
-def evaluate_files(hyp_path, ref_path, lang: str, split: str = "test",
-                   smooth: bool = False) -> MetricReport:
+def evaluate_files(hyp_path, ref_path, lang: str, split: str, smooth: bool) -> MetricReport:
     """Score one hypothesis file against one reference file (UTF-8, one
     sentence per line)."""
-    return evaluate_lines(read_lines(hyp_path), read_lines(ref_path), lang,
-                          split=split, smooth=smooth)
+    return evaluate_lines(read_lines(hyp_path), read_lines(ref_path), lang, split, smooth)
 
 
 def write_report(report: MetricReport, path) -> None:
@@ -102,7 +100,7 @@ def read_reports(paths: Sequence) -> list[MetricReport]:
     return reports
 
 
-def format_leaderboard(reports: Sequence[MetricReport], label: str = "ours") -> str:
+def format_leaderboard(reports: Sequence[MetricReport], label: str) -> str:
     """One leaderboard-style row: challenge and test columns per language,
     '-' where a cell has no report."""
     by_cell = {(r.lang, r.split): r for r in reports}

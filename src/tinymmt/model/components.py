@@ -82,7 +82,7 @@ class SelfAttention:
     """
 
     def __init__(self, store: ParameterStore, name: str, d: int, n_heads: int,
-                 rng: np.random.Generator, causal: bool = False):
+                 rng: np.random.Generator, causal: bool):
         self.n_heads = n_heads
         self.scale = 1.0 / np.sqrt(d // n_heads)
         self.causal = causal
@@ -91,8 +91,8 @@ class SelfAttention:
         self.wv = Linear(store, name + ".wv", d, d, rng)
         self.wo = Linear(store, name + ".wo", d, d, rng)
 
-    def __call__(self, x: Tensor, cache: KVCache | None = None,
-                 segments: Segments | None = None) -> Tensor:
+    def __call__(self, x: Tensor, cache: KVCache | None,
+                 segments: Segments | None) -> Tensor:
         q = self.wq(x if segments is None else segments.select(x))
         k, v = self.wk(x), self.wv(x)
         if cache is not None:
@@ -201,8 +201,8 @@ class DecoderLM:
         return [KVCache(n, self.cfg.d_model) for _ in self.blocks]
 
     def forward_embedded(self, embeds: Tensor, positions: np.ndarray,
-                         cache: list[KVCache] | None = None,
-                         segments: Segments | None = None) -> Tensor:
+                         cache: list[KVCache] | None,
+                         segments: Segments | None) -> Tensor:
         """(T, d_model) embeddings -> (T, vocab_size) logits.
 
         With a cache (from new_cache) the T rows continue the positions

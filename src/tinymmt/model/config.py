@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from tinymmt.errors import ConfigError
-
-# the one adapter (LLaVA-1.5's two-layer GELU projector) and the one float type;
-# a checkpoint header records both so that a reader can check them
-FIXED_SHAPE = {"adapter_mode": "mlp2", "dtype": "float64"}
 
 
 @dataclass(frozen=True)
@@ -52,21 +48,3 @@ class ModelConfig:
     @property
     def c_vis(self) -> int:
         return (self.image_size // self.patch_size) ** 2
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), **FIXED_SHAPE, "c_vis": self.c_vis}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        for key, value in FIXED_SHAPE.items():
-            got = d.pop(key, value)
-            if got != value:
-                raise ConfigError(f"{key}={got!r}: every model has {key}={value!r}")
-        c_vis = d.pop("c_vis", None)
-        cfg = cls(**d)  # an unknown or missing key raises TypeError
-        if c_vis is not None and c_vis != cfg.c_vis:
-            raise ConfigError(
-                f"c_vis={c_vis} inconsistent with (image_size/patch_size)^2={cfg.c_vis}"
-            )
-        return cfg

@@ -187,25 +187,27 @@ class MultimodalModel:
                  max_new_tokens: int) -> np.ndarray:
         """Greedy decoding; stops at <eos> or after max_new_tokens. Deterministic.
 
-        The prefix is fed once, its keys and values cached per layer and
-        only its last row of logits computed; each generated token is then
-        fed as one position. A budget that does not fit in the context left
-        after the prefix (context_room) raises BudgetError.
+        The budget is checked first, before the image is encoded: one that
+        does not fit in the context left after the prompt's prefix
+        (context_room) raises BudgetError, and a zero budget returns no
+        tokens. The prefix is then fed once, its keys and values cached per
+        layer and only its last row of logits computed; each generated token
+        is then fed as one position.
         """
         if max_new_tokens < 0:
             raise ValueError(f"max_new_tokens must be >= 0, got {max_new_tokens}")
+        room = self.context_room(prompt_ids, image is not None)
+        if max_new_tokens > room:
+            raise BudgetError(f"prompt length {self.config.c_total - room} + max_new_tokens "
+                              f"{max_new_tokens} exceeds context budget "
+                              f"c_total={self.config.c_total}")
+        if max_new_tokens == 0:
+            return np.zeros(0, dtype=np.int64)
         generated: list[int] = []
         with no_grad():
             visual = self.visual_tokens(image) if image is not None else None
             prefix = self._assemble(prompt_ids, visual, None, append_eos=False)
             n_prefix = len(prefix.ids)
-            if max_new_tokens > self.config.c_total - n_prefix:
-                raise BudgetError(
-                    f"prompt length {n_prefix} + max_new_tokens {max_new_tokens} "
-                    f"exceeds context budget c_total={self.config.c_total}"
-                )
-            if max_new_tokens == 0:
-                return np.zeros(0, dtype=np.int64)
             cache = self.llm.new_cache(n_prefix + max_new_tokens)
             logits = self.forward(prefix, cache, last=1)
             while True:

@@ -215,7 +215,7 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
 
 
 def embedding(table: Tensor, ids) -> Tensor:
-    """Gather rows table[ids]; backward adds each row's gradient into the table."""
+    """Gather rows table[ids], a Tensor.__getitem__ node, once the ids are checked."""
     ids = np.asarray(ids, dtype=np.int64)
     if table.data.ndim != 2:
         raise ShapeError(f"embedding table must be 2-D, got {table.data.shape}")
@@ -224,13 +224,7 @@ def embedding(table: Tensor, ids) -> Tensor:
     n = table.data.shape[0]
     if ids.size and (ids.min() < 0 or ids.max() >= n):
         raise IndexError(f"embedding ids out of range [0, {n})")
-    out_data = table.data[ids]
-
-    def fn(g: np.ndarray) -> None:
-        if table.requires_grad:
-            _scatter_add(table, ids, g)
-
-    return _make(out_data, (table,), fn)
+    return table[ids]
 
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
@@ -299,11 +293,9 @@ def gelu_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tenso
             or x.data.shape[1] != w1.data.shape[1] or w1.data.shape[0] != w2.data.shape[1]:
         raise ShapeError(f"gelu_mlp expects x (n, d_in), w1 (h, d_in) and w2 (d_out, h), "
                          f"got {x.data.shape}, {w1.data.shape} and {w2.data.shape}")
-    hidden = x.data @ w1.data.T
-    hidden += b1.data
+    hidden = _dense(x.data, w1, b1)
     t, act = _gelu_tanh(hidden)
-    out_data = act @ w2.data.T
-    out_data += b2.data
+    out_data = _dense(act, w2, b2)
     parents = (x, w1, b1, w2, b2)
     recording = _recording(parents)
     upstream = recording and (x.requires_grad or w1.requires_grad or b1.requires_grad)
@@ -314,16 +306,8 @@ def gelu_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tenso
         if upstream:
             dh = g @ w2.data
             dh *= slope
-            if x.requires_grad:
-                _accumulate(x, dh @ w1.data, fresh=True)
-            if w1.requires_grad:
-                _accumulate(w1, (x.data.T @ dh).T)
-            if b1.requires_grad:
-                _accumulate(b1, dh.sum(axis=0))
-        if w2.requires_grad:
-            _accumulate(w2, (kept_act.T @ g).T)
-        if b2.requires_grad:
-            _accumulate(b2, g.sum(axis=0))
+            _dense_grads(x, x.data, w1, b1, dh)
+        _dense_grads(None, kept_act, w2, b2, g)
 
     return _make(out_data, parents, fn)
 
@@ -600,25 +584,37 @@ def _matmul_into(dst: np.ndarray, a: np.ndarray, b: np.ndarray, add: bool) -> No
         np.matmul(a, b, out=dst)
 
 
+def _dense(xd: np.ndarray, w: Tensor, b: Tensor | None) -> np.ndarray:
+    """xd @ wᵀ (+ b), a dense layer's output rows, in a new buffer."""
+    out = xd @ w.data.T
+    if b is not None:
+        out += b.data
+    return out
+
+
+def _dense_grads(x: Tensor | None, xd: np.ndarray, w: Tensor, b: Tensor | None,
+                 g: np.ndarray) -> None:
+    """Add the gradients of the dense layer _dense(xd, w, b), whose output
+    got g: x's share first, then w's, then b's. x is None when the node
+    computed the input rows xd itself."""
+    if x is not None and x.requires_grad:
+        _accumulate(x, g @ w.data, fresh=True)
+    if w.requires_grad:
+        _accumulate(w, (xd.T @ g).T)
+    if b is not None and b.requires_grad:
+        _accumulate(b, g.sum(axis=0))
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """x @ wᵀ (+ b) as one tape node; x is (n, d_in), w (d_out, d_in) and b (d_out,)."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
         raise ShapeError(f"linear expects x (n, d_in) and w (d_out, d_in), "
                          f"got {x.data.shape} and {w.data.shape}")
-    out_data = x.data @ w.data.T
-    if b is not None:
-        out_data += b.data
-    parents = (x, w) if b is None else (x, w, b)
 
     def fn(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, g @ w.data, fresh=True)
-        if w.requires_grad:
-            _accumulate(w, (x.data.T @ g).T)
-        if b is not None and b.requires_grad:
-            _accumulate(b, g.sum(axis=0))
+        _dense_grads(x, x.data, w, b, g)
 
-    return _make(out_data, parents, fn)
+    return _make(_dense(x.data, w, b), (x, w) if b is None else (x, w, b), fn)
 
 
 def lora_linear(x: Tensor, w: Tensor, b: Tensor, down: Tensor, up: Tensor,
@@ -637,29 +633,18 @@ def lora_linear(x: Tensor, w: Tensor, b: Tensor, down: Tensor, up: Tensor,
         raise ShapeError(f"lora_linear expects x (n, d_in), w (d_out, d_in), down (r, d_in) "
                          f"and up (d_out, r), got {x.data.shape}, {w.data.shape}, "
                          f"{down.data.shape} and {up.data.shape}")
-    out_data = x.data @ w.data.T
-    out_data += b.data
-    low = x.data @ down.data.T
-    delta = low @ up.data.T
+    out_data = _dense(x.data, w, b)
+    low = _dense(x.data, down, None)
+    delta = _dense(low, up, None)
     delta *= scale
     out_data += delta
 
     def fn(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accumulate(x, g @ w.data, fresh=True)
-        if w.requires_grad:
-            _accumulate(w, (x.data.T @ g).T)
-        if b.requires_grad:
-            _accumulate(b, g.sum(axis=0))
+        _dense_grads(x, x.data, w, b, g)
         g_delta = g * scale
-        if up.requires_grad:
-            _accumulate(up, (low.T @ g_delta).T)
+        _dense_grads(None, low, up, None, g_delta)
         if x.requires_grad or down.requires_grad:
-            d_low = g_delta @ up.data
-            if down.requires_grad:
-                _accumulate(down, (x.data.T @ d_low).T)
-            if x.requires_grad:
-                _accumulate(x, d_low @ down.data, fresh=True)
+            _dense_grads(x, x.data, down, None, g_delta @ up.data)
 
     return _make(out_data, (x, w, b, down, up), fn)
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from tinymmt.atomic import NUMBER, atomic_write, json_fields, parse_json
 from tinymmt.errors import CheckpointError, TinymmtError
-from tinymmt.model.config import FIXED_SHAPE, ModelConfig
+from tinymmt.model.config import ModelConfig
 from tinymmt.model.lora import LORA_ALPHA, LORA_R, default_lora_targets, lora_attach, lora_targets
 from tinymmt.model.multimodal import MultimodalModel
 from tinymmt.model.vocab import Vocabulary
@@ -45,17 +45,22 @@ FLOAT64 = 0  # the tensor dtype code
 _HEADER_FIELDS = {"config": dict, "vocab": dict, "provenance": list, "seed": int,
                   "lora": (dict, type(None))}
 _LORA_FIELDS = {"targets": list, "r": int, "alpha": NUMBER}
-# every key ModelConfig.to_dict writes, each required
-_CONFIG_FIELDS = {**dict.fromkeys((f.name for f in dataclasses.fields(ModelConfig)), int),
-                  **dict.fromkeys(FIXED_SHAPE, str), "c_vis": int}
+# the one adapter (LLaVA-1.5's two-layer GELU projector) and the one float type,
+# which the header's config records beside ModelConfig's fields and c_vis
+FIXED_SHAPE = {"adapter_mode": "mlp2", "dtype": "float64"}
+_MODEL_KEYS = tuple(f.name for f in dataclasses.fields(ModelConfig))
+# every key _header writes into config, each required
+_CONFIG_FIELDS = {**dict.fromkeys(_MODEL_KEYS, int), **dict.fromkeys(FIXED_SHAPE, str),
+                  "c_vis": int}
 _VOCAB_FIELDS = {"symbols": list}
 
 
 def _header(model: MultimodalModel) -> dict:
     targets = lora_targets(model)
     lora = {"targets": targets, "r": LORA_R, "alpha": LORA_ALPHA} if targets else None
+    config = model.config
     return {
-        "config": model.config.to_dict(),
+        "config": {**dataclasses.asdict(config), **FIXED_SHAPE, "c_vis": config.c_vis},
         "vocab": model.vocab.to_dict(),
         "provenance": model.provenance,
         "seed": model.seed,
@@ -136,12 +141,17 @@ def load_checkpoint(path) -> MultimodalModel:
         if (lora["r"], lora["alpha"]) != (LORA_R, LORA_ALPHA):
             raise CheckpointError(f"{where}: lora r and alpha must be {LORA_R} and {LORA_ALPHA}")
 
+    fields = header["config"]
     try:
-        config = ModelConfig.from_dict(header["config"])
+        config = ModelConfig(**{key: fields[key] for key in _MODEL_KEYS})
         model = MultimodalModel(config, Vocabulary.from_dict(header["vocab"]),
                                 seed=header["seed"])
     except (TinymmtError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{where}: {exc}") from exc
+    for key, value in {**FIXED_SHAPE, "c_vis": config.c_vis}.items():
+        if fields[key] != value:
+            raise CheckpointError(f"{where}: config: {key}={fields[key]!r}, but this model "
+                                  f"has {key}={value!r}")
     if lora is not None:
         targets = sorted(default_lora_targets(model))
         if lora["targets"] != targets:

@@ -208,6 +208,11 @@ def _rename(table: dict, old: str, new: str) -> None:
     (lambda h: h["config"].pop("dtype"), "config: missing required key 'dtype'"),
     (lambda h: h["config"].update(n_heads=1.0), "config: 'n_heads' must be an integer"),
     (lambda h: h["config"].update(adapter_mode=None), "config: 'adapter_mode' must be a string"),
+    (lambda h: h["config"].update(c_vis=99), "config: c_vis=99, but this model has c_vis=4"),
+    (lambda h: h["config"].update(adapter_mode="mlp1"),
+     "config: adapter_mode='mlp1', but this model has adapter_mode='mlp2'"),
+    (lambda h: h["config"].update(dtype="float32"),
+     "config: dtype='float32', but this model has dtype='float64'"),
     (lambda h: h["vocab"].pop("symbols"), "vocab: missing required key 'symbols'"),
     (lambda h: _rename(h["vocab"], "symbols", "symbol"), "vocab: unknown key 'symbol'"),
     (lambda h: h["vocab"].update(symbols="abc"), "vocab: 'symbols' must be an array"),
@@ -216,6 +221,7 @@ def _rename(table: dict, old: str, new: str) -> None:
     (lambda h: h["vocab"]["symbols"].__setitem__(0, None),
      "vocabulary symbols must be single characters, got None"),
 ], ids=["no-d_model", "d_modle", "no-c_vis", "no-dtype", "float-n_heads", "null-adapter",
+         "c_vis-99", "adapter-mlp1", "dtype-float32",
         "no-symbols", "symbol", "symbols-string", "symbol-int", "symbol-null"])
 def test_a_header_config_or_vocab_off_its_field_table_is_exit_4_naming_the_key(
         tmp_path, capsys, edit, problem):

@@ -401,6 +401,19 @@ def test_stage_data_mixing_cap(fixture_tree, tmp_path):
     assert tasks == {"caption", "mmt"}  # two from each corpus
 
 
+def test_a_bad_model_section_stops_prepare_data_before_it_writes(tmp_path, fixture_tree, capsys):
+    # load_config checks the model section, so the error comes before any
+    # instance file is written, not from train once it has read them all
+    raw = json.loads(fixture_tree.read_text())
+    raw["model"] = {"d_model": 0}
+    fixture_tree.write_text(json.dumps(raw))
+    assert main(["prepare-data", "--config", str(fixture_tree)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: model.d_model must be a positive integer, got 0" in err
+    assert_structured(err)
+    assert not (tmp_path / "run").exists()
+
+
 def test_exit_codes(tmp_path, fixture_tree):
     # config errors -> 2
     assert main(["train", "--config", str(tmp_path / "missing.json")]) == 2

@@ -142,7 +142,7 @@ def test_model_keys_are_the_settable_model_config_fields(tmp_path):
 def test_model_config_rejects_json_booleans(field):
     # True would pass as the integer 1: n_heads true built a one-head model
     with pytest.raises(ConfigError, match=f"model.{field} must be a positive integer, got True"):
-        ModelConfig.from_dict(json.loads(f'{{"vocab_size": 40, "{field}": true}}'))
+        ModelConfig(**json.loads(f'{{"vocab_size": 40, "{field}": true}}'))
 
 
 def test_metrics_section_rejected(tmp_path):

@@ -1,9 +1,12 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from tinymmt.datapipe import synth_image
 from tinymmt.model import default_lora_targets, lora_attach, lora_merge, lora_targets
-from tinymmt.training import StageConfig, freeze_plan, run_stage
+from tinymmt.training import StageConfig, freeze_plan, run_stage, save_checkpoint
 
 from conftest import build_model, make_instances, make_records
 
@@ -127,10 +130,13 @@ def test_merge_without_adapters_rejected():
 
 
 @pytest.mark.parametrize("adapter_mode", ["mlp2"])  # the one adapter, as the header names it
-def test_every_weight_registers_its_linear(adapter_mode):
+def test_every_weight_registers_its_linear(adapter_mode, tmp_path):
     records = make_records(4, seed=3)
     model = build_model(make_instances(records, "mmt"), seed=3)
-    assert model.config.to_dict()["adapter_mode"] == adapter_mode
+    save_checkpoint(model, tmp_path / "m.ckpt")
+    blob = (tmp_path / "m.ckpt").read_bytes()
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    assert json.loads(blob[16:16 + header_len])["config"]["adapter_mode"] == adapter_mode
 
     def check(m):
         weights = {name for name in m.params.names() if name.endswith(".weight")}

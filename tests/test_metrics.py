@@ -223,7 +223,7 @@ class TestEvaluate:
         ref = tmp_path / "ref.txt"
         for path in (hyp, ref):
             path.write_text("".join(l + "\n" for l in lines), encoding="utf-8")
-        report = evaluate_files(hyp, ref, "hi", split="test")
+        report = evaluate_files(hyp, ref, "hi", "test", False)
         assert report.bleu == pytest.approx(100.0, abs=1e-9)
         assert report.ribes == pytest.approx(1.0, abs=1e-9)
         assert report.n_sentences == 2
@@ -231,7 +231,7 @@ class TestEvaluate:
 
     def test_line_count_mismatch_reports_both_counts(self):
         with pytest.raises(DataError, match="2.*3|3.*2"):
-            evaluate_lines(["a", "b"], ["a", "b", "c"], "hi")
+            evaluate_lines(["a", "b"], ["a", "b", "c"], "hi", "test", False)
 
     def test_report_rounding(self):
         report = MetricReport(lang="hi", split="test", bleu=53.4321, ribes=0.84211,
@@ -247,7 +247,7 @@ class TestLeaderboard:
             MetricReport("hi", "challenge", 53.4, 0.842, 10, 100, 100),
             MetricReport("ml", "test", 51.9, 0.78, 10, 100, 100),
         ]
-        table = format_leaderboard(reports)
+        table = format_leaderboard(reports, "ours")
         lines = table.splitlines()
         header = lines[0]
         assert header.index("Hi-Ch") < header.index("Hi-Test") < header.index("Bn-Ch")
@@ -259,8 +259,8 @@ class TestLeaderboard:
     def test_identical_corpus_row(self, tmp_path):
         hyp = tmp_path / "h.txt"
         hyp.write_text("एक बिल्ली\n", encoding="utf-8")
-        report = evaluate_files(hyp, hyp, "hi", split="challenge")
-        table = format_leaderboard([report])
+        report = evaluate_files(hyp, hyp, "hi", "challenge", False)
+        table = format_leaderboard([report], "ours")
         assert "100.0" in table and "1.000" in table
 
 

@@ -55,14 +55,6 @@ class TestConfig:
         with pytest.raises(ConfigError, match="n_heads"):
             ModelConfig(vocab_size=10, d_model=62, n_heads=4)
 
-    def test_c_vis_consistency_checked_on_load(self):
-        cfg = ModelConfig(vocab_size=10)
-        d = cfg.to_dict()
-        d["c_vis"] = 99
-        with pytest.raises(ConfigError, match="c_vis"):
-            ModelConfig.from_dict(d)
-        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
-
 
 class TestVisionEncoder:
     def test_row_count_matches_patch_grid(self):
@@ -393,6 +385,25 @@ class TestCachedDecoding:
                             lambda self, *args, **kw: calls.append(args))
         assert model.generate(model.vocab.encode("hello"), synth_image("z", 12), 0).size == 0
         assert calls == []
+
+    def test_budget_is_checked_before_the_image_is_encoded(self, monkeypatch):
+        model = small_model(c_total=32)
+        encoded = []
+        monkeypatch.setattr(MultimodalModel, "encode_image",
+                            lambda self, image: encoded.append(image))
+        image = synth_image("z", 12)
+        prompt = model.vocab.encode("hello")
+        room = model.context_room(prompt, has_image=True)
+        assert model.generate(prompt, image, 0).size == 0
+        with pytest.raises(BudgetError, match="max_new_tokens"):
+            model.generate(prompt, image, room + 1)
+        # a prompt that alone overflows fails its budget check, even a zero one
+        long_prompt = model.vocab.encode("hello world abc xyz" * 2)
+        assert model.context_room(long_prompt, has_image=True) < 0
+        for budget in (0, 1):
+            with pytest.raises(BudgetError, match="max_new_tokens"):
+                model.generate(long_prompt, image, budget)
+        assert encoded == []
 
     def test_budget_that_exactly_fills_context(self):
         model = small_model(c_total=32)
