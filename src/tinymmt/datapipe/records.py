@@ -204,10 +204,10 @@ _INSTANCE_REQUIRED = ("task", "prompt", "response", "lang", "source_id")
 
 
 def read_instances(path) -> list[PromptInstance]:
-    """Read a JSON-lines instance file; a record that fails the field table,
-    names a task outside TASKS, or whose image_id does not match its task
-    (text_only has none, every other task one), raises DataError naming
-    path:line and the key or task."""
+    """Read a JSON-lines instance file, prompt and response NFC-normalized;
+    a record that fails the field table, names a task outside TASKS, or whose
+    image_id does not match its task (text_only has none, every other task
+    one), raises DataError naming path:line and the key or task."""
     out = []
     for line_no, line in enumerate(read_text(path).split("\n"), start=1):
         line = line.strip()
@@ -219,6 +219,8 @@ def read_instances(path) -> list[PromptInstance]:
         if d["task"] not in TASKS:
             raise DataError(f"{where}: bad instance record: task must be one of {TASKS}, "
                             f"got {d['task']!r}")
+        # NFC, as parse_vg_tsv and --raw-sentences normalize every sentence
+        d["prompt"], d["response"] = normalize("NFC", d["prompt"]), normalize("NFC", d["response"])
         inst = PromptInstance(**d)
         if (inst.image_id is None) != (inst.task == "text_only"):
             need = "has no" if inst.task == "text_only" else "needs an"

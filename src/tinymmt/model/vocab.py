@@ -7,7 +7,6 @@ produces them, they are only inserted by sequence assembly.
 
 from __future__ import annotations
 
-import unicodedata
 from typing import Iterable
 
 import numpy as np
@@ -31,9 +30,10 @@ class Vocabulary:
 
     @classmethod
     def from_texts(cls, texts: Iterable[str]) -> "Vocabulary":
+        """Every character of texts, sorted; the readers give NFC text."""
         chars: set[str] = set()
         for text in texts:
-            chars.update(unicodedata.normalize("NFC", text))
+            chars.update(text)
         return cls(sorted(chars))
 
     def __len__(self) -> int:

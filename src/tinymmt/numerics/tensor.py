@@ -1,12 +1,15 @@
 """Dense tensors with reverse-mode autodiff on a dynamically recorded tape.
 
 Storage is numpy float64, whatever the input's dtype, so finite-difference
-checks are meaningful. Each op records its parents and a backward closure;
-backward() walks the tape in reverse topological order, accumulates
-gradients additively, and releases each node's closure, parents and
-gradient once its closure has run, so a graph is back-propagated once and
-freed as the walk goes. Nothing persists across steps: a fresh graph is recorded every
-forward pass.
+checks are meaningful. Each recorded op gets a tape node that holds its
+gradient, its parents' places and a backward closure, but not its output:
+the closure keeps only the arrays its backward reads, so an output that no
+backward reads (a residual sum, say) is freed as soon as the forward drops
+its Tensor. backward() walks the tape in reverse topological order,
+accumulates gradients additively, and releases each node's closure, parents
+and gradient once its closure has run, so a graph is back-propagated once
+and freed as the walk goes. Nothing persists across steps: a fresh graph is
+recorded every forward pass.
 """
 
 from __future__ import annotations
@@ -37,16 +40,45 @@ class no_grad:
         return False
 
 
+class _Node:
+    """A recorded op's place on the tape: the gradient reaching its output,
+    its parents' places and its backward closure; never the output itself."""
+
+    __slots__ = ("grad", "shape", "_parents", "_backward_fn")
+    requires_grad = True
+
+    def __init__(self, shape: tuple[int, ...], parents: tuple[Tensor | _Node, ...],
+                 backward_fn: Callable):
+        self.grad: np.ndarray | None = None
+        self.shape = shape
+        self._parents = parents
+        self._backward_fn = backward_fn
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    """A value, and the tape node of the op that recorded it, if any.
+
+    A Tensor no op recorded (a leaf, such as a parameter, or a constant) is
+    its own place on the tape, and backward leaves a leaf's gradient in
+    `grad`; a recorded Tensor's gradient lives on its node.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         # float is float64: numpy resolves the builtin ≈25 ns faster than np.float64
         self.data: np.ndarray = np.asarray(data, dtype=float)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward_fn: Callable[[np.ndarray], None] | None = None
+        self._node: _Node | None = None
+
+    @property
+    def _parents(self) -> tuple[Tensor | _Node, ...]:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward_fn(self) -> Callable | None:
+        return None if self._node is None else self._node._backward_fn
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -69,9 +101,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __getitem__(self, idx):
-        src = self
-
-        def fn(g: np.ndarray) -> None:
+        def fn(g: np.ndarray, src) -> None:
             if src.requires_grad:
                 _scatter_add(src, idx, g)
 
@@ -98,8 +128,9 @@ def _selects_once(idx) -> bool:
 _SCATTER_RUN = 4
 
 
-def _scatter_add(t: Tensor, idx, g: np.ndarray) -> None:
-    """Add g into t.grad[idx], from zeros on the first contribution.
+def _scatter_add(t: Tensor | _Node, idx, g: np.ndarray) -> None:
+    """Add g into the gradient of place t at idx, from zeros on the first
+    contribution.
 
     A basic index, or a 1-D integer array of few strictly increasing runs (a
     packed group's position ids: sequence 0's, then each later sequence's
@@ -108,7 +139,7 @@ def _scatter_add(t: Tensor, idx, g: np.ndarray) -> None:
     add a repeated element's shares in index order, so they agree bit for bit.
     """
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
+        t.grad = np.zeros(t.shape)
     if isinstance(idx, np.ndarray) and idx.ndim == 1 and idx.dtype.kind in "iu" and idx.size:
         starts = (np.flatnonzero(idx[1:] <= idx[:-1]) + 1).tolist()
         if (len(starts) + 1) * _SCATTER_RUN <= len(idx) or not starts:
@@ -129,24 +160,31 @@ def _recording(parents: Sequence[Tensor]) -> bool:
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
+    """data as a Tensor, recorded on the tape when a parent requires grad.
+
+    backward calls backward_fn(g, *places): g is the gradient reaching the
+    output, and each parent's place is its node, or the parent itself when
+    no op recorded it. A place has `grad`, `shape` and `requires_grad` but
+    no data, so the closure keeps the arrays its backward reads itself.
+    """
     out = Tensor(data)
     if _recording(parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
+        out._node = _Node(out.data.shape, tuple(p if p._node is None else p._node
+                                                for p in parents), backward_fn)
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
-    """Add g into t.grad. fresh: the caller just built g in t's shape and
-    keeps no other use for it, so a first contribution becomes t.grad itself
-    instead of a copy."""
+def _accumulate(t: Tensor | _Node, g: np.ndarray, fresh: bool = False) -> None:
+    """Add g into the gradient of place t. fresh: the caller just built g in
+    t's shape and keeps no other use for it, so a first contribution becomes
+    the gradient itself instead of a copy."""
     if t.grad is None:
         if fresh:
             t.grad = g
             return
-        # a copy in t's own layout: g may be a view of another buffer
-        t.grad = np.empty_like(t.data)
+        # a copy of its own: g may be a view of another buffer
+        t.grad = np.empty(t.shape)
         t.grad[...] = g
     else:
         t.grad += g
@@ -168,28 +206,27 @@ def _operand(op: str, a: Tensor, b) -> Tensor:
 
 def add(a: Tensor, b) -> Tensor:
     b = _operand("add", a, b)
-    out_data = a.data + b.data
 
-    def fn(g: np.ndarray) -> None:
+    def fn(g: np.ndarray, a, b) -> None:
         if a.requires_grad:
             _accumulate(a, g)
         if b.requires_grad:
             _accumulate(b, g)
 
-    return _make(out_data, (a, b), fn)
+    return _make(a.data + b.data, (a, b), fn)
 
 
 def mul(a: Tensor, b) -> Tensor:
     b = _operand("mul", a, b)
-    out_data = a.data * b.data
+    ad, bd = a.data, b.data
 
-    def fn(g: np.ndarray) -> None:
+    def fn(g: np.ndarray, a, b) -> None:
         if a.requires_grad:
-            _accumulate(a, g * b.data)
+            _accumulate(a, g * bd)
         if b.requires_grad:
-            _accumulate(b, g * a.data)
+            _accumulate(b, g * ad)
 
-    return _make(out_data, (a, b), fn)
+    return _make(ad * bd, (a, b), fn)
 
 
 def _swap_last(a: np.ndarray) -> np.ndarray:
@@ -204,7 +241,7 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     out_data = np.concatenate([p.data for p in parts])
     sizes = [p.data.shape[0] for p in parts]
 
-    def fn(g: np.ndarray) -> None:
+    def fn(g: np.ndarray, *parts) -> None:
         pos = 0
         for p, size in zip(parts, sizes):
             if p.requires_grad:
@@ -272,7 +309,7 @@ def gelu(x: Tensor) -> Tensor:
     xd = x.data
     t, out_data = _gelu_tanh(xd)
 
-    def fn(g: np.ndarray) -> None:
+    def fn(g: np.ndarray, x) -> None:
         if x.requires_grad:
             slope = _gelu_slope(xd, t, np.empty_like(xd))
             slope *= g
@@ -288,26 +325,29 @@ def gelu_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tenso
     While recording, the node keeps GELU's slope at the hidden rows, for the
     gradients of x, w1 and b1, and GELU's output only when w2 trains: the
     three nodes it replaces keep the hidden rows, tanh and GELU's output.
+    It keeps x's values only when w1 trains.
     """
     if x.data.ndim != 2 or w1.data.ndim != 2 or w2.data.ndim != 2 \
             or x.data.shape[1] != w1.data.shape[1] or w1.data.shape[0] != w2.data.shape[1]:
         raise ShapeError(f"gelu_mlp expects x (n, d_in), w1 (h, d_in) and w2 (d_out, h), "
                          f"got {x.data.shape}, {w1.data.shape} and {w2.data.shape}")
-    hidden = _dense(x.data, w1, b1)
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    hidden = _dense(xd, w1d, b1)
     t, act = _gelu_tanh(hidden)
-    out_data = _dense(act, w2, b2)
+    out_data = _dense(act, w2d, b2)
     parents = (x, w1, b1, w2, b2)
     recording = _recording(parents)
     upstream = recording and (x.requires_grad or w1.requires_grad or b1.requires_grad)
     slope = _gelu_slope(hidden, t, hidden) if upstream else None
     kept_act = act if recording and w2.requires_grad else None
+    kept_x = xd if recording and w1.requires_grad else None
 
-    def fn(g: np.ndarray) -> None:
+    def fn(g: np.ndarray, x, w1, b1, w2, b2) -> None:
         if upstream:
-            dh = g @ w2.data
+            dh = g @ w2d
             dh *= slope
-            _dense_grads(x, x.data, w1, b1, dh)
-        _dense_grads(None, kept_act, w2, b2, g)
+            _dense_grads(x, kept_x, w1, w1d, b1, dh)
+        _dense_grads(None, kept_act, w2, w2d, b2, g)
 
     return _make(out_data, parents, fn)
 
@@ -330,17 +370,18 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
-    out_data = xhat * gamma.data
+    gd = gamma.data
+    out_data = xhat * gd
     out_data += beta.data
 
-    def fn(g: np.ndarray) -> None:
+    def fn(g: np.ndarray, x, gamma, beta) -> None:
         if gamma.requires_grad:
             _accumulate(gamma, (g * xhat).reshape(-1, d).sum(axis=0))
         if beta.requires_grad:
             _accumulate(beta, g.reshape(-1, d).sum(axis=0))
         if x.requires_grad:
             # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
-            dxhat = g * gamma.data
+            dxhat = g * gd
             m2 = _row_mean(dxhat * xhat, d)
             dxhat -= _row_mean(dxhat, d)
             dxhat -= xhat * m2
@@ -532,7 +573,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float,
             seq.append((r0, r1, m, p))
         blocks.append((q0, q1, shared, k0, k1, seq))
 
-    def fn(g: np.ndarray) -> None:
+    def fn(g: np.ndarray, q, k, v) -> None:
         gh = _heads(g, n_heads)
         dq = np.empty(qd.shape) if q.requires_grad else None
         dk = np.empty(kd.shape) if k.requires_grad else None
@@ -584,21 +625,22 @@ def _matmul_into(dst: np.ndarray, a: np.ndarray, b: np.ndarray, add: bool) -> No
         np.matmul(a, b, out=dst)
 
 
-def _dense(xd: np.ndarray, w: Tensor, b: Tensor | None) -> np.ndarray:
-    """xd @ wᵀ (+ b), a dense layer's output rows, in a new buffer."""
-    out = xd @ w.data.T
+def _dense(xd: np.ndarray, wd: np.ndarray, b: Tensor | None) -> np.ndarray:
+    """xd @ wdᵀ (+ b), a dense layer's output rows, in a new buffer."""
+    out = xd @ wd.T
     if b is not None:
         out += b.data
     return out
 
 
-def _dense_grads(x: Tensor | None, xd: np.ndarray, w: Tensor, b: Tensor | None,
-                 g: np.ndarray) -> None:
-    """Add the gradients of the dense layer _dense(xd, w, b), whose output
-    got g: x's share first, then w's, then b's. x is None when the node
-    computed the input rows xd itself."""
+def _dense_grads(x: Tensor | _Node | None, xd: np.ndarray | None, w: Tensor | _Node,
+                 wd: np.ndarray, b: Tensor | _Node | None, g: np.ndarray) -> None:
+    """Add the gradients of the dense layer _dense(xd, wd, b), whose output
+    got g, into the places x, w and b: x's share first, then w's, then b's.
+    x is None when the node computed the input rows xd itself, and b when
+    the layer has no bias; xd is read only when w requires grad."""
     if x is not None and x.requires_grad:
-        _accumulate(x, g @ w.data, fresh=True)
+        _accumulate(x, g @ wd, fresh=True)
     if w.requires_grad:
         _accumulate(w, (xd.T @ g).T)
     if b is not None and b.requires_grad:
@@ -606,15 +648,21 @@ def _dense_grads(x: Tensor | None, xd: np.ndarray, w: Tensor, b: Tensor | None,
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ wᵀ (+ b) as one tape node; x is (n, d_in), w (d_out, d_in) and b (d_out,)."""
+    """x @ wᵀ (+ b) as one tape node; x is (n, d_in), w (d_out, d_in) and b (d_out,).
+
+    The node keeps w's values, and x's only when w requires grad.
+    """
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
         raise ShapeError(f"linear expects x (n, d_in) and w (d_out, d_in), "
                          f"got {x.data.shape} and {w.data.shape}")
+    wd = w.data
+    out_data = _dense(x.data, wd, b)
+    xd = x.data if w.requires_grad else None
 
-    def fn(g: np.ndarray) -> None:
-        _dense_grads(x, x.data, w, b, g)
+    def fn(g: np.ndarray, x, w, *bias) -> None:
+        _dense_grads(x, xd, w, wd, bias[0] if bias else None, g)
 
-    return _make(_dense(x.data, w, b), (x, w) if b is None else (x, w, b), fn)
+    return _make(out_data, (x, w) if b is None else (x, w, b), fn)
 
 
 def lora_linear(x: Tensor, w: Tensor, b: Tensor, down: Tensor, up: Tensor,
@@ -623,9 +671,9 @@ def lora_linear(x: Tensor, w: Tensor, b: Tensor, down: Tensor, up: Tensor,
     bit for bit: a low-rank adapter's down (r, d_in) and up (d_out, r) on a
     linear layer's w (d_out, d_in) and b (d_out,).
 
-    The node keeps x and the (n, r) rows x @ downᵀ, and adds into x's
-    gradient the base layer's share first, then the adapter's, as the five
-    nodes it replaces do.
+    The node keeps x's values and the (n, r) rows x @ downᵀ, and adds into
+    x's gradient the base layer's share first, then the adapter's, as the
+    five nodes it replaces do.
     """
     r = down.data.shape[0]
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1] \
@@ -633,18 +681,19 @@ def lora_linear(x: Tensor, w: Tensor, b: Tensor, down: Tensor, up: Tensor,
         raise ShapeError(f"lora_linear expects x (n, d_in), w (d_out, d_in), down (r, d_in) "
                          f"and up (d_out, r), got {x.data.shape}, {w.data.shape}, "
                          f"{down.data.shape} and {up.data.shape}")
-    out_data = _dense(x.data, w, b)
-    low = _dense(x.data, down, None)
-    delta = _dense(low, up, None)
+    xd, wd, downd, upd = x.data, w.data, down.data, up.data
+    out_data = _dense(xd, wd, b)
+    low = _dense(xd, downd, None)
+    delta = _dense(low, upd, None)
     delta *= scale
     out_data += delta
 
-    def fn(g: np.ndarray) -> None:
-        _dense_grads(x, x.data, w, b, g)
+    def fn(g: np.ndarray, x, w, b, down, up) -> None:
+        _dense_grads(x, xd, w, wd, b, g)
         g_delta = g * scale
-        _dense_grads(None, low, up, None, g_delta)
+        _dense_grads(None, low, up, upd, None, g_delta)
         if x.requires_grad or down.requires_grad:
-            _dense_grads(x, x.data, down, None, g_delta @ up.data)
+            _dense_grads(x, xd, down, downd, None, g_delta @ upd)
 
     return _make(out_data, (x, w, b, down, up), fn)
 
@@ -679,7 +728,7 @@ def cross_entropy_masked(logits: Tensor, targets, mask) -> Tensor:
     count = int(mask.sum())
     out_data = (nll * mask).sum() / count
 
-    def fn(g: np.ndarray) -> None:
+    def fn(g: np.ndarray, logits) -> None:
         if logits.requires_grad:
             d = e / sum_e
             d[np.arange(t_len), targets] -= 1.0
@@ -698,20 +747,21 @@ def backward(loss: Tensor) -> None:
     release the graph as the walk goes.
 
     Once a node's closure has run, the node drops its gradient, closure and
-    parents, so its inputs are freed as soon as no unwalked node refers to
-    them; leaves (parameters) keep their gradients. A second backward over
-    a released graph raises. Leaf gradients accumulate additively across
-    uses and across calls on fresh graphs; clearing is the caller's job
-    (adam_step does it after each update).
+    parents, so the arrays its closure kept are freed as soon as no unwalked
+    node refers to them; leaves (parameters) keep their gradients. A second
+    backward over a released graph raises. Leaf gradients accumulate
+    additively across uses and across calls on fresh graphs; clearing is the
+    caller's job (adam_step does it after each update).
     """
     if loss.data.shape != ():
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
         return
 
-    order: list[Tensor] = []
+    root = loss if loss._node is None else loss._node
+    order: list[Tensor | _Node] = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[Tensor | _Node, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -725,7 +775,7 @@ def backward(loss: Tensor) -> None:
             if id(parent) not in visited:
                 stack.append((parent, False))
 
-    _accumulate(loss, np.ones(()))
+    _accumulate(root, np.ones(()))
     while order:
         node = order.pop()
         fn = node._backward_fn
@@ -735,7 +785,7 @@ def backward(loss: Tensor) -> None:
             raise RuntimeError("backward: this graph was already back-propagated and "
                                "released; record a fresh forward to back-propagate again")
         if node.grad is not None:
-            fn(node.grad)
+            fn(node.grad, *node._parents)
         node.grad = None
         node._parents = ()
         node._backward_fn = _RELEASED

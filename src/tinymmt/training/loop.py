@@ -9,8 +9,12 @@ prefix's keys and values. No row is padding, and the pooled loss and
 gradients equal those of forwarding each sample alone up to rounding.
 A training step back-propagates each group as soon as its forward ends,
 scaled by the batch's scored-position count, and backward releases the
-group's graph as it walks, so one group's graph is alive at a time; the
-gradients are bitwise those of one backward over the batch's summed loss.
+group's graph as it walks. A group's backward runs on a worker thread
+while the calling thread builds the next group's forward (a forward only
+reads parameters and a backward only writes gradients), so at most two
+groups' graphs are alive at a time. Each backward starts only after the one
+before it has returned, and the last group's runs on the calling thread, so
+the gradients are bitwise those of one backward over the batch's summed loss.
 Determinism: all shuffling flows from the stage seed, and component digests
 are recorded before and after each stage so freezing is bit-checkable.
 """
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import json
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -120,7 +125,7 @@ def _group_terms(model: MultimodalModel, batch: Sequence[_Sample]) -> Iterator[T
 
     Samples are grouped by image id, in order of first appearance; a group
     projects its image once and runs as one packed loss call. A training
-    step back-propagates each term before the next group's forward builds.
+    step starts each term's backward before the next group's forward builds.
     """
     groups: dict[str | None, list[_Sample]] = {}
     for sample in batch:
@@ -131,6 +136,13 @@ def _group_terms(model: MultimodalModel, batch: Sequence[_Sample]) -> Iterator[T
         loss, count = model.loss(*(model.assemble_sequence(s.prompt_ids, visual, s.response_ids)
                                    for s in group))
         yield loss * float(count)
+
+
+def _quiet_backward(loss: Tensor) -> None:
+    """backward(loss) on the worker thread; numpy's error state is per
+    thread, and a diverging step is reported by the non-finite check."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        backward(loss)
 
 
 def _scored_count(batch: Sequence[_Sample]) -> int:
@@ -193,43 +205,53 @@ def _train_stage(model: MultimodalModel, dataset: Sequence[PromptInstance],
 
     step = 0
     done = False
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(samples))
-        for start in range(0, len(samples), cfg.batch_size):
-            batch = [samples[i] for i in order[start: start + cfg.batch_size]]
-            count = _scored_count(batch)
-            summed = 0.0
-            # a diverging step is reported by the non-finite check below
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                for term in _group_terms(model, batch):
-                    backward(term * (1.0 / count))
-                    summed += float(term.data)
-            loss_value = summed / count
-            step += 1
-            non_finite = None
-            for name in trainable:
-                # a trainable parameter the batch never touched (e.g. the
-                # adapter under text-only data) has gradient exactly zero
-                p = model.params[name]
-                if p.grad is None:
-                    p.grad = np.zeros_like(p.data)
-                elif non_finite is None and not np.isfinite(p.grad).all():
-                    non_finite = name
-            if non_finite is not None or not np.isfinite(loss_value):
-                raise TinymmtError(
-                    f"step {step}: non-finite training values, batch loss {loss_value}, "
-                    f"first non-finite gradient {non_finite or 'none'}; batch source ids "
-                    f"{[s.source_id for s in batch]}; stopped before the update")
-            adam_step(model.params, state)
-            log.steps.append({"step": step, "epoch": epoch + 1, "loss": loss_value})
-            if cfg.max_steps is not None and step >= cfg.max_steps:
-                done = True
+    # one worker per stage: a group's backward overlaps the next group's forward
+    with ThreadPoolExecutor(1) as worker:
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(len(samples))
+            for start in range(0, len(samples), cfg.batch_size):
+                batch = [samples[i] for i in order[start: start + cfg.batch_size]]
+                count = _scored_count(batch)
+                last = len({s.image_id for s in batch}) - 1  # _group_terms' last group
+                summed = 0.0
+                pending = None  # the previous group's backward, on the worker
+                # a diverging step is reported by the non-finite check below
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    for i, term in enumerate(_group_terms(model, batch)):
+                        summed += float(term.data)
+                        scaled = term * (1.0 / count)
+                        if pending is not None:
+                            pending.result()
+                        if i < last:
+                            pending = worker.submit(_quiet_backward, scaled)
+                        else:
+                            backward(scaled)
+                loss_value = summed / count
+                step += 1
+                non_finite = None
+                for name in trainable:
+                    # a trainable parameter the batch never touched (e.g. the
+                    # adapter under text-only data) has gradient exactly zero
+                    p = model.params[name]
+                    if p.grad is None:
+                        p.grad = np.zeros_like(p.data)
+                    elif non_finite is None and not np.isfinite(p.grad).all():
+                        non_finite = name
+                if non_finite is not None or not np.isfinite(loss_value):
+                    raise TinymmtError(
+                        f"step {step}: non-finite training values, batch loss {loss_value}, "
+                        f"first non-finite gradient {non_finite or 'none'}; batch source ids "
+                        f"{[s.source_id for s in batch]}; stopped before the update")
+                adam_step(model.params, state)
+                log.steps.append({"step": step, "epoch": epoch + 1, "loss": loss_value})
+                if cfg.max_steps is not None and step >= cfg.max_steps:
+                    done = True
+                    break
+            if val_samples:
+                log.val_losses.append({"epoch": epoch + 1,
+                                       "val_loss": _pooled_loss(model, val_samples)})
+            if done:
                 break
-        if val_samples:
-            log.val_losses.append({"epoch": epoch + 1,
-                                   "val_loss": _pooled_loss(model, val_samples)})
-        if done:
-            break
 
     log.digests_post = model.params.component_digests()
     log.wall_clock_s = time.monotonic() - started

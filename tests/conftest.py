@@ -92,8 +92,8 @@ def tiny_mm_setup():
 
 def tape_sum(x: Tensor) -> Tensor:
     """Sum of every element of x as a tape node, so a test can reduce to a scalar loss."""
-    def fn(g):
+    def fn(g, x):
         if x.requires_grad:
-            _accumulate(x, np.broadcast_to(g, x.data.shape))
+            _accumulate(x, np.broadcast_to(g, x.shape))
 
     return _make(np.asarray(x.data.sum()), (x,), fn)

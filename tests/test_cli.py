@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import unicodedata
 from pathlib import Path
 
 import numpy as np
@@ -770,6 +771,38 @@ def test_raw_sentences_are_nfc_normalized_as_tsv_sentences_are(tmp_path, capsys)
     composed, decomposed, end = hyp.read_text(encoding="utf-8").split("\n")
     assert composed == decomposed and end == ""
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["tokens"] > 0
+
+
+def test_an_nfd_instance_file_trains_and_decodes_as_its_nfc_original(tmp_path, capsys):
+    # every prompt starts "café ", composed (U+00E9) in one tree and
+    # decomposed (e + U+0301) in the other; both trees read as one text
+    config = write_fixture_tree(tmp_path, n_train=4, n_eval=2, seed=6)
+    assert main(["prepare-data", "--config", str(config)]) == 0
+    outputs = {}
+    for form in ("NFC", "NFD"):
+        tree = tmp_path / form
+        instances = tree / "run" / "instances"
+        instances.mkdir(parents=True)
+        for src in (tmp_path / "run" / "instances").glob("*.jsonl"):
+            lines = []
+            for line in src.read_text(encoding="utf-8").splitlines():
+                d = json.loads(line)
+                d["prompt"] = unicodedata.normalize(form, "caf\u00e9 " + d["prompt"])
+                d["response"] = unicodedata.normalize(form, d["response"])
+                lines.append(json.dumps(d, ensure_ascii=False) + "\n")
+            (instances / src.name).write_text("".join(lines), encoding="utf-8")
+        assert ("cafe\u0301 " in (instances / "mmt.hi.train.jsonl").read_text(encoding="utf-8")) \
+            == (form == "NFD")
+        (tree / "config.json").write_text(config.read_text())
+        assert main(["train", "--config", str(tree / "config.json")]) == 0
+        hyp = tree / "hyp.txt"
+        assert main(["generate", "--checkpoint", str(tree / "run" / "stage3.ckpt"),
+                     "--input", str(instances / "mmt.hi.test.jsonl"), "--out", str(hyp),
+                     "--max-new-tokens", "4"]) == 0
+        outputs[form] = [(tree / "run" / f"stage{s}.ckpt").read_bytes() for s in (1, 2, 3)]
+        outputs[form].append(hyp.read_bytes())
+    capsys.readouterr()
+    assert outputs["NFD"] == outputs["NFC"]
 
 
 @pytest.mark.parametrize("raw", [True, False], ids=["raw-sentences", "jsonl"])

@@ -50,8 +50,10 @@ def _square_with_grad_scaled(scale):
     """sum(x * x) whose backward is off by the factor `scale`."""
 
     def f(t):
-        def fn(g):
-            _accumulate(t, g * 2.0 * t.data * scale)
+        td = t.data
+
+        def fn(g, t):
+            _accumulate(t, g * 2.0 * td * scale)
 
         return tape_sum(_make(t.data * t.data, (t,), fn))
 

@@ -1,6 +1,7 @@
 """Every function in src/tinymmt has a product caller.
 
-One small pipeline runs through `main` under `sys.setprofile`: criterion
+One small pipeline runs through `main` under `sys.setprofile` and
+`threading.setprofile`, so a worker thread's calls count too: criterion
 10's commands, `generate` on each task's test file and with `--no-image`, a
 LoRA stage 3, a stage with `mix_cap`, `sweep`, `report`, and `evaluate` on
 multi-word hypotheses, one file of them capitalised and punctuated. Then
@@ -17,6 +18,7 @@ import ast
 import json
 import struct
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -134,13 +136,17 @@ def _reached(commands) -> set[tuple[Path, int, str]]:
         if event == "call":
             codes[id(frame.f_code)] = frame.f_code
 
-    previous = sys.getprofile()
+    # threading's hook covers the threads a command starts, such as the
+    # worker that runs a training step's backward
+    previous, previous_threads = sys.getprofile(), threading.getprofile()
     sys.setprofile(profile)
+    threading.setprofile(profile)
     try:
         for argv, code in commands:
             assert main(argv) == code, argv
     finally:
         sys.setprofile(previous)
+        threading.setprofile(previous_threads)
     return {(Path(c.co_filename).resolve(), c.co_firstlineno, c.co_name)
             for c in codes.values()}
 

@@ -1,4 +1,5 @@
 import operator
+import weakref
 
 import numpy as np
 import pytest
@@ -180,6 +181,34 @@ class TestBackward:
             with pytest.raises(RuntimeError, match="released"):
                 backward(again)
         assert x.grad.tobytes() == gx.tobytes() and w.grad.tobytes() == gw.tobytes()
+
+    def test_the_tape_keeps_no_value_its_backward_does_not_read(self):
+        # a residual block: add's backward reads neither operand, layer
+        # norm's reads its own normalized rows, linear's reads its input
+        rng = np.random.default_rng(5)
+        x0, w0 = rng.normal(size=(4, 3)), rng.normal(size=(3, 3))
+        gamma, beta = Tensor(np.ones(3), requires_grad=True), Tensor(np.zeros(3))
+
+        def block(x, w):
+            a = x * 2.0
+            s = a + linear(a, w)
+            return a, s, tape_sum(layer_norm(s, gamma, beta))
+
+        kept = [Tensor(x0, requires_grad=True), Tensor(w0, requires_grad=True)]
+        loss = block(*kept)[2]
+        backward(loss)
+        expected = [t.grad for t in kept + [gamma]]
+        gamma.grad = None
+
+        x, w = Tensor(x0, requires_grad=True), Tensor(w0, requires_grad=True)
+        a, s, loss = block(x, w)
+        read, unread = weakref.ref(a.data), weakref.ref(s.data)
+        del a, s
+        assert loss._parents  # the graph is alive
+        assert unread() is None and read() is not None
+        backward(loss)
+        for t, g in zip((x, w, gamma), expected):
+            assert t.grad.tobytes() == g.tobytes()
 
     def test_leaf_gradients_accumulate_across_fresh_graphs(self):
         x = Tensor([1.5, -0.5], requires_grad=True)

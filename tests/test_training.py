@@ -1,5 +1,8 @@
 import dataclasses
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -259,15 +262,20 @@ def _one_walk(model, batch):
     return float(summed.data) / total, total
 
 
+def multi_group_instances():
+    """mmt samples of images A, B, A, C, B, A and two text-only samples: in
+    one batch, groups of 3, 2 and 1 samples and a text-only group of 2."""
+    records = make_records(6, seed=12)
+    mmt = [dataclasses.replace(inst, image_id=image_id) for inst, image_id in
+           zip(make_instances(records, "mmt"), ["A", "B", "A", "C", "B", "A"])]
+    text = make_instances(make_records(2, seed=13), "text_only")
+    return mmt[:2] + text[:1] + mmt[2:5] + text[1:] + mmt[5:]
+
+
 class TestPerGroupBackward:
     @pytest.mark.parametrize("mode", ["full", "lora"])
     def test_gradients_and_loss_bitwise_equal_one_walk(self, monkeypatch, mode):
-        # mmt groups of 3, 2 and 1 samples and a text-only group of 2
-        records = make_records(6, seed=12)
-        mmt = [dataclasses.replace(inst, image_id=image_id) for inst, image_id in
-               zip(make_instances(records, "mmt"), ["A", "B", "A", "C", "B", "A"])]
-        text = make_instances(make_records(2, seed=13), "text_only")
-        instances = mmt[:2] + text[:1] + mmt[2:5] + text[1:] + mmt[5:]
+        instances = multi_group_instances()
         model = build_model(instances, seed=9, c_total=512)
         if mode == "lora":
             lora_attach(model)
@@ -306,9 +314,10 @@ class TestPerGroupBackward:
             assert grad.tobytes() == reference.params[name].grad.tobytes(), name
 
     def test_a_step_holds_one_group_graph_at_a_time(self):
-        # four single-sample image groups against one; with one backward over
-        # the summed loss, every group's graph lives to the end of the step
-        # and the ratio is ~3.2
+        # four single-sample image groups against one: a group's backward
+        # overlaps the next group's forward, so at most two groups' graphs
+        # are alive at once; with one backward over the summed loss, every
+        # group's graph lives to the end of the step and the ratio is ~3.2
         instances = make_instances(make_records(4, seed=21), "mmt")
 
         def peak(n):
@@ -322,6 +331,102 @@ class TestPerGroupBackward:
                 tracemalloc.stop()
 
         assert peak(4) < 2 * peak(1)
+
+
+class _InlineExecutor:
+    """ThreadPoolExecutor's part the training loop uses, running each call
+    on the caller's thread as it is submitted."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestOverlappedBackward:
+    """A group's backward runs on the stage's worker thread while the
+    calling thread builds the next group's forward."""
+
+    def _run(self, instances, **cfg):
+        model = build_model(instances, seed=9, c_total=512)
+        return run_stage(model, instances, StageConfig(stage=2, seed=1, **cfg))
+
+    def test_every_backward_but_the_last_runs_on_the_worker(self, monkeypatch):
+        threads = []
+
+        def recording(loss):
+            threads.append(threading.get_ident())
+            backward(loss)
+
+        monkeypatch.setattr(loop, "backward", recording)
+        instances = multi_group_instances()
+        self._run(instances, batch_size=len(instances), max_steps=1)
+        caller = threading.get_ident()
+        assert len(threads) == 4
+        assert caller not in threads[:-1] and threads[-1] == caller
+        # every text-only sample is one group, so no backward leaves the caller
+        threads.clear()
+        text = [inst for inst in instances if inst.image_id is None]
+        self._run(text, batch_size=len(text), max_steps=1)
+        assert threads == [caller]
+
+    def test_the_worker_is_gone_after_the_stage(self, monkeypatch):
+        start = threading.active_count()
+        instances = multi_group_instances()
+        self._run(instances, batch_size=4, epochs=2)
+        assert threading.active_count() == start
+        # a diverging stage stops on its non-finite check
+        with pytest.raises(TinymmtError, match="non-finite"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            self._run(instances, batch_size=4, epochs=2, lr=1e300)
+        assert threading.active_count() == start
+        # a forward that raises while the group before it back-propagates
+        # waits for that backward to return
+        finished = []
+        group_terms = loop._group_terms
+
+        def walked(loss):
+            backward(loss)
+            finished.append(threading.get_ident())
+
+        def failing(model, batch):
+            yield next(group_terms(model, batch))
+            raise RuntimeError("forward failed")
+
+        monkeypatch.setattr(loop, "backward", walked)
+        monkeypatch.setattr(loop, "_group_terms", failing)
+        with pytest.raises(RuntimeError, match="forward failed"):
+            self._run(instances, batch_size=len(instances))
+        assert len(finished) == 1 and finished[0] != threading.get_ident()
+        assert threading.active_count() == start
+
+    def test_the_overlap_changes_no_bit(self, monkeypatch, tmp_path):
+        def train(out):
+            instances = multi_group_instances()
+            model = build_model(instances, seed=9, c_total=512)
+            cfg = StageConfig(stage=2, seed=1, batch_size=4, epochs=2)
+            _, (log,) = run_pipeline(model, [cfg], {2: instances}, out)
+            return [s["loss"] for s in log.steps], (out / "stage2.ckpt").read_bytes()
+
+        # switching threads every few microseconds interleaves the worker's
+        # backward with the next forward as finely as the interpreter can
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            overlapped = train(tmp_path / "overlapped")
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(loop, "ThreadPoolExecutor", _InlineExecutor)
+        assert train(tmp_path / "inline") == overlapped
 
 
 class TestPipeline:
