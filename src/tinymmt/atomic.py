@@ -52,8 +52,13 @@ def read_text(path, error: type[Exception] = DataError) -> str:
 def read_lines(path) -> list[str]:
     """A text file's lines, broken only at line endings (\\n, \\r\\n or \\r),
     not at the other breaks str.splitlines() knows (\\x0c, \\x85, U+2028, ...).
-    A final line ending ends the last line, it does not start one."""
-    lines = read_text(path).split("\n")
+    A final line ending ends the last line, it does not start one. A leading
+    byte order mark raises DataError: it would join the first line's first word."""
+    text = read_text(path)
+    if text.startswith("\ufeff"):
+        raise DataError(f"{path}:1: starts with a byte order mark (U+FEFF); "
+                        "save the file as UTF-8 without one")
+    lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
     return lines

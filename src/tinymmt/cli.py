@@ -237,7 +237,7 @@ def cmd_generate(args) -> int:
         if args.task is not None:
             instances = [inst for inst in instances if inst.task == args.task]
         if args.no_image:
-            instances = [dataclasses.replace(inst, image_id=None) for inst in instances]
+            instances = [inst._replace(image_id=None) for inst in instances]
 
     decoded = decode_instances(model, instances, max_new_tokens=args.max_new_tokens)
     hyps = [model.vocab.decode(ids) for ids, _ in decoded]

@@ -7,8 +7,9 @@ Detector output is one JSON file per image: a list of
 Instruction data is JSON-lines, one instance per line with fields
 {task, prompt, response, lang, image_id?, source_id}.
 
-Records are plain frozen values: the reader that builds one from outside
-input (parse_vg_tsv, read_detection_file, read_instances) is its one check.
+Records are plain immutable values (named tuples, whose construction costs
+half a frozen dataclass's): the reader that builds one from outside input
+(parse_vg_tsv, read_detection_file, read_instances) is its one check.
 BoundingBox alone checks itself, for the two readers that build boxes.
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring as _json_str  # the C encoder json.dumps uses
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 from unicodedata import normalize
 
 from tinymmt.atomic import NUMBER, atomic_write, json_fields, parse_json, read_text
@@ -47,8 +48,7 @@ class BoundingBox:
         return self.w * self.h
 
 
-@dataclass(frozen=True)
-class VgRecord:
+class VgRecord(NamedTuple):
     image_id: str
     box: BoundingBox
     english: str
@@ -57,15 +57,13 @@ class VgRecord:
     split: str
 
 
-@dataclass(frozen=True)
-class DetectedObject:
+class DetectedObject(NamedTuple):
     label: str
     box: BoundingBox
     confidence: float
 
 
-@dataclass(frozen=True)
-class PromptInstance:
+class PromptInstance(NamedTuple):
     task: str
     prompt: str
     response: str

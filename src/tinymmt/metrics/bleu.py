@@ -8,13 +8,25 @@ with an empty pooled denominator (no hypothesis provides an n-gram that
 long) drop out of the mean, so a one-token corpus is scored on unigrams
 alone. The optional epsilon smoothing floors zero precisions instead, which
 keeps tiny desk corpora comparable.
+
+The counts are integers, taken for the whole corpus in one pass per order.
+The hypothesis tokens, then the reference tokens, lie in one flat array of
+token ids. An n-gram's id is the rank of the pair (id of the (n-1)-gram at
+the same start, id of its next token) among its order's pairs, and order
+0's id is the sentence index, so two n-grams share an id exactly when they
+are equal and lie in the same sentence pair. An order's clipped matches are
+the sum over its ids of min(hypothesis count, reference count), and its
+total is the number of hypothesis n-grams.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from typing import Sequence
+
+import numpy as np
 
 from tinymmt.errors import DataError
 
@@ -23,7 +35,19 @@ SMOOTH_EPS = 1e-9
 
 
 def ngram_counts(tokens: Sequence[str], n: int) -> Counter:
+    """One sentence's n-grams with their counts, the textbook form of what
+    bleu counts."""
     return Counter(tuple(tokens[i: i + n]) for i in range(len(tokens) - n + 1))
+
+
+def _rank(keys: np.ndarray) -> int:
+    """Replace each key, in place, by its rank among the distinct keys, and
+    return how many distinct keys there are."""
+    order = np.argsort(keys)
+    rank = np.cumsum(np.diff(keys[order]) != 0)
+    keys[order[0]] = 0
+    keys[order[1:]] = rank
+    return int(keys[order[-1]]) + 1
 
 
 def bleu(hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]],
@@ -34,42 +58,46 @@ def bleu(hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]],
     if not hyps:
         raise DataError("empty corpus")
 
-    matches = [0] * (MAX_N + 1)
-    totals = [0] * (MAX_N + 1)
-    hyp_len = 0
-    ref_len = 0
-    for hyp, ref in zip(hyps, refs):
-        hyp_len += len(hyp)
-        ref_len += len(ref)
-        hg, rg = hyp, ref
-        for n in range(1, MAX_N + 1):
-            if n > 1:
-                # order n's grams are order n-1's, each zipped with its next token
-                hg = list(zip(hg, hyp[n - 1:]))
-                rg = list(zip(rg, ref[n - 1:]))
-            if not hg:
-                break
-            totals[n] += len(hg)
-            distinct = set(hg)
-            if len(distinct) == len(hg):
-                # each hypothesis n-gram occurs once, so its clipped count
-                # min(1, ref count) is 1 exactly when the reference holds it
-                matches[n] += len(distinct.intersection(rg))
-            else:
-                matches[n] += sum((ngram_counts(hyp, n) & ngram_counts(ref, n)).values())
-
-    orders = [n for n in range(1, MAX_N + 1) if totals[n] > 0]
-    if not orders or hyp_len == 0:
+    sentences = [*hyps, *refs]  # the hypothesis tokens come first in the flat arrays
+    lengths = np.fromiter(map(len, sentences), np.int64, count=len(sentences))
+    hyp_len = int(lengths[:len(hyps)].sum())
+    ref_len = int(lengths[len(hyps):].sum())
+    if hyp_len == 0:
         return 0.0
 
+    size = hyp_len + ref_len
+    first = {}  # a token's id is the flat position of its first occurrence
+    ids = np.fromiter(map(first.setdefault, itertools.chain.from_iterable(sentences),
+                          itertools.count()), np.int64, count=size)
+    # per position: the number of tokens from it to its sentence's end
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(size)
+
+    starts = np.arange(size)  # the start of every n-gram of the current order
+    grams = np.repeat(np.tile(np.arange(len(hyps)), 2), lengths)  # order 0: the sentence
+    precisions = []
+    for n in range(1, MAX_N + 1):
+        if n > 1:
+            keep = left[starts] >= n
+            starts, grams = starts[keep], grams[keep]
+        n_hyp = int(np.searchsorted(starts, hyp_len))  # hypothesis n-grams in the order
+        if n_hyp == 0:
+            break
+        # the pair (id of the (n-1)-gram, id of the next token) as one integer,
+        # below max(len(hyps), size) * size, which int64 holds up to ~3e9 tokens
+        grams *= size
+        grams += ids[starts + n - 1]
+        n_distinct = _rank(grams)
+        matches = np.minimum(np.bincount(grams[:n_hyp], minlength=n_distinct),
+                             np.bincount(grams[n_hyp:], minlength=n_distinct)).sum()
+        precisions.append(int(matches) / n_hyp)
+
     log_sum = 0.0
-    for n in orders:
-        p = matches[n] / totals[n]
+    for p in precisions:
         if p == 0.0:
             if not smooth:
                 return 0.0
             p = SMOOTH_EPS
         log_sum += math.log(p)
-    geo_mean = math.exp(log_sum / len(orders))
+    geo_mean = math.exp(log_sum / len(precisions))
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     return 100.0 * bp * geo_mean

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import unicodedata
@@ -466,11 +465,18 @@ def test_generate_text_only_mode_reserves_no_visual_slots(fixture_tree, tmp_path
     assert (prefix.ids == IMG).sum() == 0
 
 
-@pytest.mark.parametrize("which, content", [
-    ("hyp", None), ("ref", None), ("hyp", "caf\xe9\n".encode("latin-1")),
-    ("ref", b"\xff\xfe\n"),
-], ids=["missing-hyp", "missing-ref", "non-utf8-hyp", "non-utf8-ref"])
-def test_evaluate_input_errors_exit_3(tmp_path, capsys, which, content):
+# read as text, a leading byte order mark joins the first word: "red cat"
+# against itself so prefixed scored BLEU 0.0 and RIBES 0.0 with exit 0
+_BOM = ":1: starts with a byte order mark (U+FEFF)"
+
+
+@pytest.mark.parametrize("which, content, named", [
+    ("hyp", None, ""), ("ref", None, ""), ("hyp", "caf\xe9\n".encode("latin-1"), ""),
+    ("ref", b"\xff\xfe\n", ""),
+    ("hyp", "\ufeffred cat\n".encode("utf-8"), _BOM),
+    ("ref", "\ufeffred cat\n".encode("utf-8"), _BOM),
+], ids=["missing-hyp", "missing-ref", "non-utf8-hyp", "non-utf8-ref", "bom-hyp", "bom-ref"])
+def test_evaluate_input_errors_exit_3(tmp_path, capsys, which, content, named):
     paths = {"hyp": tmp_path / "hyp.txt", "ref": tmp_path / "ref.txt"}
     for name, path in paths.items():
         if name != which:
@@ -479,7 +485,9 @@ def test_evaluate_input_errors_exit_3(tmp_path, capsys, which, content):
             path.write_bytes(content)
     assert main(["evaluate", "--hyp", str(paths["hyp"]), "--ref", str(paths["ref"]),
                  "--lang", "hi", "--out", str(tmp_path / "report.json")]) == 3
-    assert str(paths[which]) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{paths[which]}{named}" in err
+    assert_structured(err)
     assert not (tmp_path / "report.json").exists()
 
 
@@ -667,7 +675,7 @@ def test_sweep_rejects_an_overlong_validation_reference_before_training(stage2_t
     monkeypatch.setattr(sweep_module, "run_stage", lambda *args, **kw: trained.append(args))
     (inst,) = read_instances(stage2_tree / "run" / "instances" / "text_only.hi.valid.jsonl")[:1]
     write_instances(stage2_tree / "long_val.jsonl",
-                    [dataclasses.replace(inst, response="\u0915" * 450, source_id="long-ref")])
+                    [inst._replace(response="\u0915" * 450, source_id="long-ref")])
     raw = json.loads((stage2_tree / "config.json").read_text())
     raw["train"]["val"] = ["long_val.jsonl"]
     config = stage2_tree / "long_val_config.json"
@@ -688,7 +696,7 @@ def test_train_checks_every_sample_fits_before_the_first_step(fixture_tree, tmp_
     run = tmp_path / "run"
     (inst,) = read_instances(run / "instances" / "text_only.hi.valid.jsonl")[:1]
     write_instances(tmp_path / "long.jsonl",
-                    [dataclasses.replace(inst, response="\u0915" * 600, source_id="long")])
+                    [inst._replace(response="\u0915" * 600, source_id="long")])
     raw = json.loads(fixture_tree.read_text())
     if where == "train":
         raw["train"]["stages"][2]["data"].append("long.jsonl")
@@ -738,7 +746,7 @@ def text_only_checkpoint(path, extra_symbols=""):
     """A small untrained model saved to `path`; its vocabulary covers the
     text-only prompts over WORDS and `extra_symbols`."""
     instances = make_instances(make_records(4, seed=1), "text_only")
-    instances.append(dataclasses.replace(instances[0], response=extra_symbols))
+    instances.append(instances[0]._replace(response=extra_symbols))
     save_checkpoint(build_model(instances, seed=2, c_total=256), path)
     return path
 
@@ -757,6 +765,21 @@ def test_raw_sentences_break_lines_where_evaluate_does(tmp_path, capsys):
     ref.write_text("लाल बिल्ली\nनीला कुत्ता\n", encoding="utf-8")
     assert main(["evaluate", "--hyp", str(hyp), "--ref", str(ref), "--lang", "hi"]) == 0
     assert json.loads(capsys.readouterr().out)["n_sentences"] == 2
+
+
+def test_raw_sentences_reject_a_leading_byte_order_mark(tmp_path, capsys):
+    # the vocabulary holds U+FEFF, so the mark would decode as part of line 1
+    ckpt = text_only_checkpoint(tmp_path / "m.ckpt", "\ufeff")
+    sentences = tmp_path / "s.txt"
+    sentences.write_text("\ufeffred cat\nblue dog\n", encoding="utf-8")
+    hyp = tmp_path / "h.txt"
+    assert main(["generate", "--checkpoint", str(ckpt), "--input", str(sentences),
+                 "--out", str(hyp), "--raw-sentences", "--lang", "hi",
+                 "--max-new-tokens", "3"]) == 3
+    err = capsys.readouterr().err
+    assert f"{sentences}{_BOM}" in err
+    assert_structured(err)
+    assert not hyp.exists()
 
 
 def test_raw_sentences_are_nfc_normalized_as_tsv_sentences_are(tmp_path, capsys):
@@ -814,7 +837,7 @@ def test_generate_oov_error_names_the_instance(tmp_path, capsys, raw):
         named, flags = repr(f"{source}:2"), ["--raw-sentences", "--lang", "hi"]
     else:
         instances = make_instances(make_records(2, seed=1), "text_only")
-        instances[1] = dataclasses.replace(instances[1], prompt=instances[1].prompt + "\u03a9")
+        instances[1] = instances[1]._replace(prompt=instances[1].prompt + "\u03a9")
         source = tmp_path / "s.jsonl"
         write_instances(source, instances)
         named, flags = repr(instances[1].source_id), []
@@ -846,7 +869,7 @@ def test_generate_oov_error_names_the_instance(tmp_path, capsys, raw):
         "misspelt-key", "mmt-without-image", "caption-without-image", "text-only-with-image",
         "unknown-task"])
 def test_generate_rejects_a_malformed_instance_record(tmp_path, capsys, mutate, named):
-    record = dataclasses.asdict(make_instances(make_records(1, seed=1), "text_only")[0])
+    record = make_instances(make_records(1, seed=1), "text_only")[0]._asdict()
     source = tmp_path / "s.jsonl"
     source.write_text(json.dumps(record) + "\n" + json.dumps(mutate(record)) + "\n",
                       encoding="utf-8")

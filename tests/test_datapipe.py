@@ -1,5 +1,4 @@
 import codecs
-import dataclasses
 import json
 import re
 import tempfile
@@ -268,7 +267,7 @@ def test_instance_json_equals_json_dumps(image_id):
 @settings(max_examples=200, deadline=None)
 @given(inst=instances(), image_id=st.none() | TEXT)
 def test_instance_json_equals_json_dumps_for_any_text(inst, image_id):
-    inst = dataclasses.replace(inst, image_id=image_id)
+    inst = inst._replace(image_id=image_id)
     d = {"task": inst.task, "prompt": inst.prompt, "response": inst.response,
          "lang": inst.lang, "source_id": inst.source_id}
     if image_id is not None:

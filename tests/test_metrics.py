@@ -351,6 +351,39 @@ class TestMatchesReferenceImplementations:
         hyps, refs = [h for h, _ in pairs], [r for _, r in pairs]
         assert bleu(hyps, refs, smooth=smooth) == _reference_bleu(hyps, refs, smooth)
 
+    @given(st.lists(st.tuples(_SMALL_ALPHABET, _SMALL_ALPHABET), min_size=1, max_size=60),
+           st.integers(0, 59), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_bleu_on_a_corpus(self, pairs, shift, smooth):
+        # empty sentences on either side; with a shift, sentence i's reference
+        # is sentence i+shift's, so most n-grams occur in another pair
+        hyps = [h for h, _ in pairs]
+        refs = [r for _, r in pairs]
+        refs = refs[shift % len(refs):] + refs[:shift % len(refs)]
+        assert bleu(hyps, refs, smooth=smooth) == _reference_bleu(hyps, refs, smooth)
+
+    def test_bleu_matches_no_n_gram_across_sentences(self):
+        # each hypothesis n-gram occurs in the other pair's reference only
+        hyps = [["a", "b", "c", "d"], ["e", "f", "g", "h"]]
+        refs = [["e", "f", "g", "h"], ["a", "b", "c", "d"]]
+        assert bleu(hyps, refs) == _reference_bleu(hyps, refs, False) == 0.0
+        assert bleu(hyps, refs, smooth=True) == _reference_bleu(hyps, refs, True)
+
+    def test_bleu_on_a_large_vocabulary(self):
+        # 60 pairs over 20,400 token types: a key that spelled a 4-gram out
+        # positionally, sentence * V**4 + ..., would pass 2**63
+        width = 340
+        hyps = [[f"w{k}" for k in range(width * s, width * (s + 1))] for s in range(60)]
+        # each reference swaps a run of its hypothesis for the same run of the
+        # next hypothesis, whose n-grams then occur in no reference of their own pair
+        refs = [h[:100] + hyps[(s + 1) % 60][100:150] + h[150:] for s, h in enumerate(hyps)]
+        vocab = {tok for sent in hyps + refs for tok in sent}
+        assert len(vocab) ** 4 * len(hyps) > 2 ** 63
+        for smooth in (False, True):
+            score = bleu(hyps, refs, smooth=smooth)
+            assert score == _reference_bleu(hyps, refs, smooth)
+            assert 0.0 < score < 100.0
+
     @given(_SMALL_ALPHABET, _SMALL_ALPHABET)
     @settings(max_examples=200, deadline=None)
     def test_align_words_and_sentence_ribes(self, hyp, ref):

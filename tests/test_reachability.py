@@ -37,6 +37,8 @@ CRITERION_ONLY = {
     ("numerics/params.py", "ParameterStore.remove"): "03: lora_merge drops the adapters",
     ("numerics/gradcheck.py", "grad_check_params"): "01: full-model gradient fidelity",
     ("numerics/gradcheck.py", "_rel_error"): "01: grad_check_params's per-coordinate error",
+    ("metrics/bleu.py", "ngram_counts"): "08: the clipped unigram precision of 'the the the "
+                                         "the' against 'the cat'",
 }
 
 

@@ -79,7 +79,7 @@ def _all_trainable(model):
 
 
 def _share_images(instances, ids):
-    return [dataclasses.replace(inst, image_id=i) for inst, i in zip(instances, ids)]
+    return [inst._replace(image_id=i) for inst, i in zip(instances, ids)]
 
 
 def _loss_calls(monkeypatch):
@@ -178,8 +178,8 @@ class TestRowsComputed:
 class TestHardEdges:
     def test_overflow_in_second_member_of_a_group_names_it(self):
         instances = make_instances(make_records(3, seed=10), "text_only")
-        long = dataclasses.replace(instances[1], response=instances[1].response * 20,
-                                   source_id="hi/train/long")
+        long = instances[1]._replace(response=instances[1].response * 20,
+                                     source_id="hi/train/long")
         instances = [instances[0], long, instances[2]]
         model = build_model(instances, seed=1, c_total=512)
         small = MultimodalModel(ModelConfig(vocab_size=len(model.vocab), c_total=160),

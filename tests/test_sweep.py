@@ -87,7 +87,7 @@ def test_overlong_validation_reference_rejected_before_any_cell_trains(monkeypat
     # the prompt fits, but prompt + reference + <eos> exceed c_total: every
     # cell's validation loss would fail the same way
     model, train, val = sweep_setup()
-    long = dataclasses.replace(val[0], response="\u0915" * 400, source_id="long-ref")
+    long = val[0]._replace(response="\u0915" * 400, source_id="long-ref")
     assert model.context_room(model.vocab.encode(long.prompt), has_image=False) >= 0
     trained = []
     monkeypatch.setattr(sweep, "run_stage", lambda *args, **kw: trained.append(args))
@@ -105,21 +105,21 @@ def test_empty_grid_rejected():
 
 def test_hypotheses_do_not_depend_on_the_reference():
     model, _, val = sweep_setup()
-    swapped = [dataclasses.replace(inst, response="x" * (5 + 7 * i))
+    swapped = [inst._replace(response="x" * (5 + 7 * i))
                for i, inst in enumerate(val)]
     assert generate_hypotheses(model, swapped) == generate_hypotheses(model, val)
 
 
 def test_long_reference_does_not_overflow_the_budget():
     model, _, val = sweep_setup()
-    inst = dataclasses.replace(val[0], response="क" * 400)
+    inst = val[0]._replace(response="क" * 400)
     assert len(generate_hypotheses(model, [inst])) == 1
 
 
 @pytest.mark.parametrize("cap", [None, 3, 10_000])
 def test_budget_is_the_context_left_capped(cap):
     model, _, val = sweep_setup()
-    raw = dataclasses.replace(val[0], response="", image_id=None)  # as --raw-sentences builds
+    raw = val[0]._replace(response="", image_id=None)  # as --raw-sentences builds
     ((ids, budget),) = decode_instances(model, [raw], max_new_tokens=cap)
     room = model.context_room(model.vocab.encode(raw.prompt), has_image=False)
     assert room > 8
@@ -129,7 +129,7 @@ def test_budget_is_the_context_left_capped(cap):
 
 def test_overlong_validation_prompt_scores_an_empty_hypothesis():
     model, train, val = sweep_setup()
-    long = dataclasses.replace(val[0], prompt=val[0].prompt * 40, source_id="long")
+    long = val[0]._replace(prompt=val[0].prompt * 40, source_id="long")
     assert model.context_room(model.vocab.encode(long.prompt), has_image=False) < 0
     ((ids, budget),) = decode_instances(model, [long])
     assert ids.size == 0 and budget is None

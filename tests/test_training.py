@@ -1,4 +1,3 @@
-import dataclasses
 import sys
 import threading
 import tracemalloc
@@ -138,8 +137,8 @@ class TestRunStage:
     def test_an_overflowing_sample_stops_the_stage_before_its_first_update(self, monkeypatch,
                                                                            where):
         instances = make_instances(make_records(12, seed=12), "text_only")
-        long = dataclasses.replace(instances[0], response=instances[0].response * 40,
-                                   source_id="hi/train/long")
+        long = instances[0]._replace(response=instances[0].response * 40,
+                                     source_id="hi/train/long")
         model = build_model(instances + [long], seed=4, c_total=256)
         length = 3 + len(long.prompt) + len(long.response) + 1  # <bos> <hum> <sys> ... <eos>
         updates = []
@@ -189,7 +188,7 @@ def shared_image_setup():
     """Six mmt instances over three images, as Visual Genome regions share them."""
     records = make_records(6, seed=4)
     shared = ["imgA", "imgB", "imgA", "imgC", "imgB", "imgA"]
-    instances = [dataclasses.replace(inst, image_id=image_id)
+    instances = [inst._replace(image_id=image_id)
                  for inst, image_id in zip(make_instances(records, "mmt"), shared)]
     return build_model(instances, seed=5, c_total=512), instances
 
@@ -206,7 +205,7 @@ class TestFrozenVisionOncePerImage:
 
         monkeypatch.setattr(MultimodalModel, "encode_image", spy)
         cfg = StageConfig(stage=2, seed=3, epochs=2, batch_size=3)
-        val = [dataclasses.replace(instances[0], image_id="imgV")] * 2 + instances[1:2]
+        val = [instances[0]._replace(image_id="imgV")] * 2 + instances[1:2]
         log = run_stage(model, instances, cfg, val_dataset=val)
         assert len(log.steps) == 4 and len(log.val_losses) == 2
         assert log.val_losses[0]["val_loss"] != log.val_losses[1]["val_loss"]
@@ -266,7 +265,7 @@ def multi_group_instances():
     """mmt samples of images A, B, A, C, B, A and two text-only samples: in
     one batch, groups of 3, 2 and 1 samples and a text-only group of 2."""
     records = make_records(6, seed=12)
-    mmt = [dataclasses.replace(inst, image_id=image_id) for inst, image_id in
+    mmt = [inst._replace(image_id=image_id) for inst, image_id in
            zip(make_instances(records, "mmt"), ["A", "B", "A", "C", "B", "A"])]
     text = make_instances(make_records(2, seed=13), "text_only")
     return mmt[:2] + text[:1] + mmt[2:5] + text[1:] + mmt[5:]
