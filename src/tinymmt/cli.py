@@ -383,7 +383,7 @@ def _dispatch(args) -> int:
         if args.command == "prepare-data":
             return cmd_prepare_data(cfg, args.task)
         if args.command == "train":
-            stages = _numbers("--stages", args.stages, int) if args.stages else None
+            stages = None if args.stages is None else _numbers("--stages", args.stages, int)
             return cmd_train(cfg, stages, args.stage3_mode)
         return cmd_sweep(cfg, args.checkpoint, _numbers("--lrs", args.lrs, float),
                          _numbers("--epochs", args.epochs, int))

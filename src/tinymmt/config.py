@@ -99,27 +99,28 @@ def _parse_data(raw: dict) -> DataSection:
 
 def _parse_stage(raw, index: int, master_seed: int) -> StageSpec:
     where = f"train.stages[{index}]"
-    settings = dict(json_fields(raw, _STAGE_FIELDS, where, ConfigError, ("stage", "data")))
+    # a null setting means its default, as an absent one does
+    settings = {key: value for key, value in
+                json_fields(raw, _STAGE_FIELDS, where, ConfigError, ("stage", "data")).items()
+                if value is not None}
     data, mix_cap = settings.pop("data"), settings.pop("mix_cap", None)
     _expect(all(isinstance(p, str) for p in data), f"{where}.data", "expected path strings")
     _expect(len(data) > 0, f"{where}.data", "at least one instance file required")
     for data_file in data:
         _expect_path(f"{where}.data", data_file)
     _expect(mix_cap is None or mix_cap >= 1, where, f"mix_cap must be >= 1, got {mix_cap}")
-    if settings.get("seed") is None:  # derived once the stage number is known to be good
-        settings.pop("seed", None)
     try:
         config = StageConfig(**settings)
     except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from None
-    if "seed" not in settings:
+    if "seed" not in settings:  # derived once the stage number is known to be good
         config.seed = derive_stage_seed(master_seed, config.stage)
     return StageSpec(config=config, data=tuple(data), mix_cap=mix_cap)
 
 
-def load_config(path, seed: int | None = None) -> RunConfig:
-    """Parse and check a run config; `seed` replaces its master seed, and
-    stage seeds derive from the result."""
+def load_config(path, seed: int | None) -> RunConfig:
+    """Parse and check a run config; a `seed` other than None replaces its
+    master seed, and stage seeds derive from the result."""
     path = Path(path)
     raw = json_fields(parse_json(read_text(path, ConfigError), path, ConfigError),
                       _TOP_FIELDS, path, ConfigError, ("out_dir",))

@@ -50,7 +50,7 @@ def _caption_prompt(box: BoundingBox, lang: str, tag) -> str:
             f"in {LANG_NAMES[lang]} language.")
 
 
-def render_prompt(record: VgRecord, task: str, tag: str | Sequence[str] | None = None) -> PromptInstance:
+def render_prompt(record: VgRecord, task: str, tag: str | Sequence[str] | None) -> PromptInstance:
     """Render one record into an instruction instance.
 
     task 'mmt' and 'caption' ground the prompt in the record's bounding box

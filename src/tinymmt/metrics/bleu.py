@@ -3,11 +3,11 @@ brevity penalty (Papineni et al., 2002). Single reference per hypothesis.
 
 score = BP * exp(mean over n of ln p_n) * 100, BP = min(1, e^{1 - r/c}).
 
-Unsmoothed by default: any pooled p_n of zero gives a score of 0. Orders
-with an empty pooled denominator (no hypothesis provides an n-gram that
-long) drop out of the mean, so a one-token corpus is scored on unigrams
-alone. The optional epsilon smoothing floors zero precisions instead, which
-keeps tiny desk corpora comparable.
+Unsmoothed, any pooled p_n of zero gives a score of 0. Orders with an
+empty pooled denominator (no hypothesis provides an n-gram that long) drop
+out of the mean, so a one-token corpus is scored on unigrams alone.
+Epsilon smoothing, which every caller chooses on or off, floors zero
+precisions instead, which keeps tiny desk corpora comparable.
 
 The counts are integers, taken for the whole corpus in one pass per order.
 The hypothesis tokens, then the reference tokens, lie in one flat array of
@@ -51,7 +51,7 @@ def _rank(keys: np.ndarray) -> int:
 
 
 def bleu(hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]],
-         smooth: bool = False) -> float:
+         smooth: bool) -> float:
     """Corpus BLEU in [0, 100] over tokenized sentence pairs."""
     if len(hyps) != len(refs):
         raise DataError(f"hypothesis/reference count mismatch: {len(hyps)} vs {len(refs)}")

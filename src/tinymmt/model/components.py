@@ -13,7 +13,6 @@ import numpy as np
 
 from tinymmt.errors import ShapeError
 from tinymmt.model.config import ModelConfig
-from tinymmt.model.lora import LORA_SCALE
 from tinymmt.numerics.params import ParameterStore
 from tinymmt.numerics.tensor import (
     Segments,
@@ -42,7 +41,7 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         if self.lora is None:
             return linear(x, self.weight, self.bias)
-        return lora_linear(x, self.weight, self.bias, *self.lora, LORA_SCALE)
+        return lora_linear(x, self.weight, self.bias, *self.lora)
 
 
 class LayerNorm:
@@ -84,7 +83,6 @@ class SelfAttention:
     def __init__(self, store: ParameterStore, name: str, d: int, n_heads: int,
                  rng: np.random.Generator, causal: bool):
         self.n_heads = n_heads
-        self.scale = 1.0 / np.sqrt(d // n_heads)
         self.causal = causal
         self.wq = Linear(store, name + ".wq", d, d, rng)
         self.wk = Linear(store, name + ".wk", d, d, rng)
@@ -101,7 +99,7 @@ class SelfAttention:
             cache.v[start:end] = v.data
             cache.filled = end
             k, v = Tensor(cache.k[:end]), Tensor(cache.v[:end])
-        return self.wo(attention(q, k, v, self.n_heads, self.scale, self.causal, segments))
+        return self.wo(attention(q, k, v, self.n_heads, self.causal, segments))
 
 
 class Block:

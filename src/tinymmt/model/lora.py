@@ -2,7 +2,8 @@
 
 An adapter is its (A, B) pair, registered as parameters "lora.<weight>.A"
 and "lora.<weight>.B" and held on the weight's Linear. Rank and scale are
-fixed (LoRA's r = 4, alpha = 16). B starts at zero, so attaching is an exact
+fixed (LoRA's r = 4, alpha = 16), written once beside the lora_linear op
+that applies them. B starts at zero, so attaching is an exact
 identity; merging folds the delta back into W, so a merged model reproduces
 the adapted model's logits.
 """
@@ -11,11 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from tinymmt.numerics.tensor import Tensor
+from tinymmt.numerics.tensor import LORA_R, LORA_SCALE, Tensor
 
-LORA_R = 4
-LORA_ALPHA = 16.0
-LORA_SCALE = LORA_ALPHA / LORA_R
 LORA_INIT_STD = 0.01
 
 

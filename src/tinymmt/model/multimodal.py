@@ -44,7 +44,7 @@ def _shared_rows(members, cap: int) -> int:
 
 
 class MultimodalModel:
-    def __init__(self, config: ModelConfig, vocab: Vocabulary, seed: int = 0):
+    def __init__(self, config: ModelConfig, vocab: Vocabulary, seed: int):
         if len(vocab) != config.vocab_size:
             raise ShapeError(
                 f"vocab has {len(vocab)} entries but config.vocab_size={config.vocab_size}"
@@ -95,9 +95,9 @@ class MultimodalModel:
                               f"c_total={cfg.c_total}")
         return Assembled(ids, visual_tokens)
 
-    def assemble_sequence(self, prompt_ids, visual_tokens: Tensor | None = None,
-                          response_ids=None) -> Assembled:
-        """Merge prompt, optional visual tokens, and optional response.
+    def assemble_sequence(self, prompt_ids, visual_tokens: Tensor | None,
+                          response_ids) -> Assembled:
+        """Merge prompt, visual tokens or None, and a response or None.
 
         With a response present, a closing <eos> is appended, and the loss
         scores the response plus that <eos>. Overflowing c_total raises;
@@ -107,13 +107,13 @@ class MultimodalModel:
                               append_eos=response_ids is not None)
 
     def forward(self, assembled: Assembled, cache: list[KVCache] | None = None,
-                last: int | Segments | None = None) -> Tensor:
+                segments: Segments | None = None) -> Tensor:
         """Logits (T, vocab_size); strictly causal over the merged sequence.
 
         With a cache, `assembled` continues the sequence already cached.
-        With `last`, only the last `last` rows of logits, (last, vocab_size).
-        With a Segments table instead, `assembled` packs the table's
-        sequences and only the rows its queries select get logits.
+        With a Segments table, `assembled` packs the table's sequences and
+        only the rows its queries select get logits; a one-sequence table
+        asks for the last rows of one sequence.
 
         Positions 1..c_vis take the visual rows when the sequence has an
         image and is fed from position 0; every other row is its id's token
@@ -121,10 +121,8 @@ class MultimodalModel:
         position inside 1..c_vis raises ShapeError.
         """
         ids, visual = assembled.ids, assembled.visual
-        if last is not None and not isinstance(last, Segments):
-            last = Segments((len(ids),), queries=(last,))
         start = 0 if cache is None else cache[0].filled
-        positions = start + (np.arange(len(ids)) if last is None else last.positions())
+        positions = start + (np.arange(len(ids)) if segments is None else segments.positions())
         n_vis = self.config.c_vis
         if visual is None or start > n_vis:
             rows = self.llm.embed_tokens(ids)
@@ -134,7 +132,7 @@ class MultimodalModel:
         else:
             raise ShapeError(f"a grounded sequence is fed from 0 through its image slots or "
                              f"from past them, got rows [{start}, {start + len(ids)})")
-        return self.llm.forward_embedded(rows, positions, cache, last)
+        return self.llm.forward_embedded(rows, positions, cache, segments)
 
     def loss(self, *members: Assembled) -> tuple[Tensor, int]:
         """Next-token loss over the response and closing <eos> of one or more
@@ -209,7 +207,7 @@ class MultimodalModel:
             prefix = self._assemble(prompt_ids, visual, None, append_eos=False)
             n_prefix = len(prefix.ids)
             cache = self.llm.new_cache(n_prefix + max_new_tokens)
-            logits = self.forward(prefix, cache, last=1)
+            logits = self.forward(prefix, cache, Segments((n_prefix,), queries=(1,)))
             while True:
                 next_id = int(np.argmax(logits.data[-1]))
                 if next_id == EOS:

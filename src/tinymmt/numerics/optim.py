@@ -15,12 +15,11 @@ class AdamState:
     """Moment buffers for exactly the store's trainable set at creation time.
 
     Rebuild the state whenever the trainable set changes (e.g. a new training
-    stage); adam_step refuses to run against a drifted set.
+    stage); adam_step refuses to run against a drifted set. lr is a stage's,
+    which StageConfig checks is finite and positive.
     """
 
     def __init__(self, store: ParameterStore, lr: float):
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
         self.lr = float(lr)
         self.step_count = 0
         self.m = {name: np.zeros_like(store[name].data) for name in sorted(store.trainable)}

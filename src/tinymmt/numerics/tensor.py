@@ -22,6 +22,11 @@ from tinymmt.errors import ShapeError
 
 LAYER_NORM_EPS = 1e-5
 
+# LoRA's rank and scale (Hu et al. 2021): an adapter's delta is scaled by alpha / r
+LORA_R = 4
+LORA_ALPHA = 16.0
+LORA_SCALE = LORA_ALPHA / LORA_R
+
 _GRAD_ENABLED = True
 
 
@@ -60,16 +65,18 @@ class Tensor:
 
     A Tensor no op recorded (a leaf, such as a parameter, or a constant) is
     its own place on the tape, and backward leaves a leaf's gradient in
-    `grad`; a recorded Tensor's gradient lives on its node.
+    `grad`; a recorded Tensor's gradient lives on its node. A new Tensor is
+    a constant: ParameterStore.add makes a parameter require grad, and
+    _make an op's output.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_node")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         # float is float64: numpy resolves the builtin ≈25 ns faster than np.float64
         self.data: np.ndarray = np.asarray(data, dtype=float)
         self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
+        self.requires_grad = False
         self._node: _Node | None = None
 
     @property
@@ -352,10 +359,10 @@ def gelu_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tenso
     return _make(out_data, parents, fn)
 
 
-def _row_mean(a: np.ndarray, d: int) -> np.ndarray:
-    """a.mean(axis=-1, keepdims=True) for last axis d, bitwise, minus np.mean's wrapper."""
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """a.mean(axis=-1, keepdims=True), bitwise, minus np.mean's wrapper."""
     m = np.add.reduce(a, axis=-1, keepdims=True)
-    m /= d
+    m /= a.shape[-1]
     return m
 
 
@@ -364,8 +371,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     d = x.data.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeError(f"layer_norm scale/shift must have shape ({d},)")
-    xhat = x.data - _row_mean(x.data, d)
-    inv = _row_mean(xhat * xhat, d)
+    xhat = x.data - _row_mean(x.data)
+    inv = _row_mean(xhat * xhat)
     inv += LAYER_NORM_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
@@ -382,8 +389,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         if x.requires_grad:
             # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
             dxhat = g * gd
-            m2 = _row_mean(dxhat * xhat, d)
-            dxhat -= _row_mean(dxhat, d)
+            m2 = _row_mean(dxhat * xhat)
+            dxhat -= _row_mean(dxhat)
             dxhat -= xhat * m2
             dxhat *= inv
             _accumulate(x, dxhat, fresh=True)
@@ -391,17 +398,18 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return _make(out_data, (x, gamma, beta), fn)
 
 
-def _softmax_inplace(p: np.ndarray, axis: int) -> np.ndarray:
-    """Overwrite p with its softmax along `axis` (max-subtracted for stability)."""
-    p -= p.max(axis=axis, keepdims=True)
+def _softmax_inplace(p: np.ndarray) -> np.ndarray:
+    """Overwrite p with its softmax along the last axis (max-subtracted for stability)."""
+    p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
-    p /= p.sum(axis=axis, keepdims=True)
+    p /= p.sum(axis=-1, keepdims=True)
     return p
 
 
-def _softmax_grad(g: np.ndarray, p: np.ndarray, axis: int) -> np.ndarray:
-    """Overwrite g, the gradient of softmax output p, with the gradient of its input."""
-    g -= (g * p).sum(axis=axis, keepdims=True)
+def _softmax_grad(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Overwrite g, the gradient of softmax output p (last axis), with the
+    gradient of its input."""
+    g -= (g * p).sum(axis=-1, keepdims=True)
     g *= p
     return g
 
@@ -514,9 +522,9 @@ def _keys(x: np.ndarray, shared: int, k0: int, k1: int) -> np.ndarray:
     return np.concatenate((x[:shared], x[k0:k1])) if shared else x[k0:k1]
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float,
-              causal: bool, segments: Segments | None = None) -> Tensor:
-    """softmax(q @ kᵀ * scale + mask) @ v for each head, as one tape node.
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, causal: bool,
+              segments: Segments | None) -> Tensor:
+    """softmax(q @ kᵀ / √d_head + mask) @ v for each head, as one tape node.
 
     q is (t, d) and holds the last t of the n positions whose keys and values
     k and v hold, (n, d) and (n, dv); t < n when the earlier ones come from a
@@ -543,6 +551,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float,
                          f"and d, dv divisible by n_heads={n_heads}, "
                          f"got {qd.shape}, {kd.shape}, {vd.shape}")
     t, n = qd.shape[0], kd.shape[0]
+    scale = 1.0 / np.sqrt(qd.shape[1] // n_heads)
     if segments is None or len(segments.ends) == 1:
         spans = ((0, t, 0, 0, n),)
     else:
@@ -568,7 +577,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float,
             p *= scale
             if masked:
                 p[:, :, offset + r0 - q0:] += causal_mask(r1 - r0)
-            _softmax_inplace(p, -1)
+            _softmax_inplace(p)
             np.matmul(p, vh[:, :m], out=out_h[:, r0:r1])
             seq.append((r0, r1, m, p))
         blocks.append((q0, q1, shared, k0, k1, seq))
@@ -600,7 +609,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, scale: float,
                     _matmul_into(dvh[:, :m], _swap_last(p), gb, add)
                 if dqh is None and dkh is None:
                     continue
-                d = _softmax_grad(gb @ _swap_last(vh[:, :m]), p, -1)
+                d = _softmax_grad(gb @ _swap_last(vh[:, :m]), p)
                 d *= scale
                 if dqh is not None:
                     np.matmul(d, kh[:, :m], out=dqh[:, r0:r1])
@@ -665,9 +674,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _make(out_data, (x, w) if b is None else (x, w, b), fn)
 
 
-def lora_linear(x: Tensor, w: Tensor, b: Tensor, down: Tensor, up: Tensor,
-                scale: float) -> Tensor:
-    """linear(x, w, b) + linear(linear(x, down), up) * scale as one tape node,
+def lora_linear(x: Tensor, w: Tensor, b: Tensor, down: Tensor, up: Tensor) -> Tensor:
+    """linear(x, w, b) + linear(linear(x, down), up) * LORA_SCALE as one tape node,
     bit for bit: a low-rank adapter's down (r, d_in) and up (d_out, r) on a
     linear layer's w (d_out, d_in) and b (d_out,).
 
@@ -685,12 +693,12 @@ def lora_linear(x: Tensor, w: Tensor, b: Tensor, down: Tensor, up: Tensor,
     out_data = _dense(xd, wd, b)
     low = _dense(xd, downd, None)
     delta = _dense(low, upd, None)
-    delta *= scale
+    delta *= LORA_SCALE
     out_data += delta
 
     def fn(g: np.ndarray, x, w, b, down, up) -> None:
         _dense_grads(x, xd, w, wd, b, g)
-        g_delta = g * scale
+        g_delta = g * LORA_SCALE
         _dense_grads(None, low, up, upd, None, g_delta)
         if x.requires_grad or down.requires_grad:
             _dense_grads(x, xd, down, downd, None, g_delta @ upd)

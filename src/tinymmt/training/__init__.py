@@ -1,5 +1,4 @@
 from tinymmt.training.stages import (
-    DEFAULT_STAGE_EPOCHS,
     DEFAULT_STAGE_LRS,
     STAGE_COMPONENTS,
     SWEEP_EPOCHS,
@@ -18,7 +17,6 @@ from tinymmt.training.checkpoint import (
 from tinymmt.training.sweep import evaluate_bleu, generate_hypotheses, hyperparameter_sweep
 
 __all__ = [
-    "DEFAULT_STAGE_EPOCHS",
     "DEFAULT_STAGE_LRS",
     "FORMAT_VERSION",
     "MAGIC",

@@ -35,9 +35,10 @@ import numpy as np
 from tinymmt.atomic import NUMBER, atomic_write, json_fields, parse_json
 from tinymmt.errors import CheckpointError, TinymmtError
 from tinymmt.model.config import ModelConfig
-from tinymmt.model.lora import LORA_ALPHA, LORA_R, default_lora_targets, lora_attach, lora_targets
+from tinymmt.model.lora import default_lora_targets, lora_attach, lora_targets
 from tinymmt.model.multimodal import MultimodalModel
 from tinymmt.model.vocab import Vocabulary
+from tinymmt.numerics.tensor import LORA_ALPHA, LORA_R
 
 MAGIC = b"CNVD"
 FORMAT_VERSION = 1

@@ -33,7 +33,7 @@ import numpy as np
 from tinymmt.atomic import atomic_write
 from tinymmt.datapipe.images import make_synth_loader
 from tinymmt.datapipe.records import PromptInstance
-from tinymmt.errors import ConfigError, DataError, TinymmtError, VocabularyError
+from tinymmt.errors import DataError, TinymmtError, VocabularyError
 from tinymmt.model.lora import lora_attach, lora_targets
 from tinymmt.model.multimodal import MultimodalModel
 from tinymmt.model.vocab import Vocabulary
@@ -119,9 +119,10 @@ def _prepare_samples(model: MultimodalModel, dataset: Sequence[PromptInstance]) 
     return samples
 
 
-def _group_terms(model: MultimodalModel, batch: Sequence[_Sample]) -> Iterator[Tensor]:
+def _group_terms(model: MultimodalModel,
+                 batch: Sequence[_Sample]) -> Iterator[tuple[Tensor, bool]]:
     """Each image group's summed NLL (its mean loss times its scored count),
-    one group at a time.
+    one group at a time, and whether it is the batch's last group.
 
     Samples are grouped by image id, in order of first appearance; a group
     projects its image once and runs as one packed loss call. A training
@@ -130,12 +131,12 @@ def _group_terms(model: MultimodalModel, batch: Sequence[_Sample]) -> Iterator[T
     groups: dict[str | None, list[_Sample]] = {}
     for sample in batch:
         groups.setdefault(sample.image_id, []).append(sample)
-    for group in groups.values():
+    for i, group in enumerate(groups.values(), 1):
         image = group[0].image
         visual = model.project(image) if image is not None else None
         loss, count = model.loss(*(model.assemble_sequence(s.prompt_ids, visual, s.response_ids)
                                    for s in group))
-        yield loss * float(count)
+        yield loss * float(count), i == len(groups)
 
 
 def _quiet_backward(loss: Tensor) -> None:
@@ -161,7 +162,7 @@ def _pooled_loss(model: MultimodalModel, samples: Sequence[_Sample]) -> float:
     with no_grad():
         for start in range(0, len(samples), _EVAL_BATCH):
             batch = samples[start: start + _EVAL_BATCH]
-            weighted += sum(float(t.data) for t in _group_terms(model, batch))
+            weighted += sum(float(t.data) for t, _ in _group_terms(model, batch))
             total += _scored_count(batch)
     return weighted / total
 
@@ -212,20 +213,19 @@ def _train_stage(model: MultimodalModel, dataset: Sequence[PromptInstance],
             for start in range(0, len(samples), cfg.batch_size):
                 batch = [samples[i] for i in order[start: start + cfg.batch_size]]
                 count = _scored_count(batch)
-                last = len({s.image_id for s in batch}) - 1  # _group_terms' last group
                 summed = 0.0
                 pending = None  # the previous group's backward, on the worker
                 # a diverging step is reported by the non-finite check below
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    for i, term in enumerate(_group_terms(model, batch)):
+                    for term, last in _group_terms(model, batch):
                         summed += float(term.data)
                         scaled = term * (1.0 / count)
                         if pending is not None:
                             pending.result()
-                        if i < last:
-                            pending = worker.submit(_quiet_backward, scaled)
-                        else:
+                        if last:
                             backward(scaled)
+                        else:
+                            pending = worker.submit(_quiet_backward, scaled)
                 loss_value = summed / count
                 step += 1
                 non_finite = None
@@ -260,21 +260,16 @@ def _train_stage(model: MultimodalModel, dataset: Sequence[PromptInstance],
 
 def run_pipeline(model: MultimodalModel, stage_configs: Sequence[StageConfig],
                  datasets: dict[int, Sequence[PromptInstance]], out_dir,
-                 val: Sequence[PromptInstance] = ()) -> tuple[MultimodalModel, list[TrainLog]]:
+                 val: Sequence[PromptInstance]) -> tuple[MultimodalModel, list[TrainLog]]:
     """Run an ordered subset of stages, checkpointing after each.
 
-    Stage numbers must be strictly increasing; [1, 3] (skip instruction
-    tuning) and stopping after [1, 2] are both legitimate schedules. Each
+    Stage numbers are strictly increasing, as load_config checks; [1, 3]
+    (skip instruction tuning) and stopping after [1, 2] are both legitimate
+    schedules. Each
     stage resumes from the in-memory model the previous stage produced, and a
     checkpoint lands in out_dir per stage. Every stage validates on val.
     """
     from tinymmt.training.checkpoint import save_checkpoint
-
-    stages = [cfg.stage for cfg in stage_configs]
-    if not stages:
-        raise ConfigError("run_pipeline: no stages given")
-    if any(b <= a for a, b in zip(stages, stages[1:])):
-        raise ConfigError(f"stage order must be strictly increasing, got {stages}")
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -24,7 +24,6 @@ STAGE_MODES = ("full", "lora")
 # stage 3 default is the grid winner (lr 1e-4, one epoch); stages 1-2 are
 # desk-scale choices, not established values
 DEFAULT_STAGE_LRS = {1: 1e-3, 2: 2e-4, 3: 1e-4}
-DEFAULT_STAGE_EPOCHS = {1: 1, 2: 1, 3: 1}
 
 SWEEP_LRS = (1e-3, 1e-4, 1e-5)
 SWEEP_EPOCHS = (1, 2, 3, 5)
@@ -41,11 +40,11 @@ def derive_stage_seed(master_seed: int, stage: int) -> int:
 @dataclass
 class StageConfig:
     """One training stage: the only record of its settings, their defaults
-    and their checks. lr and epochs default by stage."""
+    and their checks. lr defaults by stage."""
 
     stage: int
     lr: float | None = None
-    epochs: int | None = None
+    epochs: int = 1
     batch_size: int = 8
     seed: int = 0
     mode: str = "full"
@@ -55,8 +54,6 @@ class StageConfig:
         if self.stage not in (1, 2, 3):
             raise ConfigError(f"stage must be 1, 2 or 3, got {self.stage!r}")
         self.lr = float(DEFAULT_STAGE_LRS[self.stage] if self.lr is None else self.lr)
-        if self.epochs is None:
-            self.epochs = DEFAULT_STAGE_EPOCHS[self.stage]
         if self.mode not in STAGE_MODES:
             raise ConfigError(f"mode must be {' or '.join(map(repr, STAGE_MODES))}, "
                               f"got {self.mode!r}")

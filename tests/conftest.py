@@ -62,7 +62,7 @@ def make_records(n, seed=0, split="train", lang="hi", words_per=2):
 
 def make_instances(records, task, tag="object"):
     if task == "text_only":
-        return [render_prompt(r, task) for r in records]
+        return [render_prompt(r, task, None) for r in records]
     return [render_prompt(r, task, tag) for r in records]
 
 
@@ -88,6 +88,14 @@ def tiny_mm_setup():
     instances = make_instances(records, "mmt")
     model = build_model(instances, seed=8, c_total=512)
     return model, instances
+
+
+def leaf(data) -> Tensor:
+    """A Tensor that requires grad, as a parameter does: backward leaves its
+    gradient in `grad`."""
+    t = Tensor(data)
+    t.requires_grad = True
+    return t
 
 
 def tape_sum(x: Tensor) -> Tensor:

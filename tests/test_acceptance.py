@@ -88,7 +88,7 @@ def test_criterion_02_freezing_contract(tmp_path):
     cfgs = [StageConfig(stage=s, seed=derive_stage_seed(3, s), max_steps=3, batch_size=4)
             for s in (1, 2, 3)]
     datasets = {1: caption, 2: caption + mmt, 3: mmt + text}
-    _, logs = run_pipeline(model, cfgs, datasets, tmp_path)
+    _, logs = run_pipeline(model, cfgs, datasets, tmp_path, ())
 
     vision = {d for log in logs for d in (log.digests_pre["vision"], log.digests_post["vision"])}
     assert len(vision) == 1, "vision encoder weights changed"
@@ -219,7 +219,7 @@ def test_criterion_05_stage_skip_ablations(tmp_path):
     runs = {}
     for name, stages in (("full", (1, 2, 3)), ("skip2", (1, 3)), ("zero_shot", (1, 2))):
         model, logs = run_pipeline(build(), [cfg(s) for s in stages], datasets,
-                                   tmp_path / name)
+                                   tmp_path / name, ())
         runs[name] = model
         assert [log.stage for log in logs] == list(stages)
         for s in stages:
@@ -328,8 +328,8 @@ def test_criterion_07_prompt_byte_exactness():
         target_text="एक बिल्ली चटाई पर बैठी है", split="train")
     cases = {
         "mmt_tagged.txt": render_prompt(record, "mmt", tag="cat"),
-        "mmt_untagged.txt": render_prompt(record, "mmt"),
-        "text_only.txt": render_prompt(record, "text_only"),
+        "mmt_untagged.txt": render_prompt(record, "mmt", None),
+        "text_only.txt": render_prompt(record, "text_only", None),
         "caption.txt": render_prompt(record, "caption", tag="cat"),
     }
     for name, inst in cases.items():
@@ -347,7 +347,7 @@ def test_criterion_07_prompt_byte_exactness():
 def test_criterion_08_metric_oracles():
     tol = 1e-9
     corpus = [tokenize("एक बिल्ली चटाई पर"), tokenize("the dog runs fast")]
-    assert abs(bleu(corpus, [list(s) for s in corpus]) - 100.0) < tol
+    assert abs(bleu(corpus, [list(s) for s in corpus], smooth=False) - 100.0) < tol
     assert abs(ribes(corpus, [list(s) for s in corpus]) - 1.0) < tol
 
     # clipped unigram precision 1/4, bigram precision 0 -> unsmoothed score 0
@@ -358,7 +358,7 @@ def test_criterion_08_metric_oracles():
     ref_counts = ngram_counts(ref, 1)
     p1 = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items()) / sum(hyp_counts.values())
     assert abs(p1 - 0.25) < tol
-    assert bleu([hyp], [ref]) == 0.0
+    assert bleu([hyp], [ref], smooth=False) == 0.0
 
     assert abs(ribes([["d", "c", "b", "a"]], [["a", "b", "c", "d"]])) < tol
 

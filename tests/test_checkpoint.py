@@ -171,7 +171,7 @@ def test_provenance_records_full_pipeline(tmp_path):
     mmt = make_instances(records, "mmt")
     model = build_model(caption + mmt, seed=2, c_total=512)
     cfgs = [StageConfig(stage=s, seed=s, max_steps=1, batch_size=2) for s in (1, 2, 3)]
-    run_pipeline(model, cfgs, {1: caption, 2: mmt, 3: mmt}, tmp_path)
+    run_pipeline(model, cfgs, {1: caption, 2: mmt, 3: mmt}, tmp_path, ())
     loaded = load_checkpoint(tmp_path / "stage3.ckpt")
     assert [p["stage"] for p in loaded.provenance] == [1, 2, 3]
 
@@ -293,7 +293,7 @@ def test_bad_lora_header_rejected(lora_checkpoint, edit):
 def test_rejected_context_length_leaves_no_causal_mask(tmp_path, monkeypatch):
     vocab = Vocabulary("abcdefg")
     model = MultimodalModel(ModelConfig(vocab_size=len(vocab), d_vis=8, d_model=8,
-                                        n_layers_vis=1, n_layers_lm=1, c_total=32), vocab)
+                                        n_layers_vis=1, n_layers_lm=1, c_total=32), vocab, seed=0)
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path)
     blob = path.read_bytes()

@@ -395,7 +395,7 @@ def test_stage_data_mixing_cap(fixture_tree, tmp_path):
 
     from tinymmt.config import load_config
     from tinymmt.cli import _load_stage_datasets
-    datasets, _ = _load_stage_datasets(load_config(config_path))
+    datasets, _ = _load_stage_datasets(load_config(config_path, seed=None))
     assert len(datasets[1]) == 4
     tasks = {inst.task for inst in datasets[1]}
     assert tasks == {"caption", "mmt"}  # two from each corpus
@@ -923,6 +923,17 @@ def test_a_flag_its_command_would_ignore_is_a_config_error(fixture_tree, tmp_pat
     assert main(argv) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "h.txt").exists() and not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("stages", ["", " "], ids=["empty", "blank"])
+def test_an_empty_stage_selection_is_a_config_error(fixture_tree, tmp_path, capsys, stages):
+    config = str(fixture_tree)
+    assert main(["prepare-data", "--config", config]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", config, "--stages", stages]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: --stages must be comma-separated numbers, got {stages!r}" in err
+    assert not list((tmp_path / "run").glob("*.ckpt"))
 
 
 @pytest.mark.parametrize("target, code", [

@@ -71,7 +71,7 @@ def test_unknown_key_names_its_dotted_path(tmp_path, capsys, section, key, value
     section(raw)[key] = value
     path = write(tmp_path, raw)
     with pytest.raises(ConfigError, match=re.escape(place) + ": " + problem):
-        load_config(path)
+        load_config(path, seed=None)
     assert main(["prepare-data", "--config", str(path)]) == 2
     assert re.search(re.escape(place) + ": " + problem, capsys.readouterr().err)
 
@@ -85,7 +85,7 @@ def test_bad_stage_value_fails_at_load_time(tmp_path, capsys, key, value):
     raw["train"]["stages"][1][key] = value
     path = write(tmp_path, raw)
     with pytest.raises(ConfigError, match=re.escape("train.stages[1]: ")):
-        load_config(path)
+        load_config(path, seed=None)
     for command in (["prepare-data"], ["train"], ["sweep", "--checkpoint", "x.ckpt"]):
         assert main([*command, "--config", str(path)]) == 2
         assert "train.stages[1]: " in capsys.readouterr().err
@@ -113,12 +113,33 @@ def test_stage_seed_derives_from_the_final_master_seed(tmp_path):
     raw = base_config()
     raw["train"]["stages"][1]["seed"] = 42
     path = write(tmp_path, raw)
-    assert [s.config.seed for s in load_config(path).stages] == [derive_stage_seed(3, 1), 42]
+    assert [s.config.seed for s in load_config(path, seed=None).stages] == [
+        derive_stage_seed(3, 1), 42]
     overridden = load_config(path, seed=5)
     assert overridden.seed == 5
     assert [s.config.seed for s in overridden.stages] == [derive_stage_seed(5, 1), 42]
     with pytest.raises(ConfigError, match="seed: must be >= 0"):
         load_config(path, seed=-1)
+
+
+@pytest.mark.parametrize("numbers", [(2, 1), (1, 1)], ids=["reversed", "duplicated"])
+def test_stage_numbers_must_be_strictly_increasing(tmp_path, numbers):
+    raw = base_config()
+    for stage, number in zip(raw["train"]["stages"], numbers):
+        stage["stage"] = number
+    with pytest.raises(ConfigError, match=re.escape(
+            f"train.stages: stage numbers must be strictly increasing, got {list(numbers)}")):
+        load_config(write(tmp_path, raw), seed=None)
+
+
+def test_a_null_stage_value_means_its_default(tmp_path):
+    raw = base_config()
+    raw["train"]["stages"][1].update(lr=None, epochs=None, seed=None, max_steps=None,
+                                     mix_cap=None)
+    spec = load_config(write(tmp_path, raw), seed=None).stages[1]
+    assert spec.config == StageConfig(stage=2, batch_size=4, seed=derive_stage_seed(3, 2))
+    assert (spec.config.lr, spec.config.epochs, spec.config.max_steps) == (2e-4, 1, None)
+    assert spec.mix_cap is None
 
 
 def test_one_record_of_a_stage():
@@ -132,10 +153,10 @@ def test_one_record_of_a_stage():
 def test_model_keys_are_the_settable_model_config_fields(tmp_path):
     raw = base_config()
     raw["model"] = {"d_model": 32, "n_heads": 2, "c_total": 128, "n_layers_lm": 1}
-    assert load_config(write(tmp_path, raw)).model == raw["model"]
+    assert load_config(write(tmp_path, raw), seed=None).model == raw["model"]
     raw["model"]["vocab_size"] = 40  # derived from the data by train
     with pytest.raises(ConfigError, match="model: unknown key 'vocab_size'"):
-        load_config(write(tmp_path, raw))
+        load_config(write(tmp_path, raw), seed=None)
 
 
 @pytest.mark.parametrize("field", ["n_heads", "d_model", "c_total", "patch_size"])
@@ -149,20 +170,20 @@ def test_metrics_section_rejected(tmp_path):
     raw = base_config()
     raw["metrics"] = {"smooth_bleu": True, "ribes_alpha": 0.25, "ribes_beta": 0.1}
     with pytest.raises(ConfigError, match="unknown key 'metrics'"):
-        load_config(write(tmp_path, raw))
+        load_config(write(tmp_path, raw), seed=None)
 
 
 def test_stage_entry_must_be_an_object(tmp_path):
     raw = base_config()
     raw["train"]["stages"][0] = 1
     with pytest.raises(ConfigError, match=re.escape("train.stages[0]")):
-        load_config(write(tmp_path, raw))
+        load_config(write(tmp_path, raw), seed=None)
 
 
 def test_readme_walkthrough_config_loads(tmp_path):
     walkthrough = README.read_text(encoding="utf-8").split("## Walkthrough", 1)[1]
     block = re.search(r"```json\n(.*?)```", walkthrough, re.S).group(1)
-    cfg = load_config(write(tmp_path, json.loads(block)))
+    cfg = load_config(write(tmp_path, json.loads(block)), seed=None)
     assert [s.config.stage for s in cfg.stages] == [1, 2, 3]
     assert cfg.data.tasks == ("mmt", "text_only", "caption")
     assert cfg.val_files == ("run/instances/mmt.hi.valid.jsonl",)

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import tape_sum
+from conftest import leaf, tape_sum
 from tinymmt.model import lora_attach, lora_targets
 from tinymmt.numerics import Tensor, grad_check_params, no_grad
 from tinymmt.numerics.gradcheck import _rel_error
@@ -12,13 +12,13 @@ from tinymmt.numerics.tensor import _accumulate, _make
 
 def test_quadratic_is_tight():
     rng = np.random.default_rng(0)
-    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    x = leaf(rng.normal(size=(3, 4)))
     assert grad_check_params(lambda: tape_sum(x * x), [x]) < 1e-6
 
 
 def test_constant_function_near_zero_error():
-    x = Tensor(np.ones((2, 2)), requires_grad=True)
-    err = grad_check_params(lambda: Tensor(np.float64(5.0), requires_grad=True) * 1.0, [x])
+    x = leaf(np.ones((2, 2)))
+    err = grad_check_params(lambda: leaf(np.float64(5.0)) * 1.0, [x])
     assert err < 1e-12
 
 
@@ -32,7 +32,7 @@ def test_zero_exact_gradient_at_loss_near_four_passes():
     for x0 in np.linspace(0.1, 0.9, 9):
         f_plus, f_minus = float(f(Tensor([x0 + h])).data), float(f(Tensor([x0 - h])).data)
         numerics.append(abs(f_plus - f_minus) / (2 * h))
-        x = Tensor([x0], requires_grad=True)
+        x = leaf([x0])
         assert grad_check_params(lambda: f(x), [x], h=h) < 1e-3
     assert max(numerics) / 1e-8 > 1e-3  # the relative error alone would fail
 
@@ -61,7 +61,7 @@ def _square_with_grad_scaled(scale):
 
 
 def test_one_percent_wrong_backward_fails():
-    x = Tensor([[1.0, -0.5], [1.5, -0.5]], requires_grad=True)
+    x = leaf([[1.0, -0.5], [1.5, -0.5]])
     assert 3.0 < float(_square_with_grad_scaled(1.0)(x).data) < 5.0
     assert grad_check_params(lambda: _square_with_grad_scaled(1.0)(x), [x]) < 1e-6
     assert grad_check_params(lambda: _square_with_grad_scaled(1.01)(x), [x]) > 1e-3
@@ -99,7 +99,7 @@ def test_full_model_loss_gradients_mask_from_mid_sequence(tiny_mm_setup):
     response = model.vocab.encode(inst.response)
     with no_grad():
         projected = model.visual_tokens(synth_image(inst.image_id, model.config.image_size))
-    visual = Tensor(projected.data.copy(), requires_grad=True)
+    visual = leaf(projected.data.copy())
 
     def visual_loss():
         loss, _ = model.loss(model.assemble_sequence(prompt, visual, response))

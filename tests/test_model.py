@@ -10,7 +10,7 @@ from tinymmt.model.components import DecoderLM
 from tinymmt.model.vocab import BOS, EOS, HUM, IMG, SYS
 from tinymmt.numerics import no_grad
 import tinymmt.numerics.tensor as tensor_module
-from tinymmt.numerics.tensor import ATTN_BLOCK, backward, cross_entropy_masked
+from tinymmt.numerics.tensor import ATTN_BLOCK, Segments, backward, cross_entropy_masked
 
 from conftest import build_model, make_instances, make_records
 
@@ -142,7 +142,7 @@ class TestAssemble:
 
     def test_prompt_only_has_no_mask_and_no_eos(self):
         model = small_model()
-        asm = model.assemble_sequence(model.vocab.encode("hello"))
+        asm = model.assemble_sequence(model.vocab.encode("hello"), None, None)
         assert asm.ids[-1] == SYS
         with pytest.raises(ValueError, match="no positions"):
             model.loss(asm)
@@ -247,7 +247,7 @@ class TestGenerate:
         # greedy decoding only consults the argmax, which a constant shift
         # of the logits cannot move
         model = small_model()
-        asm = model.assemble_sequence(model.vocab.encode("hello"))
+        asm = model.assemble_sequence(model.vocab.encode("hello"), None, None)
         logits = model.forward(asm).data
         shifted = logits + 123.456
         assert np.array_equal(np.argmax(logits, axis=-1), np.argmax(shifted, axis=-1))
@@ -322,7 +322,7 @@ class TestCachedDecoding:
     def test_prefill_logits_equal_forward(self, dtype):
         model = _of_dtype(small_model(), dtype)
         prefix = model.assemble_sequence(model.vocab.encode("hello abc"),
-                                         model.visual_tokens(synth_image("p", 12)))
+                                         model.visual_tokens(synth_image("p", 12)), None)
         with no_grad():
             cache = model.llm.new_cache(len(prefix.ids) + 4)
             cached = model.forward(prefix, cache).data
@@ -350,7 +350,7 @@ class TestCachedDecoding:
         # inside them after a text-only first chunk
         model = small_model()
         full = model.assemble_sequence(model.vocab.encode("hello abc"),
-                                       model.visual_tokens(synth_image("c", 12)))
+                                       model.visual_tokens(synth_image("c", 12)), None)
         with no_grad():
             with pytest.raises(ShapeError, match="image slots"):
                 model.forward(Assembled(full.ids[:split], full.visual))
@@ -373,7 +373,7 @@ class TestCachedDecoding:
             n = len(prefix.ids)
             whole = model.forward(model._assemble(prompt, visual, ids, append_eos=False)).data
             cache = model.llm.new_cache(n + len(ids))
-            steps = [model.forward(prefix, cache, last=1).data]
+            steps = [model.forward(prefix, cache, Segments((n,), queries=(1,))).data]
             steps += [model.forward(Assembled(ids[i:i + 1], None), cache).data
                       for i in range(len(ids))]
         np.testing.assert_allclose(np.concatenate(steps), whole[n - 1:], rtol=0, atol=tol)
@@ -421,9 +421,9 @@ class TestCachedDecoding:
         forward_embedded = DecoderLM.forward_embedded
         fed = []
 
-        def counting(self, embeds, positions, cache=None, last=None):
+        def counting(self, embeds, positions, cache=None, segments=None):
             fed.append(len(positions))
-            return forward_embedded(self, embeds, positions, cache, last)
+            return forward_embedded(self, embeds, positions, cache, segments)
 
         monkeypatch.setattr(DecoderLM, "forward_embedded", counting)
         image = synth_image("w", 12) if with_image else None
@@ -477,15 +477,16 @@ class TestLastRows:
         with no_grad():
             full = model.forward(asm).data
             for k in (1, 2, t - 1, t):
-                rows = model.forward(asm, last=k).data
+                rows = model.forward(asm, None, Segments((t,), queries=(k,))).data
                 assert rows.shape == (k, len(model.vocab))
                 np.testing.assert_allclose(rows, full[-k:], rtol=0, atol=tol)
 
     @pytest.mark.parametrize("last", [0, -1, 10_000])
     def test_last_out_of_range_rejected(self, last):
         model = small_model()
+        asm = _grounded(model)
         with pytest.raises(ShapeError, match="last"):
-            model.forward(_grounded(model), last=last)
+            model.forward(asm, None, Segments((len(asm.ids),), queries=(last,)))
 
     @pytest.mark.parametrize("response", ["xyz abc", ""], ids=["response", "eos_only"])
     def test_loss_and_gradients_equal_the_full_rows_reference(self, response):
@@ -511,13 +512,13 @@ class TestLastRows:
     def test_one_row_prefill_equals_the_last_row_and_caches_every_row(self, dtype, tol):
         model = _decoding_model(dtype, "attached")
         prefix = model.assemble_sequence(model.vocab.encode("hello abc"),
-                                         model.visual_tokens(synth_image("p", 12)))
+                                         model.visual_tokens(synth_image("p", 12)), None)
         n = len(prefix.ids)
         with no_grad():
             full_cache = model.llm.new_cache(n)
             full = model.forward(prefix, full_cache).data
             cache = model.llm.new_cache(n + 4)
-            row = model.forward(prefix, cache, last=1).data
+            row = model.forward(prefix, cache, Segments((n,), queries=(1,))).data
         assert row.shape == (1, len(model.vocab))
         np.testing.assert_allclose(row, full[-1:], rtol=0, atol=tol)
         for layer, ref in zip(cache, full_cache):
@@ -529,8 +530,8 @@ class TestLastRows:
         forward = MultimodalModel.forward
         rows = []
 
-        def counting(self, asm, cache=None, last=None):
-            logits = forward(self, asm, cache, last)
+        def counting(self, asm, cache=None, segments=None):
+            logits = forward(self, asm, cache, segments)
             rows.append(logits.shape[0])
             return logits
 

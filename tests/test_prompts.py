@@ -34,12 +34,12 @@ class TestGoldenTemplates:
         assert inst.prompt + "\n" == golden("mmt_tagged.txt")
 
     def test_mmt_without_tag_drops_labels_sentence(self):
-        inst = render_prompt(RECORD, "mmt")
+        inst = render_prompt(RECORD, "mmt", None)
         assert inst.prompt + "\n" == golden("mmt_untagged.txt")
         assert "labels" not in inst.prompt
 
     def test_text_only(self):
-        inst = render_prompt(RECORD, "text_only")
+        inst = render_prompt(RECORD, "text_only", None)
         assert inst.prompt + "\n" == golden("text_only.txt")
 
     def test_caption(self):
@@ -51,7 +51,7 @@ class TestRendering:
     def test_text_only_hand_example(self):
         record = VgRecord(image_id="x", box=BoundingBox(0, 0, 1, 1), english="a cat",
                           target_lang="hi", target_text="एक बिल्ली", split="train")
-        inst = render_prompt(record, "text_only")
+        inst = render_prompt(record, "text_only", None)
         assert inst.prompt == ("Translate the following sentence from English into "
                                "Hindi language. English sentence is: a cat.")
 
@@ -70,7 +70,7 @@ class TestRendering:
             assert inst.response == RECORD.target_text
 
     def test_image_id_absent_for_text_only(self):
-        assert render_prompt(RECORD, "text_only").image_id is None
+        assert render_prompt(RECORD, "text_only", None).image_id is None
         assert render_prompt(RECORD, "mmt", tag="x").image_id == "im042"
 
     def test_multi_label_variant_joins_with_commas(self):
@@ -78,24 +78,25 @@ class TestRendering:
         assert "labels of the objects in the image as: cat, mat, rug." in inst.prompt
 
     def test_empty_label_list_same_as_none(self):
-        assert render_prompt(RECORD, "mmt", tag=[]).prompt == render_prompt(RECORD, "mmt").prompt
+        untagged = render_prompt(RECORD, "mmt", None).prompt
+        assert render_prompt(RECORD, "mmt", tag=[]).prompt == untagged
 
     def test_bengali_language_name(self):
         record = VgRecord(image_id="y", box=BoundingBox(0, 0, 1, 1), english="a dog",
                           target_lang="bn", target_text="একটি কুকুর", split="test")
-        inst = render_prompt(record, "text_only")
+        inst = render_prompt(record, "text_only", None)
         assert "into Bengali language" in inst.prompt
 
     def test_unknown_task_rejected(self):
         with pytest.raises(DataError):
-            render_prompt(RECORD, "summarize")
+            render_prompt(RECORD, "summarize", None)
 
 
 class TestInstanceFiles:
     def test_serialization_round_trip_lossless(self, tmp_path):
         instances = [
             render_prompt(RECORD, "mmt", tag="cat"),
-            render_prompt(RECORD, "text_only"),
+            render_prompt(RECORD, "text_only", None),
             PromptInstance(task="text_only",
                            prompt="Translate the following sentence from Hindi into English "
                                   "language. Hindi sentence is: एक बिल्ली चटाई पर बैठी है.",

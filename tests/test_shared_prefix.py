@@ -42,7 +42,7 @@ def _reference_loss(model, samples):
 
 
 def _grouped_loss(model, samples):
-    terms = list(_group_terms(model, samples))
+    terms = [term for term, _ in _group_terms(model, samples)]
     return sum(terms[1:], terms[0]) * (1.0 / _scored_count(samples))
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import tape_sum
+from conftest import leaf, tape_sum
 from tinymmt.errors import ShapeError
 from tinymmt.numerics import (
     Tensor,
@@ -57,8 +57,8 @@ class TestMatmul:
 
     def test_backward_formulas(self):
         rng = np.random.default_rng(2)
-        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        a = leaf(rng.normal(size=(2, 3)))
+        w = leaf(rng.normal(size=(4, 3)))
         backward(tape_sum(linear(a, w)))
         g = np.ones((2, 4))
         assert np.allclose(a.grad, g @ w.data)
@@ -71,7 +71,7 @@ def softmax(scores) -> np.ndarray:
     s = np.asarray(scores, dtype=float).reshape(-1, np.shape(scores)[-1])
     rows, n = s.shape
     out = attention(Tensor(np.ones((1, rows))), Tensor(s.T), Tensor(np.tile(np.eye(n), rows)),
-                    rows, 1.0, causal=False)
+                    rows, False, None)
     return out.data.reshape(np.shape(scores))
 
 
@@ -135,36 +135,36 @@ class TestCrossEntropy:
 
 class TestBackward:
     def test_sum_gives_ones(self):
-        x = Tensor(np.arange(6, dtype=float).reshape(2, 3), requires_grad=True)
+        x = leaf(np.arange(6, dtype=float).reshape(2, 3))
         backward(tape_sum(x))
         assert np.array_equal(x.grad, np.ones((2, 3)))
 
     def test_square_gives_2x(self):
-        x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        x = leaf([1.0, -2.0, 3.0])
         backward(tape_sum(x * x))
         assert np.allclose(x.grad, 2 * x.data)
 
     def test_accumulates_across_uses(self):
-        x = Tensor([2.0], requires_grad=True)
+        x = leaf([2.0])
         y = x + x  # dy/dx = 2
         backward(tape_sum(y))
         assert np.allclose(x.grad, [2.0])
 
     def test_non_scalar_rejected(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
+        x = leaf([1.0, 2.0])
         with pytest.raises(ShapeError, match="scalar"):
             backward(x * x)
 
     def test_no_grad_blocks_tape(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
+        x = leaf([1.0, 2.0])
         with no_grad():
             y = tape_sum(x * x)
         assert not y.requires_grad
         assert y._parents == ()
 
     def test_backward_releases_the_graph_and_keeps_leaf_gradients(self):
-        x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
-        w = Tensor([0.5, 0.25, 2.0], requires_grad=True)
+        x = leaf([1.0, -2.0, 3.0])
+        w = leaf([0.5, 0.25, 2.0])
         y = x * w
         sq = gelu(y) * y
         loss = tape_sum(sq)
@@ -187,20 +187,20 @@ class TestBackward:
         # norm's reads its own normalized rows, linear's reads its input
         rng = np.random.default_rng(5)
         x0, w0 = rng.normal(size=(4, 3)), rng.normal(size=(3, 3))
-        gamma, beta = Tensor(np.ones(3), requires_grad=True), Tensor(np.zeros(3))
+        gamma, beta = leaf(np.ones(3)), Tensor(np.zeros(3))
 
         def block(x, w):
             a = x * 2.0
             s = a + linear(a, w)
             return a, s, tape_sum(layer_norm(s, gamma, beta))
 
-        kept = [Tensor(x0, requires_grad=True), Tensor(w0, requires_grad=True)]
+        kept = [leaf(x0), leaf(w0)]
         loss = block(*kept)[2]
         backward(loss)
         expected = [t.grad for t in kept + [gamma]]
         gamma.grad = None
 
-        x, w = Tensor(x0, requires_grad=True), Tensor(w0, requires_grad=True)
+        x, w = leaf(x0), leaf(w0)
         a, s, loss = block(x, w)
         read, unread = weakref.ref(a.data), weakref.ref(s.data)
         del a, s
@@ -211,7 +211,7 @@ class TestBackward:
             assert t.grad.tobytes() == g.tobytes()
 
     def test_leaf_gradients_accumulate_across_fresh_graphs(self):
-        x = Tensor([1.5, -0.5], requires_grad=True)
+        x = leaf([1.5, -0.5])
         backward(tape_sum(x * x))
         backward(tape_sum(x * 3.0))
         assert np.array_equal(x.grad, 2 * x.data + 3.0)
@@ -224,7 +224,7 @@ class TestAddMulOperands:
     @pytest.mark.parametrize("shapes", [((4, 5), (5,)), ((4, 5), (4, 1)), ((3,), ())],
                              ids=["row", "column", "0-d"])
     def test_tensors_of_different_shapes_rejected(self, op, shapes):
-        a, b = (Tensor(np.ones(shape), requires_grad=True) for shape in shapes)
+        a, b = (leaf(np.ones(shape)) for shape in shapes)
         for x, y in ((a, b), (b, a)):
             with pytest.raises(ShapeError, match="one shape"):
                 op(x, y)
@@ -238,7 +238,7 @@ class TestAddMulOperands:
     @pytest.mark.parametrize("c", [2.5, -1.0, 3], ids=["float", "minus-one", "int"])
     def test_scalar_constant_on_either_side(self, op, dtype, c):
         xd = np.random.default_rng(17).normal(size=(3, 4)).astype(dtype)
-        x = Tensor(xd, requires_grad=True)
+        x = leaf(xd)
         left, right = op(c, x), op(x, c)
         want = op(xd.astype(np.float64), float(c))
         for out in (left, right):
@@ -250,7 +250,7 @@ class TestAddMulOperands:
 
 class TestMiscOps:
     def test_getitem_backward(self):
-        x = Tensor(np.arange(12, dtype=float).reshape(3, 4), requires_grad=True)
+        x = leaf(np.arange(12, dtype=float).reshape(3, 4))
         backward(tape_sum(x[1:]))
         expected = np.zeros((3, 4))
         expected[1:] = 1.0
@@ -260,7 +260,7 @@ class TestMiscOps:
                              ids=["slice", "int", "slice-int", "int-slice"])
     def test_getitem_basic_index_bitwise_equal_to_add_at(self, idx):
         rng = np.random.default_rng(12)
-        x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        x = leaf(rng.normal(size=(6, 4)))
         w = rng.normal(size=x.data[idx].shape)
         backward(tape_sum(x[idx] * Tensor(w)))
         expected = np.zeros_like(x.data)
@@ -268,20 +268,20 @@ class TestMiscOps:
         assert x.grad.tobytes() == expected.tobytes()
 
     def test_getitem_duplicated_fancy_index_accumulates(self):
-        x = Tensor(np.zeros((3, 2)), requires_grad=True)
+        x = leaf(np.zeros((3, 2)))
         backward(tape_sum(x[[0, 0, 2]]))
         assert np.array_equal(x.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
 
     def test_concat_backward_splits(self):
-        a = Tensor(np.ones((2, 3)), requires_grad=True)
-        b = Tensor(np.ones((4, 3)), requires_grad=True)
+        a = leaf(np.ones((2, 3)))
+        b = leaf(np.ones((4, 3)))
         out = concat([a, 2.0 * b])
         backward(tape_sum(out))
         assert np.array_equal(a.grad, np.ones((2, 3)))
         assert np.array_equal(b.grad, 2 * np.ones((4, 3)))
 
     def test_embedding_scatter_adds(self):
-        table = Tensor(np.zeros((5, 2)), requires_grad=True)
+        table = leaf(np.zeros((5, 2)))
         backward(tape_sum(embedding(table, [1, 1, 3])))
         expected = np.zeros((5, 2))
         expected[1] = 2.0
@@ -298,7 +298,7 @@ class TestMiscOps:
         # unique ids add rows in place, repeated ones scatter-add; both match
         # np.add.at bit for bit, also onto a gradient already accumulated
         rng = np.random.default_rng(13)
-        table = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        table = leaf(rng.normal(size=(5, 3)))
         w = rng.normal(size=(len(ids), 3))
         table.grad = rng.normal(size=(5, 3))
         expected = table.grad.copy()
@@ -322,7 +322,7 @@ class TestMiscOps:
             else:
                 ids += sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        table = Tensor(rng.normal(size=(n, 3)), requires_grad=True)
+        table = leaf(rng.normal(size=(n, 3)))
         w = rng.normal(size=(len(ids), 3))
         table.grad = rng.normal(size=(n, 3))
         expected = table.grad.copy()
@@ -337,7 +337,7 @@ def _squared_sum(y: Tensor) -> Tensor:
 
 def _attention_case(causal):
     def fn(x):
-        out = attention(x, x * 0.5, x * -0.8, 1, 0.7, causal)
+        out = attention(x, x * 0.5, x * -0.8, 1, causal, None)
         return tape_sum(out * Tensor(np.arange(out.data.size).reshape(out.shape) * 0.1 + 0.5))
     return fn
 
@@ -370,10 +370,10 @@ GRAD_CASES = {
     ),
     # base weight (3, 5), bias (3,), down (2, 5) and up (3, 2)
     "lora_linear": lambda x: _squared_sum(
-        lora_linear(x, x[:3] * 0.5, x[0, :3], x[1:3] * 0.3, x[:3, :2] * -0.4, 4.0)),
+        lora_linear(x, x[:3] * 0.5, x[0, :3], x[1:3] * 0.3, x[:3, :2] * -0.4)),
     "lora_linear_frozen_base": lambda x: _squared_sum(
         lora_linear(x, Tensor(_FROZEN[:3]), Tensor(_FROZEN[3, :3]), x[1:3] * 0.3,
-                    x[:3, :2] * -0.4, 4.0)),
+                    x[:3, :2] * -0.4)),
     # hidden width 4: w1 (4, 5), b1 (4,), w2 (3, 4) and b2 (3,)
     "gelu_mlp": lambda x: _squared_sum(
         gelu_mlp(x, x * 0.5, x[:, 0] * 0.5, x[:3, :4] * -0.3, x[3, :3])),
@@ -390,15 +390,15 @@ def test_grad_check_per_op_ten_seeds(name):
     fn = GRAD_CASES[name]
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        x = leaf(rng.normal(size=(4, 5)))
         assert grad_check_params(lambda: fn(x), [x]) < 1e-3
 
 
 def _qkv(rng, h, t, n, dh, dtype=np.float64, dv=None):
     """q (t, h·dh), k (n, h·dh) and v (n, h·dv): h heads side by side in the columns."""
-    return (Tensor(rng.normal(size=(t, h * dh)).astype(dtype), requires_grad=True),
-            Tensor(rng.normal(size=(n, h * dh)).astype(dtype), requires_grad=True),
-            Tensor(rng.normal(size=(n, h * (dv or dh))).astype(dtype), requires_grad=True))
+    return (leaf(rng.normal(size=(t, h * dh)).astype(dtype)),
+            leaf(rng.normal(size=(n, h * dh)).astype(dtype)),
+            leaf(rng.normal(size=(n, h * (dv or dh))).astype(dtype)))
 
 
 def _split(a, h):
@@ -411,10 +411,11 @@ def _merge(a):
     return np.concatenate(list(a), axis=-1)
 
 
-def _dense_attention(q, k, v, h, scale, causal, g):
-    """Reference: each head's (t, n) scores, a full causal mask, softmax, @ v;
-    and its analytic backward for the output gradient g. Returns (out, dq,
-    dk, dv), each in the (rows, h·d) layout of its input."""
+def _dense_attention(q, k, v, h, causal, g):
+    """Reference: each head's (t, n) scores scaled by 1/√d_head, a full causal
+    mask, softmax, @ v; and its analytic backward for the output gradient g.
+    Returns (out, dq, dk, dv), each in the (rows, h·d) layout of its input."""
+    scale = 1.0 / np.sqrt(q.shape[1] // h)
     q, k, v, g = (_split(a, h) for a in (q, k, v, g))
     t, n = q.shape[1], k.shape[1]
     s = q @ np.swapaxes(k, -1, -2) * scale
@@ -428,10 +429,10 @@ def _dense_attention(q, k, v, h, scale, causal, g):
                                       np.swapaxes(p, -1, -2) @ g))
 
 
-def _attention_grads(q, k, v, h, scale, causal, g):
+def _attention_grads(q, k, v, h, causal, g):
     for x in (q, k, v):
         x.grad = None
-    out = attention(q, k, v, h, scale, causal)
+    out = attention(q, k, v, h, causal, None)
     backward(tape_sum(out * Tensor(g)))
     return out.data, q.grad, k.grad, v.grad
 
@@ -449,10 +450,11 @@ class TestMaskedSoftmax:
         rng = np.random.default_rng(4)
         q, k, v = _qkv(rng, 3, 6, 6, 4, dtype)
         g = rng.normal(size=(6, 12))
-        got = _attention_grads(q, k, v, 3, 0.25, True, g)
+        got = _attention_grads(q, k, v, 3, True, g)
+        scale = 1.0 / np.sqrt(4)  # 1/√d_head
         qh, kh, vh, gh = (_split(a, 3) for a in (q.data, k.data, v.data, g))
         p = qh @ np.swapaxes(kh, -1, -2)
-        p *= 0.25
+        p *= scale
         p += causal_mask(6)
         p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
@@ -460,7 +462,7 @@ class TestMaskedSoftmax:
         ds = gh @ np.swapaxes(vh, -1, -2)
         ds = ds - (ds * p).sum(axis=-1, keepdims=True)
         ds *= p
-        ds *= 0.25
+        ds *= scale
         chain = (p @ vh, ds @ kh, np.swapaxes(ds, -1, -2) @ qh, np.swapaxes(p, -1, -2) @ gh)
         for a, b in zip(got, chain):
             assert a.dtype == np.float64
@@ -470,8 +472,8 @@ class TestMaskedSoftmax:
         rng = np.random.default_rng(5)
         n, row = 150, 70  # three blocks; the row sits in the second
         q, k, _ = _qkv(rng, 2, n, n, 3)
-        v = Tensor(_eye_values(n, 2), requires_grad=True)
-        out = attention(q, k, v, 2, 1.0, causal=True)
+        v = leaf(_eye_values(n, 2))
+        out = attention(q, k, v, 2, True, None)
         probs = _split(out.data, 2)
         upper = np.triu(np.ones((n, n), dtype=bool), k=1)
         assert np.all(probs[:, upper] == 0.0)
@@ -495,10 +497,11 @@ class TestAttentionProbs:
         q, k, _ = _qkv(rng, 2, 7, 7, 4, dtype)
         v = Tensor(_eye_values(7, 2, dtype))
         g = rng.normal(size=(7, 14))
-        probs, dq, dk, _ = _attention_grads(q, k, v, 2, 0.5, masked, g)
+        probs, dq, dk, _ = _attention_grads(q, k, v, 2, masked, g)
+        scale = 1.0 / np.sqrt(4)  # 1/√d_head
         qh, kh, gh = _split(q.data, 2), _split(k.data, 2), _split(g, 2)
         p = qh @ np.swapaxes(kh, -1, -2)
-        p *= 0.5
+        p *= scale
         if masked:
             p += causal_mask(7)
         p -= p.max(axis=-1, keepdims=True)
@@ -506,7 +509,7 @@ class TestAttentionProbs:
         p /= p.sum(axis=-1, keepdims=True)
         d = gh - (gh * p).sum(axis=-1, keepdims=True)
         d *= p
-        d *= 0.5
+        d *= scale
         assert probs.dtype == np.float64
         assert np.array_equal(probs, _merge(p))
         assert np.array_equal(dq, _merge(d @ kh))
@@ -525,7 +528,7 @@ class TestAttention:
             rng = np.random.default_rng(7 + h)
             q, k, v = _qkv(rng, h, t, n, 3)
             w = Tensor(rng.normal(size=(t, 3 * h)))
-            loss = lambda: tape_sum(attention(q, k, v, h, 0.6, causal) * w)  # noqa: E731
+            loss = lambda: tape_sum(attention(q, k, v, h, causal, None) * w)  # noqa: E731
             assert grad_check_params(loss, [q, k, v], rng=np.random.default_rng(0),
                                      coords_per_tensor=60) < 1e-6
             assert np.all(k.grad[: n - t + 1] != 0.0)
@@ -536,8 +539,8 @@ class TestAttention:
         rng = np.random.default_rng(t + offset)
         q, k, v = _qkv(rng, 4, t, t + offset, 16)
         g = rng.normal(size=(t, 64))
-        got = _attention_grads(q, k, v, 4, 0.25, True, g)
-        want = _dense_attention(q.data, k.data, v.data, 4, 0.25, True, g)
+        got = _attention_grads(q, k, v, 4, True, g)
+        want = _dense_attention(q.data, k.data, v.data, 4, True, g)
         for a, b in zip(got, want):
             assert np.max(np.abs(a - b)) < 1e-13
 
@@ -545,8 +548,8 @@ class TestAttention:
         rng = np.random.default_rng(8)
         q, k, v = _qkv(rng, 2, 130, 130, 8, dv=5)
         g = rng.normal(size=(130, 10))
-        got = _attention_grads(q, k, v, 2, 0.3, False, g)
-        want = _dense_attention(q.data, k.data, v.data, 2, 0.3, False, g)
+        got = _attention_grads(q, k, v, 2, False, g)
+        want = _dense_attention(q.data, k.data, v.data, 2, False, g)
         for a, b in zip(got, want):
             assert np.max(np.abs(a - b)) < 1e-13
 
@@ -558,10 +561,10 @@ class TestAttention:
         h, dh, t = 4, 6, 70
         q, k, v = _qkv(rng, h, t, t, dh)
         g = rng.normal(size=(t, h * dh))
-        got = _attention_grads(q, k, v, h, 0.4, causal, g)
+        got = _attention_grads(q, k, v, h, causal, g)
         cols = [slice(i * dh, (i + 1) * dh) for i in range(h)]
-        parts = [_attention_grads(*(Tensor(np.ascontiguousarray(x.data[:, c]), requires_grad=True)
-                                    for x in (q, k, v)), 1, 0.4, causal,
+        parts = [_attention_grads(*(leaf(np.ascontiguousarray(x.data[:, c]))
+                                    for x in (q, k, v)), 1, causal,
                                   np.ascontiguousarray(g[:, c])) for c in cols]
         for i, a in enumerate(got):
             assert a.shape == (t, h * dh)
@@ -571,19 +574,19 @@ class TestAttention:
         rng = np.random.default_rng(9)
         q, k, v = _qkv(rng, 2, 5, 4, 3)
         with pytest.raises(ShapeError, match="attention"):
-            attention(q, k, v, 2, 1.0, True)
+            attention(q, k, v, 2, True, None)
         q, k, v = _qkv(rng, 2, 4, 4, 3)
         with pytest.raises(ShapeError, match="n_heads=4"):
-            attention(q, k, v, 4, 1.0, True)
+            attention(q, k, v, 4, True, None)
 
     def test_one_sequence_table_is_plain_attention(self):
         rng = np.random.default_rng(16)
         q, k, v = _qkv(rng, 2, 20, 90, 4)  # a cached prefix of 70 positions
         g = rng.normal(size=(20, 8))
-        want = _attention_grads(q, k, v, 2, 0.5, True, g)
+        want = _attention_grads(q, k, v, 2, True, g)
         for x in (q, k, v):
             x.grad = None
-        out = attention(q, k, v, 2, 0.5, True, Segments((20,), queries=(20,)))
+        out = attention(q, k, v, 2, True, Segments((20,), queries=(20,)))
         backward(tape_sum(out * Tensor(g)))
         for a, b in zip((out.data, q.grad, k.grad, v.grad), want):
             assert np.array_equal(a, b)
@@ -599,9 +602,9 @@ class TestLinear:
     @pytest.mark.parametrize("bias", [True, False])
     def test_bitwise_equal_to_matmul_transpose_add(self, dtype, bias):
         rng = np.random.default_rng(10)
-        x = Tensor(rng.normal(size=(9, 6)).astype(dtype), requires_grad=True)
-        w = Tensor(rng.normal(size=(5, 6)).astype(dtype), requires_grad=True)
-        b = Tensor(rng.normal(size=5).astype(dtype), requires_grad=True) if bias else None
+        x = leaf(rng.normal(size=(9, 6)).astype(dtype))
+        w = leaf(rng.normal(size=(5, 6)).astype(dtype))
+        b = leaf(rng.normal(size=5).astype(dtype)) if bias else None
         g = rng.normal(size=(9, 5))
         fused = linear(x, w, b)
         backward(tape_sum(fused * Tensor(g)))
@@ -663,20 +666,20 @@ class TestGradientHandOver:
     def test_one_tensor_as_query_and_key(self):
         rng = np.random.default_rng(11)
         xd, vd = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
-        x, v = Tensor(xd, requires_grad=True), Tensor(vd, requires_grad=True)
-        backward(tape_sum(attention(x, x, v, 2, 0.5, causal=True)))
-        q, k = Tensor(xd, requires_grad=True), Tensor(xd, requires_grad=True)
-        v2 = Tensor(vd, requires_grad=True)
-        backward(tape_sum(attention(q, k, v2, 2, 0.5, causal=True)))
+        x, v = leaf(xd), leaf(vd)
+        backward(tape_sum(attention(x, x, v, 2, True, None)))
+        q, k = leaf(xd), leaf(xd)
+        v2 = leaf(vd)
+        backward(tape_sum(attention(q, k, v2, 2, True, None)))
         assert np.array_equal(x.grad, q.grad + k.grad)
         assert np.array_equal(v.grad, v2.grad)
 
     def test_one_tensor_into_two_gelu_nodes(self):
         rng = np.random.default_rng(12)
         xd = rng.normal(size=(3, 6))
-        x = Tensor(xd, requires_grad=True)
+        x = leaf(xd)
         backward(tape_sum(gelu(x) + gelu(x) * 3.0))
-        a, b = Tensor(xd, requires_grad=True), Tensor(xd, requires_grad=True)
+        a, b = leaf(xd), leaf(xd)
         backward(tape_sum(gelu(a) + gelu(b) * 3.0))
         assert np.array_equal(x.grad, a.grad + b.grad)
 
@@ -686,7 +689,7 @@ class TestGeluLayerNormBitwise:
     @pytest.mark.parametrize("shape", [(347, 256), (1, 256), (9, 48)])
     def test_gelu_bitwise_equal_to_reference(self, shape, dtype):
         rng = np.random.default_rng(15)
-        x = Tensor((rng.normal(size=shape) * 3).astype(dtype), requires_grad=True)
+        x = leaf((rng.normal(size=shape) * 3).astype(dtype))
         g = rng.normal(size=shape)
         out = gelu(x)
         backward(tape_sum(out * Tensor(g)))
@@ -699,9 +702,9 @@ class TestGeluLayerNormBitwise:
     @pytest.mark.parametrize("d", [33, 48, 64, 96, 256])
     def test_layer_norm_bitwise_equal_to_reference(self, d, dtype):
         rng = np.random.default_rng(d)
-        x = Tensor((rng.normal(size=(37, d)) * 2 + 0.5).astype(dtype), requires_grad=True)
-        gamma = Tensor(rng.normal(size=d).astype(dtype), requires_grad=True)
-        beta = Tensor(rng.normal(size=d).astype(dtype), requires_grad=True)
+        x = leaf((rng.normal(size=(37, d)) * 2 + 0.5).astype(dtype))
+        gamma = leaf(rng.normal(size=d).astype(dtype))
+        beta = leaf(rng.normal(size=d).astype(dtype))
         g = rng.normal(size=(37, d))
         out = layer_norm(x, gamma, beta)
         backward(tape_sum(out * Tensor(g)))
@@ -711,9 +714,10 @@ class TestGeluLayerNormBitwise:
             assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
 
 
-def _lora_chain(x, w, b, down, up, scale):
-    """The five nodes lora_linear replaces: base linear, two thin linears, mul and add."""
-    return linear(x, w, b) + linear(linear(x, down), up) * scale
+def _lora_chain(x, w, b, down, up):
+    """The five nodes lora_linear replaces: base linear, two thin linears, mul
+    by LoRA's scale alpha / r = 16 / 4, and add."""
+    return linear(x, w, b) + linear(linear(x, down), up) * 4.0
 
 
 def _mlp_chain(x, w1, b1, w2, b2):
@@ -722,7 +726,7 @@ def _mlp_chain(x, w1, b1, w2, b2):
 
 
 def _leaves(rng, shapes, trains):
-    return [Tensor(rng.normal(size=s), requires_grad=t) for s, t in zip(shapes, trains)]
+    return [(leaf if t else Tensor)(rng.normal(size=s)) for s, t in zip(shapes, trains)]
 
 
 def _fused_and_chain(build, ops, seed, shapes, trains, g_shape):
@@ -766,8 +770,8 @@ class TestLoraLinear:
 
         def build(op, leaves):
             x, rest = leaves[0], leaves[1:]
-            q, k, v = (op(x, *rest[i:i + 4], 4.0) for i in (0, 4, 8))
-            return attention(q, k, v, 2, 0.25, causal=True)
+            q, k, v = (op(x, *rest[i:i + 4]) for i in (0, 4, 8))
+            return attention(q, k, v, 2, True, None)
 
         _assert_bitwise(_fused_and_chain(build, (lora_linear, _lora_chain), 31, shapes, trains, (self.N, d)))
 
@@ -775,14 +779,14 @@ class TestLoraLinear:
         rng = np.random.default_rng(32)
         leaves = _leaves(rng, [(5, 8), (6, 8), (6,), (2, 8), (6, 2)], [True] * 5)
         with no_grad():
-            fused, chain = lora_linear(*leaves, 4.0), _lora_chain(*leaves, 4.0)
+            fused, chain = lora_linear(*leaves), _lora_chain(*leaves)
         assert not fused.requires_grad and fused.data.tobytes() == chain.data.tobytes()
 
     def test_shapes_checked(self):
         z = Tensor(np.zeros((2, 3)))
         with pytest.raises(ShapeError, match=r"up \(d_out, r\).*\(4, 3\), \(2, 3\) and \(3, 2\)"):
             lora_linear(z, Tensor(np.zeros((4, 3))), Tensor(np.zeros(4)), z,
-                        Tensor(np.zeros((3, 2))), 4.0)
+                        Tensor(np.zeros((3, 2))))
 
 
 class TestGeluMlp:
@@ -822,9 +826,10 @@ class TestGeluMlp:
 
 def test_forward_backward_values_stay_finite():
     rng = np.random.default_rng(11)
-    x = Tensor(rng.normal(size=(6, 8)), requires_grad=True)
+    x = leaf(rng.normal(size=(6, 8)))
     scores = gelu(linear(x, x))
-    out = attention(scores, scores, scores, 2, 30.0, causal=True)
+    # q scaled by 30·√3, so the logits are 30 times q·kᵀ at d_head = 3
+    out = attention(scores * (30.0 * 3 ** 0.5), scores, scores, 2, True, None)
     loss = tape_sum(out * out)
     backward(loss)
     assert np.all(np.isfinite(out.data))
@@ -841,16 +846,16 @@ PACKED = dict(ends=(100, 150, 160), prefix=30)
 LAST_ROWS = (7, 50, 1)
 
 
-def _per_sequence_grads(q, k, v, table, h, scale, g):
+def _per_sequence_grads(q, k, v, table, h, g):
     """Each sequence alone through one-sequence attention on copied rows, its
     gradients added back into packed (rows, d) buffers."""
     out = np.empty((q.shape[0], v.shape[1]))
     dq, dk, dv = np.zeros(q.shape), np.zeros(k.shape), np.zeros(v.shape)
     for q0, q1, shared, k0, k1 in table.spans:
         rows = np.r_[0:shared, k0:k1]
-        parts = [Tensor(x.data[r].copy(), requires_grad=True)
+        parts = [leaf(x.data[r].copy())
                  for x, r in ((q, slice(q0, q1)), (k, rows), (v, rows))]
-        o, gq, gk, gv = _attention_grads(*parts, h, scale, True, g[q0:q1])
+        o, gq, gk, gv = _attention_grads(*parts, h, True, g[q0:q1])
         out[q0:q1] = o
         dq[q0:q1] += gq
         dk[rows] += gk
@@ -866,7 +871,7 @@ class TestPackedAttention:
         t = table.spans[-1][1]
         q, k, v = _qkv(rng, 2, t, 160, 3)
         w = Tensor(rng.normal(size=(t, 6)))
-        loss = lambda: tape_sum(attention(q, k, v, 2, 0.6, True, table) * w)  # noqa: E731
+        loss = lambda: tape_sum(attention(q, k, v, 2, True, table) * w)  # noqa: E731
         assert grad_check_params(loss, [q, k, v], rng=np.random.default_rng(1),
                                  coords_per_tensor=80) < 1e-6
         assert np.all(k.grad[:30] != 0.0)  # every sequence reads the prefix keys
@@ -878,17 +883,17 @@ class TestPackedAttention:
         t = table.spans[-1][1]
         q, k, v = _qkv(rng, 4, t, 160, 4)
         g = rng.normal(size=(t, 16))
-        want = _per_sequence_grads(q, k, v, table, 4, 0.5, g)
+        want = _per_sequence_grads(q, k, v, table, 4, g)
         for x in (q, k, v):
             x.grad = None
-        out = attention(q, k, v, 4, 0.5, True, table)
+        out = attention(q, k, v, 4, True, table)
         backward(tape_sum(out * Tensor(g)))
         got = (out.data, q.grad, k.grad, v.grad)
         for a, b in zip(got, want):
             assert np.max(np.abs(a - b)) < 1e-13
 
     def test_select_picks_the_query_rows(self):
-        x = Tensor(np.arange(160.0)[:, None], requires_grad=True)
+        x = leaf(np.arange(160.0)[:, None])
         picked = Segments(**PACKED, queries=LAST_ROWS).select(x)
         rows = np.r_[93:100, 100:150, 159:160]
         assert np.array_equal(picked.data[:, 0], rows)
@@ -914,4 +919,4 @@ class TestPackedAttention:
         rng = np.random.default_rng(23)
         q, k, v = _qkv(rng, 2, 150, 150, 3)
         with pytest.raises(ShapeError, match="segments"):
-            attention(q, k, v, 2, 1.0, True, Segments(**PACKED))
+            attention(q, k, v, 2, True, Segments(**PACKED))

